@@ -55,6 +55,11 @@ BISECTION_HALVINGS = 52
 DEFAULT_FIXEDPOINT_TOL = 1e-14
 #: Required simplex defect |s(lam) - 1| at the bisection solution.
 DEFAULT_BISECTION_TOL = 1e-12
+#: ``1 - s(0)`` at or below which the bisection takes ``lam = 0`` without
+#: halving (identical members); the rounding floor of ``s``.
+DEGENERACY_TOL = 1e-13
+#: ``s(lower)`` below ``1 - BRACKET_SLACK`` means the bracket misses the root.
+BRACKET_SLACK = 1e-9
 
 _FIXEDPOINT_CAP = 100
 
@@ -228,13 +233,15 @@ def frequency_centroid_bisection(
     # s(0) <= 1 up to rounding; s(0) == 1 means a == g and lam* = 0.  The
     # threshold is at the rounding floor so that merely similar inputs
     # still get the full bisection schedule.
-    if 1.0 - float(coords_hi.sum()) <= min(tol, 1e-13):
-        return _finish_frequency(sf, coords_hi, MODE_BISECTION, 0.0, 0, max(tol, 1e-13))
+    if 1.0 - float(coords_hi.sum()) <= min(tol, DEGENERACY_TOL):
+        return _finish_frequency(
+            sf, coords_hi, MODE_BISECTION, 0.0, 0, max(tol, DEGENERACY_TOL)
+        )
 
     lo = float(np.max(a + np.log(g))) - 1.0
     hi = 0.0
     s_lo = float(_coordinates(a, ratio, lo).sum())
-    if s_lo < 1.0 - 1e-9:
+    if s_lo < 1.0 - BRACKET_SLACK:
         raise NumericError(
             f"bisection bracket violated: s(lower) = {s_lo!r} < 1 "
             "(means computed inconsistently)"
@@ -248,6 +255,52 @@ def frequency_centroid_bisection(
     lam = 0.5 * (lo + hi)
     coords = _coordinates(a, ratio, lam)
     return _finish_frequency(sf, coords, MODE_BISECTION, lam, BISECTION_HALVINGS, tol)
+
+
+def batch_frequency_bisection(
+    a: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multiplier bisection for ``T`` frequency problems at once.
+
+    ``a`` and ``g`` are ``(T, d)`` normalized arithmetic and geometric
+    means, one problem per row.  Returns ``(lam, coords, halvings)``: the
+    multipliers, the ``(T, d)`` centroids on the simplex and the halvings
+    per row.  Row for row it solves the problem of
+    :func:`frequency_centroid_bisection` at its default tolerance (equal to
+    rounding), with the same checks: a row with ``1 - s(0) <=
+    DEGENERACY_TOL`` keeps ``lam = 0`` and 0 halvings, a bracket with
+    ``s(lower)`` below one raises :class:`NumericError`, and so does a
+    final simplex defect above ``DEFAULT_BISECTION_TOL``.  Every row shares
+    the 55 ``W0`` evaluations of the schedule, and each row's result does
+    not depend on the other rows.
+    """
+    ratio = a / g
+    coords0 = a / lambert_w0_values(ratio * math.e)
+    degenerate = 1.0 - coords0.sum(axis=1) <= DEGENERACY_TOL
+    lo = np.where(degenerate, 0.0, (a + np.log(g)).max(axis=1) - 1.0)
+    hi = np.zeros(a.shape[0])
+    s_lo = (a / lambert_w0_values(ratio * np.exp(lo + 1.0)[:, None])).sum(axis=1)
+    if np.any(s_lo < 1.0 - BRACKET_SLACK):
+        raise NumericError(
+            f"bisection bracket violated: s(lower) = {float(s_lo.min())!r} < 1 "
+            "(means computed inconsistently)"
+        )
+    for _ in range(BISECTION_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        ge = (a / lambert_w0_values(ratio * np.exp(mid + 1.0)[:, None])).sum(axis=1) >= 1.0
+        lo = np.where(ge, mid, lo)
+        hi = np.where(ge, hi, mid)
+    lam = 0.5 * (lo + hi)
+    coords = a / lambert_w0_values(ratio * np.exp(lam + 1.0)[:, None])
+    mass = coords.sum(axis=1)
+    defect = float(np.abs(mass - 1.0).max())
+    if defect > DEFAULT_BISECTION_TOL:
+        raise NumericError(
+            f"{MODE_BISECTION} stopped with simplex defect {defect:.3e} "
+            f"> tol {DEFAULT_BISECTION_TOL:.3e}"
+        )
+    halvings = np.where(degenerate, 0, BISECTION_HALVINGS)
+    return lam, coords / mass[:, None], halvings
 
 
 def frequency_centroid_fixedpoint(

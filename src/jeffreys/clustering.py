@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import (
-    DEFAULT_BISECTION_TOL,
-    frequency_centroid_bisection,
-    normalized_positive_centroid,
-    positive_centroid,
-)
+from .centroids import batch_frequency_bisection
 from .errors import ValidationError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
 from .lambertw import lambert_w0_values
@@ -142,65 +137,97 @@ def _repair_empty(assign: np.ndarray, costs: np.ndarray, k: int) -> np.ndarray:
     return assign
 
 
-def _one_step_frequency_update(sub: WeightedHistogramSet) -> np.ndarray:
-    # Single fixed-point refinement started from the arithmetic mean; a
-    # provably-better-than-mean update that keeps the variational k-means
-    # cheap.
-    a = sub.weights @ sub.matrix
-    a = a / a.sum()
-    g = np.exp(sub.weights @ np.log(sub.matrix))
-    g = g / g.sum()
-    lam = -float(np.sum(a * (np.log(a) - np.log(g))))
-    coords = a / lambert_w0_values((a / g) * math.exp(lam + 1.0))
-    return coords / coords.sum()
+def _positive_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return a / lambert_w0_values((a / g) * math.e)
 
 
-def _cluster_objective(matrix, log_matrix, weights, center) -> float:
-    log_center = np.log(center)
-    return float(weights @ ((matrix - center) * (log_matrix - log_center)).sum(axis=1))
+def _normalized_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    c = _positive_candidates(a, g)
+    return c / c.sum(axis=1, keepdims=True)
+
+
+def _frequency_means(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return a / a.sum(axis=1, keepdims=True), g / g.sum(axis=1, keepdims=True)
+
+
+def _one_step_frequency_update(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """One fixed-point refinement per row of ``(k, d)`` normalized means.
+
+    Started from the arithmetic mean, ``lam = -KL(a : g)``; a
+    provably-better-than-mean update that keeps the variational k-means
+    cheap.
+    """
+    lam = -(a * (np.log(a) - np.log(g))).sum(axis=1)
+    coords = a / lambert_w0_values((a / g) * np.exp(lam + 1.0)[:, None])
+    return coords / coords.sum(axis=1, keepdims=True)
+
+
+def _fixedpoint_1step_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return _one_step_frequency_update(*_frequency_means(a, g))
+
+
+def _exact_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return batch_frequency_bisection(*_frequency_means(a, g))[1]
+
+
+# Centroid mode -> (k, d) candidate centroids from the (k, d) raw weighted
+# arithmetic and geometric means of the clusters.
+_CANDIDATES = {
+    CENTROID_MODE_POSITIVE: _positive_candidates,
+    CENTROID_MODE_NORMALIZED: _normalized_candidates,
+    CENTROID_MODE_FIXEDPOINT_1STEP: _fixedpoint_1step_candidates,
+    CENTROID_MODE_EXACT: _exact_candidates,
+}
 
 
 def _relocate(
-    s: WeightedHistogramSet,
+    matrix: np.ndarray,
+    log_matrix: np.ndarray,
+    weights: np.ndarray,
     assign: np.ndarray,
     centers: np.ndarray,
     mode: str,
 ) -> np.ndarray:
-    matrix = s.matrix
-    log_matrix = np.log(matrix)
-    new_centers = centers.copy()
-    for m in range(centers.shape[0]):
-        idx = np.flatnonzero(assign == m)
-        if idx.size == 0:
-            continue
-        weights = s.weights[idx]
-        weights = weights / weights.sum()
-        sub = WeightedHistogramSet(tuple(s.histograms[i] for i in idx), weights)
-        if mode == CENTROID_MODE_POSITIVE:
-            candidate = positive_centroid(sub).centroid.bins
-        elif mode == CENTROID_MODE_NORMALIZED:
-            candidate = normalized_positive_centroid(sub).centroid.bins
-        elif mode == CENTROID_MODE_FIXEDPOINT_1STEP:
-            candidate = sub.histograms[0].bins if sub.n == 1 else _one_step_frequency_update(sub)
-        else:
-            candidate = frequency_centroid_bisection(sub, DEFAULT_BISECTION_TOL).centroid.bins
-        # Keep the previous centroid when the update does not improve the
-        # within-cluster objective; this pins down monotone convergence for
-        # the approximate modes.
-        sub_m, sub_lm = matrix[idx], log_matrix[idx]
-        if _cluster_objective(sub_m, sub_lm, weights, candidate) <= _cluster_objective(
-            sub_m, sub_lm, weights, centers[m]
-        ):
-            new_centers[m] = candidate
-    return new_centers
+    """Update every centroid of one round in a single batched solve.
+
+    The clusters' normalized weights form one ``(k, n)`` matrix, so their
+    arithmetic and geometric means are two matmuls and the configured
+    update runs once for every cluster with at least two members.  A
+    singleton cluster takes its member, an empty one keeps its centroid.
+    """
+    k = centers.shape[0]
+    counts = np.bincount(assign, minlength=k)
+    row_weights = weights / np.bincount(assign, weights=weights, minlength=k)[assign]
+    cluster_weights = np.zeros((k, matrix.shape[0]))
+    cluster_weights[assign, np.arange(matrix.shape[0])] = row_weights
+
+    candidates = centers.copy()
+    alone = np.flatnonzero(counts[assign] == 1)
+    candidates[assign[alone]] = matrix[alone]
+    solve = np.flatnonzero(counts >= 2)
+    if solve.size:
+        w = cluster_weights[solve]
+        a = w @ matrix
+        g = np.exp(w @ log_matrix)
+        candidates[solve] = _CANDIDATES[mode](a, g)
+
+    # Keep the previous centroid when the update does not improve the
+    # within-cluster objective; this pins down monotone convergence for
+    # the approximate modes.
+    def objectives(cents: np.ndarray) -> np.ndarray:
+        costs = ((matrix - cents[assign]) * (log_matrix - np.log(cents)[assign])).sum(axis=1)
+        return np.bincount(assign, weights=row_weights * costs, minlength=k)
+
+    better = objectives(candidates) <= objectives(centers)
+    return np.where(better[:, None], candidates, centers)
 
 
 def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     """Lloyd iteration under the Jeffreys divergence.
 
     Assignment sends each histogram to its nearest centroid (ties to the
-    lowest index); relocation applies the configured centroid update per
-    cluster.  Stops when assignments repeat, when the objective decrease
+    lowest index); relocation applies the configured centroid update to
+    every cluster in one batched call.  Stops when assignments repeat, when the objective decrease
     drops to ``objective_tolerance``, or after ``max_iterations`` rounds.
     The trace records the weighted objective after each relocation and
     never increases.
@@ -229,7 +256,7 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        centers = _relocate(s, assignments, centers, cfg.centroid_mode)
+        centers = _relocate(matrix, log_matrix, s.weights, assignments, centers, cfg.centroid_mode)
         rounds += 1
         trace.append(objective(assignments, centers))
         if len(trace) >= 2 and trace[-2] - trace[-1] <= cfg.objective_tolerance:

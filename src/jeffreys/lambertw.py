@@ -50,11 +50,11 @@ class LambertEval:
     residual: float
 
 
-def _initial_guess(x: float) -> float:
+def _initial_guess(x: np.float64) -> np.float64:
     if x < math.e:
-        return math.log1p(x)
-    lx = math.log(x)
-    return lx - math.log(lx)
+        return np.log1p(x)
+    lx = np.log(x)
+    return lx - np.log(lx)
 
 
 def lambert_w0(x: float) -> LambertEval:
@@ -72,9 +72,14 @@ def lambert_w0(x: float) -> LambertEval:
     if x == 0.0:
         return LambertEval(value=0.0, iterations=0, residual=0.0)
 
-    w = _initial_guess(x)
+    # numpy ufuncs on np.float64, not math.*, so that every step rounds
+    # exactly as in lambert_w0_values and both paths return the same double.
+    # A loop of its own because a one-element lambert_w0_values call costs
+    # about ten times as much.
+    xf = np.float64(x)
+    w = _initial_guess(xf)
     for steps in range(1, _MAX_STEPS + 1):
-        r = w - x * math.exp(-w)
+        r = w - xf * np.exp(-w)
         step = r / ((1.0 + w) - r * (2.0 + w) / (2.0 + 2.0 * w))
         w -= step
         if abs(step) <= _EPS * (1.0 + abs(w)):
@@ -82,6 +87,7 @@ def lambert_w0(x: float) -> LambertEval:
     else:
         raise NumericError(f"Halley iteration did not converge for x={x!r}")
 
+    w = float(w)
     residual = abs(w * math.exp(w) - x) / x
     return LambertEval(value=w, iterations=steps, residual=residual)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import BISECTION_HALVINGS
+from .centroids import batch_frequency_bisection as _batch_bisection
 from .divergences import jeffreys_to_set
 from .errors import ValidationError
 from .histograms import WeightedHistogramSet, normalized_means
@@ -170,30 +170,6 @@ def batch_kl_to_set(x: np.ndarray, members: np.ndarray, weights: np.ndarray) -> 
     """Per-trial weighted KL(x : member) averages."""
     terms = x[:, None, :] * (np.log(x)[:, None, :] - np.log(members))
     return terms.sum(axis=2) @ weights
-
-
-def _batch_bisection(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized multiplier bisection over (T, d) mean pairs.
-
-    Returns (lam, coords, halvings); degenerate trials with s(0) ~ 1 keep
-    lam = 0 and 0 halvings.
-    """
-    ratio = a / g
-    coords0 = a / lambert_w0_values(ratio * math.e)
-    degenerate = 1.0 - coords0.sum(axis=1) <= 1e-13
-    lo = np.where(degenerate, 0.0, (a + np.log(g)).max(axis=1) - 1.0)
-    hi = np.zeros(a.shape[0])
-    for _ in range(BISECTION_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        s = (a / lambert_w0_values(ratio * np.exp(mid + 1.0)[:, None])).sum(axis=1)
-        ge = s >= 1.0
-        lo = np.where(ge, mid, lo)
-        hi = np.where(ge, hi, mid)
-    lam = 0.5 * (lo + hi)
-    coords = a / lambert_w0_values(ratio * np.exp(lam + 1.0)[:, None])
-    coords = coords / coords.sum(axis=1, keepdims=True)
-    halvings = np.where(degenerate, 0, BISECTION_HALVINGS)
-    return lam, coords, halvings
 
 
 def _batch_fixedpoint(

@@ -38,7 +38,10 @@ class RunReport:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed report JSON: {exc}") from exc
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except TypeError as exc:
+            raise ValidationError(f"bad report JSON: {exc}") from exc
 
     def to_csv(self) -> str:
         scalars = {k: v for k, v in asdict(self).items() if k != "centroid"}

@@ -23,6 +23,7 @@ from jeffreys import (
     weighted_arithmetic_mean,
     weighted_geometric_mean,
 )
+from jeffreys.centroids import batch_frequency_bisection
 from jeffreys.lambertw import lambert_w0_values
 from conftest import random_frequency_set, random_positive_set
 
@@ -227,6 +228,67 @@ class TestBisection:
         r = frequency_centroid_bisection(s)
         assert np.array_equal(r.centroid.bins, [0.2, 0.8])
         assert r.lambda_star == 0.0 and r.iterations == 0
+
+
+class TestBatchBisection:
+    @staticmethod
+    def stacked_problems(rng, d=6):
+        sets = [random_frequency_set(rng, n=int(rng.integers(2, 6)), d=d) for _ in range(7)]
+        member = rng.uniform(0.1, 1.0, size=d)
+        sets.append(WeightedHistogramSet.from_rows([member / member.sum()] * 3, frequency=True))
+        means = [normalized_means(s) for s in sets]
+        a = np.vstack([arith.bins for arith, _ in means])
+        g = np.vstack([geom.bins for _, geom in means])
+        return sets, a, g
+
+    def test_rows_are_independent_bitwise(self, rng):
+        _, a, g = self.stacked_problems(rng)
+        lam, coords, halvings = batch_frequency_bisection(a, g)
+        for i in range(a.shape[0]):
+            lam_i, coords_i, halvings_i = batch_frequency_bisection(a[i:i + 1], g[i:i + 1])
+            assert lam_i[0] == lam[i]
+            assert np.array_equal(coords_i[0], coords[i])
+            assert halvings_i[0] == halvings[i]
+
+    def test_matches_scalar_bisection(self, rng):
+        sets, a, g = self.stacked_problems(rng)
+        lam, coords, halvings = batch_frequency_bisection(a, g)
+        for i, s in enumerate(sets):
+            r = frequency_centroid_bisection(s)
+            assert np.abs(coords[i] - r.centroid.bins).max() <= 1e-12
+            assert lam[i] == pytest.approx(r.lambda_star, abs=1e-12)
+            assert halvings[i] == r.iterations
+        # the identical-member row takes the s(0) ~ 1 shortcut
+        assert halvings[-1] == 0 and lam[-1] == 0.0
+        assert set(halvings[:-1]) == {BISECTION_HALVINGS}
+
+    def test_bracket_violation_raises(self, monkeypatch):
+        # s(lower) >= 1 holds analytically (the coordinate attaining the
+        # bracket's max is exactly 1 there), so break W0 to reach the check.
+        import jeffreys.centroids as centroids
+
+        arith, geom = normalized_means(canonical_set())
+        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x: 4.0 * lambert_w0_values(x))
+        with pytest.raises(NumericError, match="bracket"):
+            batch_frequency_bisection(arith.bins[None, :], geom.bins[None, :])
+
+    def test_final_simplex_defect_raises(self, monkeypatch):
+        # Break only the last of the 55 W0 passes, which yields the returned
+        # coordinates, so that their mass misses one by about 1e-6.
+        import jeffreys.centroids as centroids
+
+        arith, geom = normalized_means(canonical_set())
+        calls = []
+
+        def off_on_last_pass(x):
+            calls.append(1)
+            w = lambert_w0_values(x)
+            return w * (1.0 + 1e-6) if len(calls) == 2 + BISECTION_HALVINGS + 1 else w
+
+        monkeypatch.setattr(centroids, "lambert_w0_values", off_on_last_pass)
+        with pytest.raises(NumericError, match="simplex defect"):
+            batch_frequency_bisection(arith.bins[None, :], geom.bins[None, :])
+        assert len(calls) == 2 + BISECTION_HALVINGS + 1
 
 
 class TestFixedPoint:

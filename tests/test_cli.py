@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from jeffreys import ValidationError
 from jeffreys.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from jeffreys.reports import RunReport
 from conftest import planted_blobs
@@ -79,6 +80,23 @@ class TestCentroidCommand:
         )
         report = RunReport.from_json(out)
         assert report.to_json() == out.strip()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda report: json.dumps([report]),
+            lambda report: json.dumps({**report, "surprise": 1}),
+            lambda report: json.dumps({k: v for k, v in report.items() if k != "objective"}),
+        ],
+        ids=["array", "unknown_key", "missing_key"],
+    )
+    def test_report_json_rejects_bad_shapes(self, pair_csv, mutate):
+        _, out, _ = run_cli(
+            ["centroid", "--input", pair_csv, "--format", "csv",
+             "--kind", "frequency", "--mode", "fixedpoint"]
+        )
+        with pytest.raises(ValidationError):
+            RunReport.from_json(mutate(json.loads(out)))
 
     def test_csv_output(self, pair_csv):
         code, out, _ = run_cli(

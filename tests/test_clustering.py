@@ -11,15 +11,21 @@ from jeffreys import (
     jeffreys,
     jeffreys_to_set,
     kmeans,
+    normalized_means,
+    normalized_positive_centroid,
     positive_centroid,
     seed_centroids,
 )
 from jeffreys.clustering import (
     CENTROID_MODE_EXACT,
     CENTROID_MODE_FIXEDPOINT_1STEP,
+    CENTROID_MODE_NORMALIZED,
+    CENTROID_MODE_POSITIVE,
     CENTROID_MODES,
     _one_step_frequency_update,
+    _relocate,
 )
+from jeffreys.lambertw import lambert_w0_values
 from conftest import planted_blobs, random_frequency_set
 
 
@@ -166,7 +172,8 @@ class TestOneStepUpdate:
         # update against the canonical start point directly.
         for _ in range(20):
             s = random_frequency_set(rng)
-            candidate = _one_step_frequency_update(s)
+            arith, geom = normalized_means(s)
+            candidate = _one_step_frequency_update(arith.bins[None, :], geom.bins[None, :])[0]
             arith = s.weights @ s.matrix
             assert jeffreys_to_set(candidate, s) <= jeffreys_to_set(arith / arith.sum(), s) + 1e-12
 
@@ -177,3 +184,79 @@ class TestOneStepUpdate:
         )
         trace = res.objective_trace
         assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
+
+
+def one_step_reference(s):
+    """The one-step update of a single cluster, written out per coordinate."""
+    arith, geom = normalized_means(s)
+    a, g = arith.bins, geom.bins
+    lam = -float(np.sum(a * (np.log(a) - np.log(g))))
+    coords = a / lambert_w0_values((a / g) * np.exp(lam + 1.0))
+    return coords / coords.sum()
+
+
+SCALAR_CANDIDATE = {
+    CENTROID_MODE_POSITIVE: lambda s: positive_centroid(s).centroid.bins,
+    CENTROID_MODE_NORMALIZED: lambda s: normalized_positive_centroid(s).centroid.bins,
+    CENTROID_MODE_FIXEDPOINT_1STEP: one_step_reference,
+    CENTROID_MODE_EXACT: lambda s: frequency_centroid_bisection(s).centroid.bins,
+}
+
+
+class TestBatchedRelocation:
+    """One batched relocation equals the per-cluster scalar constructions."""
+
+    @staticmethod
+    def clustered(rng, d=7):
+        # cluster 0: five members, 1: a singleton, 2: empty, 3: three
+        # identical members (the s(0) ~ 1 path), 4: four members
+        rows = rng.uniform(0.01, 1.0, size=(13, d))
+        rows[6:9] = rows[6]
+        rows /= rows.sum(axis=1, keepdims=True)
+        weights = rng.uniform(0.2, 1.0, size=13)
+        weights /= weights.sum()
+        assign = np.array([0, 0, 0, 0, 0, 1, 3, 3, 3, 4, 4, 4, 4])
+        # old centres far from every cluster, so that every update is kept
+        centers = np.full((5, d), 0.01 / (d - 1))
+        centers[:, 0] = 0.99
+        return rows, weights, assign, centers
+
+    @pytest.mark.parametrize("mode", CENTROID_MODES)
+    def test_matches_per_cluster_solvers(self, mode, rng):
+        rows, weights, assign, centers = self.clustered(rng)
+        new = _relocate(rows, np.log(rows), weights, assign, centers, mode)
+        for m in (0, 3, 4):
+            idx = np.flatnonzero(assign == m)
+            sub = WeightedHistogramSet.from_rows(
+                rows[idx], weights[idx] / weights[idx].sum(), frequency=True
+            )
+            assert np.abs(new[m] - SCALAR_CANDIDATE[mode](sub)).max() <= 1e-12
+        assert np.array_equal(new[1], rows[5])
+        assert np.array_equal(new[2], centers[2])
+
+    def test_guard_keeps_better_old_centre(self, rng):
+        rows, weights, assign, centers = self.clustered(rng)
+        exact = _relocate(rows, np.log(rows), weights, assign, centers, CENTROID_MODE_EXACT)
+        # the exact centroids are optimal, so no approximate update replaces them
+        for mode in (CENTROID_MODE_NORMALIZED, CENTROID_MODE_FIXEDPOINT_1STEP):
+            kept = _relocate(rows, np.log(rows), weights, assign, exact, mode)
+            assert np.array_equal(kept[[0, 4]], exact[[0, 4]])
+
+
+class TestRelocationCost:
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_exact_round_makes_55_w0_calls_for_any_k(self, k, rng, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lambert_w0_values(*args, **kwargs)
+
+        monkeypatch.setattr("jeffreys.centroids.lambert_w0_values", counting)
+        monkeypatch.setattr("jeffreys.clustering.lambert_w0_values", counting)
+        rows = rng.uniform(0.01, 1.0, size=(30, 6))
+        rows /= rows.sum(axis=1, keepdims=True)
+        assign = np.arange(30) % k
+        centers = rows[:k].copy()
+        _relocate(rows, np.log(rows), np.full(30, 1.0 / 30), assign, centers, CENTROID_MODE_EXACT)
+        assert len(calls) == 55

@@ -111,6 +111,13 @@ class TestContract:
             assert it <= 5
         assert lambert_w0_values(np.float64(1.0)) == pytest.approx(0.5671432904097838)
 
+    def test_scalar_and_array_paths_agree_bitwise(self, rng):
+        # Criterion 1's grid plus random arguments over the double range.
+        xs = np.concatenate([np.logspace(-300.0, 300.0, 10**4),
+                             np.exp(rng.uniform(-700.0, 700.0, 2000))])
+        scalar = np.array([lambert_w0(float(x)).value for x in xs])
+        assert np.array_equal(scalar, lambert_w0_values(xs))
+
     def test_random_round_trip_against_oracle(self, rng):
         for _ in range(200):
             x = float(np.exp(rng.uniform(-5.0, 12.0)))
