@@ -29,7 +29,7 @@ from .clustering import (
     kmeans,
     seed_centroids,
 )
-from .datasets import DatasetFile, load_dataset, parse_dataset, read_pgm, write_dataset
+from .datasets import DatasetFile, load_dataset, read_pgm, write_dataset
 from .divergences import (
     cross_entropy,
     entropy,
@@ -44,8 +44,6 @@ from .histograms import (
     FrequencyHistogram,
     Histogram,
     WeightedHistogramSet,
-    cumulative_sum,
-    normalize,
     normalized_means,
     smooth_bins,
     weighted_arithmetic_mean,
@@ -87,7 +85,6 @@ __all__ = [
     "WeightedHistogramSet",
     "alpha_trial_harness",
     "cross_entropy",
-    "cumulative_sum",
     "entropy",
     "extended_kl",
     "frequency_centroid_bisection",
@@ -100,12 +97,10 @@ __all__ = [
     "lambert_w0",
     "lambert_w0_values",
     "load_dataset",
-    "normalize",
     "normalized_means",
     "normalized_positive_centroid",
     "oracle_frequency_centroid",
     "oracle_positive_centroid",
-    "parse_dataset",
     "positive_centroid",
     "read_pgm",
     "run_alpha_trials",

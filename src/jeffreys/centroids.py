@@ -89,9 +89,7 @@ class CentroidResult:
 
 def _singleton_result(s: WeightedHistogramSet, mode: str, frequency: bool) -> CentroidResult:
     # n == 1 is analytically exact; skip the solvers entirely.
-    member = s.histograms[0]
-    if frequency:
-        member = FrequencyHistogram(member.bins)
+    member = (FrequencyHistogram if frequency else Histogram)(s.matrix[0])
     return CentroidResult(
         centroid=member,
         mode=mode,
@@ -106,7 +104,7 @@ def _singleton_result(s: WeightedHistogramSet, mode: str, frequency: bool) -> Ce
 
 def _means(s: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
     a = s.weights @ s.matrix
-    g = np.exp(s.weights @ np.log(s.matrix))
+    g = np.exp(s.weights @ s.log_matrix)
     return a, g
 
 
@@ -172,7 +170,7 @@ def _frequency_problem(sf: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray
     """Normalized means and their ratio, shared by both frequency solvers."""
     a = sf.weights @ sf.matrix
     a = a / a.sum()
-    g = np.exp(sf.weights @ np.log(sf.matrix))
+    g = np.exp(sf.weights @ sf.log_matrix)
     g = g / g.sum()
     return a, g, a / g
 

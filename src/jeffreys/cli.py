@@ -17,15 +17,7 @@ import json
 import sys
 import time
 
-from .centroids import (
-    DEFAULT_BISECTION_TOL,
-    DEFAULT_FIXEDPOINT_TOL,
-    frequency_centroid_bisection,
-    frequency_centroid_fixedpoint,
-    normalized_positive_centroid,
-    positive_centroid,
-    veldhuis_centroid,
-)
+from . import centroids
 from .clustering import CENTROID_MODES, ClusteringConfig, kmeans
 from .datasets import FORMAT_CSV, FORMAT_JSON, FORMAT_PGM, KIND_FREQUENCY, KINDS, load_dataset
 from .errors import NumericError, ValidationError
@@ -38,7 +30,16 @@ EXIT_NUMERIC = 2
 EXIT_USAGE = 64
 
 _CLI_FORMATS = {"csv": FORMAT_CSV, "json": FORMAT_JSON, "pgm-dir": FORMAT_PGM}
-_FREQUENCY_ONLY_MODES = ("normalized", "veldhuis", "bisection", "fixedpoint")
+# --mode name -> (solver in .centroids, accepts --tol, requires --kind frequency).
+# Solvers are looked up on the module at call time, so a patched attribute
+# (a test double, a tracer) is the one that runs.
+_MODES = {
+    "positive": ("positive_centroid", False, False),
+    "normalized": ("normalized_positive_centroid", False, True),
+    "veldhuis": ("veldhuis_centroid", False, True),
+    "bisection": ("frequency_centroid_bisection", True, True),
+    "fixedpoint": ("frequency_centroid_fixedpoint", True, True),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,22 +58,13 @@ def build_parser() -> _Parser:
         p.add_argument("--input", required=True, help="dataset path (file, or directory for pgm-dir)")
         p.add_argument("--format", required=True, choices=sorted(_CLI_FORMATS))
         p.add_argument("--kind", required=True, choices=KINDS)
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads (default 1; solver math is vectorized, >1 currently "
-            "only parallelizes bench trials)",
-        )
 
     centroid = sub.add_parser("centroid", help="compute a Jeffreys centroid")
     add_io_flags(centroid)
+    centroid.add_argument("--mode", required=True, choices=tuple(_MODES))
     centroid.add_argument(
-        "--mode",
-        required=True,
-        choices=("positive", "normalized", "veldhuis", "bisection", "fixedpoint"),
+        "--tol", type=float, default=None, help="solver tolerance (bisection and fixedpoint)"
     )
-    centroid.add_argument("--tol", type=float, default=None, help="solver tolerance")
     centroid.add_argument("--output", choices=("json", "csv"), default="json")
     centroid.add_argument(
         "--compare-exact",
@@ -100,28 +92,22 @@ def build_parser() -> _Parser:
 def _run_centroid(args) -> int:
     dataset = load_dataset(args.input, _CLI_FORMATS[args.format], args.kind)
     histograms = dataset.histograms
-    if args.mode in _FREQUENCY_ONLY_MODES and args.kind != KIND_FREQUENCY:
+    name, takes_tol, frequency_only = _MODES[args.mode]
+    if frequency_only and args.kind != KIND_FREQUENCY:
         raise ValidationError(f"--mode {args.mode} requires --kind frequency")
-    if args.tol is not None and args.tol <= 0.0:
-        raise ValidationError(f"--tol must be positive, got {args.tol!r}")
+    if args.tol is not None and not takes_tol:
+        raise ValidationError(f"--tol does not apply to --mode {args.mode}")
+    solver = getattr(centroids, name)
 
     start = time.perf_counter()
-    if args.mode == "positive":
-        result = positive_centroid(histograms)
-    elif args.mode == "normalized":
-        result = normalized_positive_centroid(histograms)
-    elif args.mode == "veldhuis":
-        result = veldhuis_centroid(histograms)
-    elif args.mode == "bisection":
-        result = frequency_centroid_bisection(histograms, args.tol or DEFAULT_BISECTION_TOL)
-    else:
-        result = frequency_centroid_fixedpoint(histograms, args.tol or DEFAULT_FIXEDPOINT_TOL)
+    # The solvers validate tol themselves.
+    result = solver(histograms) if args.tol is None else solver(histograms, args.tol)
 
     alpha = None
     if args.compare_exact:
         if args.kind != KIND_FREQUENCY:
             raise ValidationError("--compare-exact requires --kind frequency")
-        exact = frequency_centroid_bisection(histograms)
+        exact = centroids.frequency_centroid_bisection(histograms)
         alpha = result.objective / exact.objective if exact.objective > 0.0 else 1.0
     elapsed = time.perf_counter() - start
 
@@ -192,8 +178,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "centroid":
             return _run_centroid(args)
         if args.command == "kmeans":

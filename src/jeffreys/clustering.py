@@ -89,20 +89,20 @@ def _pairwise_jeffreys(matrix: np.ndarray, log_matrix: np.ndarray, centers: np.n
     return out
 
 
-def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> tuple[Histogram, ...]:
-    """Pick ``k`` members by divergence-weighted sequential sampling.
+def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
+    """Indices of ``k`` members picked by divergence-weighted sequential sampling.
 
     The first member is uniform; each later one is drawn with probability
     proportional to its Jeffreys divergence to the nearest member already
-    chosen.  ``k == n`` returns every member.  Deterministic given ``seed``.
+    chosen.  ``k == n`` returns every index.  Deterministic given ``seed``.
     """
     if k > s.n:
         raise ValidationError(f"k={k} exceeds the number of histograms n={s.n}")
     if k == s.n:
-        return s.histograms
+        return np.arange(s.n)
     rng = np.random.default_rng(seed)
     matrix = s.matrix
-    log_matrix = np.log(matrix)
+    log_matrix = s.log_matrix
     chosen = [int(rng.integers(s.n))]
     nearest = _pairwise_jeffreys(matrix, log_matrix, matrix[chosen[-1]][None, :])[:, 0]
     while len(chosen) < k:
@@ -117,7 +117,7 @@ def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> tuple[Histogra
         chosen.append(idx)
         dist = _pairwise_jeffreys(matrix, log_matrix, matrix[idx][None, :])[:, 0]
         nearest = np.minimum(nearest, dist)
-    return tuple(s.histograms[i] for i in chosen)
+    return np.array(chosen)
 
 
 def _repair_empty(assign: np.ndarray, costs: np.ndarray, k: int) -> np.ndarray:
@@ -237,9 +237,9 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     if cfg.centroid_mode in _FREQUENCY_MODES:
         s = s.as_frequency()
     matrix = s.matrix
-    log_matrix = np.log(matrix)
+    log_matrix = s.log_matrix
 
-    centers = np.vstack([h.bins for h in seed_centroids(s, cfg.k, cfg.seed)])
+    centers = matrix[seed_centroids(s, cfg.k, cfg.seed)]
     assignments: np.ndarray | None = None
     trace: list[float] = []
     rounds = 0

@@ -7,7 +7,8 @@ Three on-disk formats map to a :class:`WeightedHistogramSet`:
 * JSON -- ``{"histograms": [[...], ...], "weights": [...]}`` with the
   weights key optional.
 * PGM -- binary 8-bit grayscale (P5); every image becomes one 256-bin
-  intensity histogram, and a directory ingests every ``*.pgm`` inside.
+  intensity histogram on the 0..255 scale, whatever its ``maxval``, and a
+  directory ingests every ``*.pgm`` inside.
 
 Missing weights default to uniform; explicit weights are normalized to sum
 to one.  Empty bins are smoothed with a small epsilon (overridable through
@@ -28,14 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .histograms import (
-    DEFAULT_EPSILON_SCALE,
-    FrequencyHistogram,
-    Histogram,
-    RENORMALIZE_ATOL,
-    WeightedHistogramSet,
-    smooth_bins,
-)
+from .histograms import DEFAULT_EPSILON_SCALE, RENORMALIZE_ATOL, WeightedHistogramSet, smooth_bins
 
 FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
@@ -148,7 +142,12 @@ def _parse_json(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def read_pgm(path: Path) -> np.ndarray:
-    """Read a binary 8-bit PGM (P5) image into a flat array of pixel values."""
+    """Read a binary 8-bit PGM (P5) image into a flat array of pixel values.
+
+    Pixels are rescaled from ``0..maxval`` to ``0..255`` (rounded to
+    nearest), so images of one scene at different ``maxval`` give the same
+    histogram; a pixel above ``maxval`` is rejected.
+    """
     data = Path(path).read_bytes()
     pos = 0
 
@@ -183,7 +182,10 @@ def read_pgm(path: Path) -> np.ndarray:
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise ValidationError(f"{path}: PGM raster truncated")
-    return np.frombuffer(raster, dtype=np.uint8)
+    pixels = np.frombuffer(raster, dtype=np.uint8)
+    if pixels.max() > maxval:
+        raise ValidationError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
+    return ((pixels.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
 
 
 def _intensity_histogram(pixels: np.ndarray) -> np.ndarray:
@@ -223,29 +225,25 @@ def load_dataset(
     if np.any(rows < 0.0) or not np.all(np.isfinite(rows)):
         raise ValidationError(f"{path}: bins must be finite and non-negative")
 
-    members = []
-    for j, row in enumerate(rows):
-        if kind == KIND_FREQUENCY and format != FORMAT_PGM:
-            # Counts from images are normalized below; tabular data declared
-            # as frequency must already be on the simplex.
-            if abs(float(row.sum()) - 1.0) > RENORMALIZE_ATOL:
-                raise ValidationError(
-                    f"{path}: histogram {j} declared frequency but sums to {row.sum()!r}"
-                )
-        smoothed = smooth_bins(row, eps)
-        if kind == KIND_FREQUENCY:
-            members.append(FrequencyHistogram(smoothed / smoothed.sum()))
-        else:
-            members.append(Histogram(smoothed))
+    if kind == KIND_FREQUENCY and format != FORMAT_PGM:
+        # Counts from images are normalized below; tabular data declared
+        # as frequency must already be on the simplex.
+        sums = rows.sum(axis=1)
+        off = np.flatnonzero(np.abs(sums - 1.0) > RENORMALIZE_ATOL)
+        if off.size:
+            raise ValidationError(
+                f"{path}: histogram {off[0]} declared frequency but sums to {sums[off[0]]!r}"
+            )
+    rows = smooth_bins(rows, eps)
+    if kind == KIND_FREQUENCY:
+        rows = rows / rows.sum(axis=1, keepdims=True)
 
-    if weights is None:
-        weights = np.full(len(members), 1.0 / len(members))
-    else:
+    if weights is not None:
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
             raise ValidationError(f"{path}: weights must be finite and strictly positive")
         weights = weights / weights.sum()
 
-    histograms = WeightedHistogramSet(tuple(members), weights)
+    histograms = WeightedHistogramSet(rows, weights, frequency=kind == KIND_FREQUENCY)
     return DatasetFile(
         format=format,
         histograms=histograms,
@@ -255,24 +253,19 @@ def load_dataset(
     )
 
 
-def parse_dataset(path, format: str, kind: str, epsilon_scale: float | None = None) -> WeightedHistogramSet:
-    """Parse a dataset and return just the weighted histogram set."""
-    return load_dataset(path, format, kind, epsilon_scale).histograms
-
-
 def write_dataset(s: WeightedHistogramSet, path, format: str = FORMAT_JSON) -> None:
     """Serialize a set to CSV or JSON with round-trip exact decimals."""
     if format == FORMAT_JSON:
         # json emits floats with repr(), i.e. shortest round-trip decimals.
         payload = {
-            "weights": [float(w) for w in s.weights],
-            "histograms": [[float(v) for v in h.bins] for h in s.histograms],
+            "weights": s.weights.tolist(),
+            "histograms": s.matrix.tolist(),
         }
         Path(path).write_text(json.dumps(payload) + "\n")
     elif format == FORMAT_CSV:
         buf = io.StringIO()
-        for h, w in zip(s.histograms, s.weights):
-            cells = [f"{_WEIGHT_PREFIX}{float(w)!r}"] + [repr(float(v)) for v in h.bins]
+        for row, w in zip(s.matrix.tolist(), s.weights.tolist()):
+            cells = [f"{_WEIGHT_PREFIX}{w!r}"] + [repr(v) for v in row]
             buf.write(",".join(cells) + "\n")
         Path(path).write_text(buf.getvalue())
     else:

@@ -80,12 +80,9 @@ def jeffreys_to_set(x, s: WeightedHistogramSet) -> float:
     m = s.matrix
     if xb.shape != (m.shape[1],):
         raise ValidationError(f"dimension mismatch: {xb.shape} vs d={m.shape[1]}")
+    # Members are strictly positive, so no term needs the 0*log(0) guard.
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(
-            (m > 0.0) | (xb > 0.0),
-            (m - xb) * (np.log(m) - np.log(xb)),
-            0.0,
-        )
+        terms = (m - xb) * (s.log_matrix - np.log(xb))
     return float(s.weights @ terms.sum(axis=1))
 
 
@@ -96,5 +93,5 @@ def kl_to_set(x, s: WeightedHistogramSet) -> float:
     if xb.shape != (m.shape[1],):
         raise ValidationError(f"dimension mismatch: {xb.shape} vs d={m.shape[1]}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(xb > 0.0, xb * (np.log(xb) - np.log(m)), 0.0)
+        terms = np.where(xb > 0.0, xb * (np.log(xb) - s.log_matrix), 0.0)
     return float(s.weights @ terms.sum(axis=1))

@@ -2,14 +2,15 @@
 
 A histogram is a vector of strictly positive bin values; a frequency
 histogram additionally lives on the probability simplex (bins sum to one).
-All types are immutable after construction and safe to share across threads.
+A weighted set stores its ``n`` members as one read-only ``(n, d)`` matrix,
+validated as a whole, and caches the matrix's log.  All types are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -23,31 +24,69 @@ RENORMALIZE_ATOL = 1e-6
 DEFAULT_EPSILON_SCALE = 1e-10
 
 
-def _as_bins(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"histogram bins must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 1:
-        raise ValidationError("histogram needs at least one bin")
+def _as_finite(values, what: str) -> np.ndarray:
+    """A new C-ordered float64 copy of ``values``; ragged or non-numeric input raises."""
+    try:
+        arr = np.array(values, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from exc
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("histogram bins must be finite")
+        raise ValidationError(f"{what} must be finite")
     return arr
 
 
-def smooth_bins(values, epsilon_scale: float = DEFAULT_EPSILON_SCALE) -> np.ndarray:
-    """Add a small epsilon to every bin when any bin is zero.
+def _as_bins(values, ndim: int | None = None) -> np.ndarray:
+    arr = _as_finite(values, "histogram bins")
+    if arr.ndim < 1 or (ndim is not None and arr.ndim != ndim):
+        raise ValidationError(
+            f"histogram bins must be {ndim or 'at least one'}-dimensional, got shape {arr.shape}"
+        )
+    if arr.size < 1:
+        raise ValidationError(f"histograms need at least one bin, got shape {arr.shape}")
+    return arr
 
-    The epsilon is ``epsilon_scale * max(1, total / d)`` so it tracks the
-    mass scale of the histogram.  Histograms without empty bins pass
-    through unchanged; negative bins are rejected.
+
+def _onto_simplex(bins: np.ndarray, what: str = "frequency histogram bins") -> np.ndarray:
+    """Apply the simplex rule to every histogram (or weight vector) along the last axis.
+
+    A sum within ``SIMPLEX_ATOL`` of one is kept as is, one within
+    ``RENORMALIZE_ATOL`` is renormalized (serialization rounding), and
+    anything worse is rejected as genuinely unnormalized data.
+    """
+    total = bins.sum(axis=-1, keepdims=True)
+    defect = np.abs(total - 1.0)
+    if np.any(defect > RENORMALIZE_ATOL):
+        worst = float(total.flat[np.argmax(defect)])
+        raise ValidationError(f"{what} must sum to 1, got {worst!r}")
+    return np.where(defect > SIMPLEX_ATOL, bins / total, bins)
+
+
+def smooth_bins(values, epsilon_scale: float = DEFAULT_EPSILON_SCALE) -> np.ndarray:
+    """Add a small epsilon to every bin of each histogram that has an empty bin.
+
+    Works along the last axis, so ``values`` may be one histogram or an
+    ``(n, d)`` matrix of them.  The epsilon is ``epsilon_scale * max(1,
+    total / d)`` so it tracks the mass scale of the histogram.  Histograms
+    without empty bins pass through unchanged; negative bins are rejected.
     """
     arr = _as_bins(values)
     if np.any(arr < 0.0):
         raise ValidationError("histogram bins must be non-negative")
-    if np.all(arr > 0.0):
+    empty = np.any(arr == 0.0, axis=-1, keepdims=True)
+    if not np.any(empty):
         return arr
-    epsilon = epsilon_scale * max(1.0, float(arr.sum()) / arr.size)
-    return arr + epsilon
+    epsilon = epsilon_scale * np.maximum(1.0, arr.sum(axis=-1, keepdims=True) / arr.shape[-1])
+    return np.where(empty, arr + epsilon, arr)
+
+
+def _positive_bins(values, ndim: int) -> np.ndarray:
+    arr = _as_bins(values, ndim)
+    if np.any(arr <= 0.0):
+        raise ValidationError(
+            "histogram bins must be strictly positive; smooth empty bins first "
+            "(see smooth_bins)"
+        )
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,12 +96,7 @@ class Histogram:
     bins: np.ndarray
 
     def __post_init__(self):
-        arr = _as_bins(self.bins)
-        if np.any(arr <= 0.0):
-            raise ValidationError(
-                "histogram bins must be strictly positive; smooth empty bins first "
-                "(see smooth_bins)"
-            )
+        arr = _positive_bins(self.bins, 1)
         arr.flags.writeable = False
         object.__setattr__(self, "bins", arr)
 
@@ -89,86 +123,56 @@ class FrequencyHistogram(Histogram):
 
     def __post_init__(self):
         super().__post_init__()
-        total = float(self.bins.sum())
-        defect = abs(total - 1.0)
-        if defect > RENORMALIZE_ATOL:
-            raise ValidationError(
-                f"frequency histogram bins must sum to 1, got {total!r}"
-            )
-        if defect > SIMPLEX_ATOL:
-            arr = self.bins / total
-            arr.flags.writeable = False
-            object.__setattr__(self, "bins", arr)
+        arr = _onto_simplex(self.bins)
+        arr.flags.writeable = False
+        object.__setattr__(self, "bins", arr)
 
 
 @dataclass(frozen=True, eq=False)
 class WeightedHistogramSet:
-    """``n`` histograms of common dimension with positive weights summing to one."""
+    """``n`` histograms of common dimension ``d`` with positive weights summing to one.
 
-    histograms: tuple[Histogram, ...]
-    weights: np.ndarray
+    ``matrix`` holds the members as rows: a 2-D array-like, finite and
+    strictly positive, stored as a read-only ``(n, d)`` copy.
+    ``weights=None`` assigns uniform weights ``1/n``.  With
+    ``frequency=True`` every row is validated as a simplex member under
+    the rule of :class:`FrequencyHistogram`.
+    """
+
+    matrix: np.ndarray
+    weights: np.ndarray | None = None
+    frequency: bool = False
 
     def __post_init__(self):
-        members = tuple(self.histograms)
-        if len(members) < 1:
-            raise ValidationError("a weighted histogram set needs at least one member")
-        d = members[0].d
-        for j, h in enumerate(members):
-            if not isinstance(h, Histogram):
-                raise ValidationError(f"member {j} is not a Histogram")
-            if h.d != d:
-                raise ValidationError(
-                    f"member {j} has {h.d} bins, expected {d} (all members must share d)"
-                )
-        w = np.array(self.weights, dtype=np.float64)
-        if w.shape != (len(members),):
-            raise ValidationError(
-                f"weights must have shape ({len(members)},), got {w.shape}"
-            )
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        m = _positive_bins(self.matrix, 2)
+        if self.frequency:
+            m = _onto_simplex(m)
+        n = m.shape[0]
+        w = _as_finite(np.full(n, 1.0 / n) if self.weights is None else self.weights, "weights")
+        if w.shape != (n,):
+            raise ValidationError(f"weights must have shape ({n},), got {w.shape}")
+        if np.any(w <= 0.0):
             raise ValidationError("weights must be finite and strictly positive")
-        total = float(w.sum())
-        if abs(total - 1.0) > RENORMALIZE_ATOL:
-            raise ValidationError(f"weights must sum to 1, got {total!r}")
-        if abs(total - 1.0) > SIMPLEX_ATOL:
-            w = w / total
+        w = _onto_simplex(w, "weights")
+        m.flags.writeable = False
         w.flags.writeable = False
-        object.__setattr__(self, "histograms", members)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_rows(cls, rows, weights=None, frequency: bool = False) -> "WeightedHistogramSet":
-        """Build a set from an ``(n, d)`` array-like of bin rows.
-
-        ``weights=None`` assigns uniform weights ``1/n``.  With
-        ``frequency=True`` the rows are validated as simplex members.
-        """
-        matrix = np.asarray(rows, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValidationError(f"rows must be two-dimensional, got shape {matrix.shape}")
-        make = FrequencyHistogram if frequency else Histogram
-        members = tuple(make(row) for row in matrix)
-        if weights is None:
-            weights = np.full(len(members), 1.0 / len(members))
-        return cls(members, weights)
 
     @property
     def n(self) -> int:
-        return len(self.histograms)
+        return self.matrix.shape[0]
 
     @property
     def d(self) -> int:
-        return self.histograms[0].d
+        return self.matrix.shape[1]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The members stacked into an ``(n, d)`` array."""
-        m = np.vstack([h.bins for h in self.histograms])
-        m.flags.writeable = False
-        return m
-
-    def is_frequency(self) -> bool:
-        return all(isinstance(h, FrequencyHistogram) for h in self.histograms)
+    def log_matrix(self) -> np.ndarray:
+        """``log(matrix)``, computed once per set."""
+        out = np.log(self.matrix)
+        out.flags.writeable = False
+        return out
 
     def as_frequency(self) -> "WeightedHistogramSet":
         """Return the same set with every member validated on the simplex.
@@ -176,23 +180,9 @@ class WeightedHistogramSet:
         Members whose sum is within ``RENORMALIZE_ATOL`` of one are
         accepted (and renormalized); anything else raises.
         """
-        if self.is_frequency():
+        if self.frequency:
             return self
-        members = tuple(
-            h if isinstance(h, FrequencyHistogram) else FrequencyHistogram(h.bins)
-            for h in self.histograms
-        )
-        return WeightedHistogramSet(members, self.weights)
-
-
-def cumulative_sum(h: Histogram) -> float:
-    """Total mass ``w_h`` of a histogram."""
-    return h.total
-
-
-def normalize(h: Histogram) -> FrequencyHistogram:
-    """Project a positive histogram onto the simplex by dividing by its mass."""
-    return h.normalized()
+        return WeightedHistogramSet(self.matrix, self.weights, frequency=True)
 
 
 def weighted_arithmetic_mean(s: WeightedHistogramSet) -> Histogram:
@@ -206,7 +196,7 @@ def weighted_geometric_mean(s: WeightedHistogramSet) -> Histogram:
     Log-domain accumulation avoids underflow in long products of sub-unit
     bins.
     """
-    return Histogram(np.exp(s.weights @ np.log(s.matrix)))
+    return Histogram(np.exp(s.weights @ s.log_matrix))
 
 
 def normalized_means(s: WeightedHistogramSet) -> tuple[FrequencyHistogram, FrequencyHistogram]:

@@ -64,7 +64,7 @@ def oracle_positive_centroid(s: WeightedHistogramSet, resolution: float = 1e-8) 
     if s.d > 4:
         raise ValidationError("the positive-centroid oracle is limited to d <= 4")
     a = s.weights @ s.matrix
-    g = np.exp(s.weights @ np.log(s.matrix))
+    g = np.exp(s.weights @ s.log_matrix)
     argmin = np.empty(s.d)
     for i in range(s.d):
         ai, gi = float(a[i]), float(g[i])

@@ -17,7 +17,7 @@ def random_frequency_set(rng, n=None, d=None, random_weights=True):
         weights /= weights.sum()
     else:
         weights = np.full(n, 1.0 / n)
-    return WeightedHistogramSet.from_rows(rows, weights, frequency=True)
+    return WeightedHistogramSet(rows, weights, frequency=True)
 
 
 def random_positive_set(rng, n=None, d=None):
@@ -26,7 +26,7 @@ def random_positive_set(rng, n=None, d=None):
     rows = rng.uniform(0.01, 2.0, size=(n, d))
     weights = rng.uniform(0.2, 1.0, size=n)
     weights /= weights.sum()
-    return WeightedHistogramSet.from_rows(rows, weights)
+    return WeightedHistogramSet(rows, weights)
 
 
 def planted_blobs(rng, n=200, d=16, noise=0.05):

@@ -133,7 +133,7 @@ def test_criterion_2_closed_form_optimality():
         rows = rng.uniform(0.01, 1.0, size=(n, d))
         weights = rng.uniform(0.2, 1.0, size=n)
         weights /= weights.sum()
-        s = WeightedHistogramSet.from_rows(rows, weights)
+        s = WeightedHistogramSet(rows, weights)
         closed = positive_centroid(s).centroid.bins
         oracle = oracle_positive_centroid(s, resolution=1e-8).argmin
         max_coord_err = max(max_coord_err, float(np.abs(closed - oracle).max()))
@@ -258,7 +258,7 @@ def test_criterion_8_lambda_consistency():
     max_lambda = -np.inf
     solutions = 0
     member = np.array([0.3, 0.7])
-    cases = [WeightedHistogramSet.from_rows([member, member], frequency=True)]
+    cases = [WeightedHistogramSet([member, member], frequency=True)]
     cases += [random_frequency_set(rng) for _ in range(300)]
     for s in cases:
         _, geom = normalized_means(s)
@@ -283,7 +283,7 @@ def test_criterion_9_kmeans_monotonicity_and_recovery():
     for trial in range(50):
         rows = rng.uniform(0.01, 1.0, size=(200, 16))
         rows /= rows.sum(axis=1, keepdims=True)
-        s = WeightedHistogramSet.from_rows(rows, frequency=True)
+        s = WeightedHistogramSet(rows, frequency=True)
         for mode in CENTROID_MODES:
             res = kmeans(s, ClusteringConfig(k=5, centroid_mode=mode, seed=trial))
             trace = res.objective_trace
@@ -292,7 +292,7 @@ def test_criterion_9_kmeans_monotonicity_and_recovery():
             runs += 1
 
     blob_rows, labels = planted_blobs(np.random.default_rng(901), n=200, d=16)
-    blob_set = WeightedHistogramSet.from_rows(blob_rows, frequency=True)
+    blob_set = WeightedHistogramSet(blob_rows, frequency=True)
     recovery_ok = True
     for mode in CENTROID_MODES:
         res = kmeans(blob_set, ClusteringConfig(k=2, centroid_mode=mode, seed=17))

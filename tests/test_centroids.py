@@ -31,13 +31,13 @@ CANONICAL = [[0.5, 0.5], [0.9, 0.1]]
 
 
 def canonical_set():
-    return WeightedHistogramSet.from_rows(CANONICAL, frequency=True)
+    return WeightedHistogramSet(CANONICAL, frequency=True)
 
 
 class TestPositiveCentroid:
     def test_identical_members(self):
         member = np.array([0.4, 1.1, 2.0])
-        s = WeightedHistogramSet.from_rows([member, member, member])
+        s = WeightedHistogramSet([member, member, member])
         r = positive_centroid(s)
         assert np.allclose(r.centroid.bins, member, atol=1e-12)
         assert r.objective == pytest.approx(0.0, abs=1e-12)
@@ -45,7 +45,7 @@ class TestPositiveCentroid:
     def test_symmetric_pair(self):
         # a = (2, 2), g = (sqrt(3), sqrt(3)); both coordinates solve
         # 2 / W0(2e / sqrt(3)), frozen from the bisection oracle for W0.
-        s = WeightedHistogramSet.from_rows([[1.0, 3.0], [3.0, 1.0]])
+        s = WeightedHistogramSet([[1.0, 3.0], [3.0, 1.0]])
         r = positive_centroid(s)
         assert np.allclose(r.centroid.bins, 1.8635889573808236, atol=1e-12)
         assert r.w_c == pytest.approx(2 * 1.8635889573808236, abs=1e-12)
@@ -53,12 +53,12 @@ class TestPositiveCentroid:
     def test_one_dimensional_pair(self):
         # members {1, e^2}: a = (1 + e^2)/2, g = e, c = a / W0(a e / g) = a / W0(a),
         # frozen from the golden-section oracle on x log(x/g) - a log(x).
-        s = WeightedHistogramSet.from_rows([[1.0], [math.e ** 2]])
+        s = WeightedHistogramSet([[1.0], [math.e ** 2]])
         r = positive_centroid(s)
         assert r.centroid.bins[0] == pytest.approx(3.4151354955364208, abs=1e-12)
 
     def test_singleton_returns_member(self):
-        s = WeightedHistogramSet.from_rows([[2.0, 5.0]])
+        s = WeightedHistogramSet([[2.0, 5.0]])
         r = positive_centroid(s)
         assert np.array_equal(r.centroid.bins, [2.0, 5.0])
         assert r.iterations == 0
@@ -96,7 +96,7 @@ class TestPositiveCentroid:
 class TestNormalizedPositiveCentroid:
     def test_identical_members_tight(self):
         member = np.array([0.25, 0.75])
-        s = WeightedHistogramSet.from_rows([member, member], frequency=True)
+        s = WeightedHistogramSet([member, member], frequency=True)
         r = normalized_positive_centroid(s)
         assert np.allclose(r.centroid.bins, member, atol=1e-12)
         assert r.w_c == pytest.approx(1.0, abs=1e-12)
@@ -110,7 +110,7 @@ class TestNormalizedPositiveCentroid:
         assert 1.0 - 1e-12 <= alpha <= 1.0 / r.w_c + 1e-12
 
     def test_requires_frequency_members(self):
-        s = WeightedHistogramSet.from_rows([[1.0, 3.0], [3.0, 1.0]])
+        s = WeightedHistogramSet([[1.0, 3.0], [3.0, 1.0]])
         with pytest.raises(ValidationError):
             normalized_positive_centroid(s)
 
@@ -124,7 +124,7 @@ class TestNormalizedPositiveCentroid:
 class TestVeldhuisCentroid:
     def test_identical_members(self):
         member = np.array([0.6, 0.4])
-        s = WeightedHistogramSet.from_rows([member, member], frequency=True)
+        s = WeightedHistogramSet([member, member], frequency=True)
         assert np.allclose(veldhuis_centroid(s).centroid.bins, member, atol=1e-12)
 
     def test_canonical_pair_hand_value(self):
@@ -143,7 +143,7 @@ class TestVeldhuisCentroid:
 class TestBisection:
     def test_identical_members(self):
         member = np.array([0.3, 0.7])
-        s = WeightedHistogramSet.from_rows([member, member], frequency=True)
+        s = WeightedHistogramSet([member, member], frequency=True)
         r = frequency_centroid_bisection(s)
         assert np.allclose(r.centroid.bins, member, atol=1e-12)
         assert r.lambda_star == pytest.approx(0.0, abs=1e-12)
@@ -205,9 +205,9 @@ class TestBisection:
         # positive centroid of the pair {a~, g~}.
         member = rng.uniform(0.01, 1.0, size=5)
         member /= member.sum()
-        s = WeightedHistogramSet.from_rows([member, member], frequency=True)
+        s = WeightedHistogramSet([member, member], frequency=True)
         arith, geom = normalized_means(s)
-        pair = WeightedHistogramSet.from_rows(np.vstack([arith.bins, geom.bins]))
+        pair = WeightedHistogramSet(np.vstack([arith.bins, geom.bins]))
         r = frequency_centroid_bisection(s)
         assert np.allclose(
             r.centroid.bins, positive_centroid(pair).centroid.bins, atol=1e-12
@@ -224,7 +224,7 @@ class TestBisection:
             frequency_centroid_bisection(canonical_set(), tol=1e-18)
 
     def test_singleton(self):
-        s = WeightedHistogramSet.from_rows([[0.2, 0.8]], frequency=True)
+        s = WeightedHistogramSet([[0.2, 0.8]], frequency=True)
         r = frequency_centroid_bisection(s)
         assert np.array_equal(r.centroid.bins, [0.2, 0.8])
         assert r.lambda_star == 0.0 and r.iterations == 0
@@ -235,7 +235,7 @@ class TestBatchBisection:
     def stacked_problems(rng, d=6):
         sets = [random_frequency_set(rng, n=int(rng.integers(2, 6)), d=d) for _ in range(7)]
         member = rng.uniform(0.1, 1.0, size=d)
-        sets.append(WeightedHistogramSet.from_rows([member / member.sum()] * 3, frequency=True))
+        sets.append(WeightedHistogramSet([member / member.sum()] * 3, frequency=True))
         means = [normalized_means(s) for s in sets]
         a = np.vstack([arith.bins for arith, _ in means])
         g = np.vstack([geom.bins for _, geom in means])
@@ -294,7 +294,7 @@ class TestBatchBisection:
 class TestFixedPoint:
     def test_identical_members_converges_first_step(self):
         member = np.array([0.3, 0.7])
-        s = WeightedHistogramSet.from_rows([member, member], frequency=True)
+        s = WeightedHistogramSet([member, member], frequency=True)
         r = frequency_centroid_fixedpoint(s)
         assert np.allclose(r.centroid.bins, member, atol=1e-12)
         assert r.iterations == 1

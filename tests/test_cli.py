@@ -124,6 +124,23 @@ class TestCentroidCommand:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("mode", ["positive", "normalized", "veldhuis"])
+    def test_tol_with_a_mode_that_ignores_it_is_validation_error(self, pair_csv, mode):
+        code, out, err = run_cli(
+            ["centroid", "--input", pair_csv, "--format", "csv",
+             "--kind", "frequency", "--mode", mode, "--tol", "1e-12"]
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "--tol" in err
+
+    def test_tol_reaches_fixedpoint(self, pair_csv):
+        argv = ["centroid", "--input", pair_csv, "--format", "csv",
+                "--kind", "frequency", "--mode", "fixedpoint"]
+        coarse = json.loads(run_cli(argv + ["--tol", "1e-2"])[1])
+        fine = json.loads(run_cli(argv)[1])
+        assert coarse["iterations"] < fine["iterations"]
+
     def test_unachievable_tol_is_numeric_failure(self, pair_csv):
         code, _, _ = run_cli(
             ["centroid", "--input", pair_csv, "--format", "csv",
@@ -145,6 +162,18 @@ class TestCentroidCommand:
              "--kind", "frequency", "--mode", "positive", "--bogus"]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", [
+        ["centroid", "--mode", "positive"],
+        ["kmeans", "--k", "1"],
+    ])
+    def test_threads_flag_is_gone(self, pair_csv, command):
+        code, _, err = run_cli(
+            command[:1] + ["--input", pair_csv, "--format", "csv", "--kind", "frequency"]
+            + command[1:] + ["--threads", "2"]
+        )
+        assert code == EXIT_USAGE
+        assert "--threads" in err
 
     def test_unknown_mode_exits_64(self, pair_csv):
         code, _, _ = run_cli(
@@ -211,6 +240,12 @@ class TestBenchCommand:
     def test_zero_trials_validation(self):
         code, _, _ = run_cli(["bench", "--trials", "0"])
         assert code == EXIT_VALIDATION
+
+    def test_zero_threads_validation(self):
+        code, out, err = run_cli(["bench", "--trials", "10", "--threads", "0"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "threads" in err
 
     def test_threads_do_not_change_output(self):
         argv = ["bench", "--trials", "3000", "--dims", "2", "--seed", "3"]

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from jeffreys import ValidationError, load_dataset, parse_dataset, read_pgm, write_dataset
+from jeffreys import ValidationError, load_dataset, read_pgm, write_dataset
 from jeffreys.datasets import FORMAT_CSV, FORMAT_JSON, FORMAT_PGM
 
 
@@ -28,42 +28,42 @@ def write_pgm(path, width, height, pixels, maxval=255, comment=True):
 class TestCSV:
     def test_basic(self, tmp_path):
         p = write(tmp_path, "x.csv", "1,2,3\n4,5,6\n")
-        s = parse_dataset(p, FORMAT_CSV, "positive")
+        s = load_dataset(p, FORMAT_CSV, "positive").histograms
         assert s.n == 2 and s.d == 3
         assert np.allclose(s.weights, [0.5, 0.5])
         assert np.allclose(s.matrix, [[1, 2, 3], [4, 5, 6]])
 
     def test_weight_prefix(self, tmp_path):
         p = write(tmp_path, "w.csv", "weight:0.25,1,2\nweight:0.75,3,4\n")
-        s = parse_dataset(p, FORMAT_CSV, "positive")
+        s = load_dataset(p, FORMAT_CSV, "positive").histograms
         assert np.allclose(s.weights, [0.25, 0.75])
 
     def test_mixed_weight_rows_rejected(self, tmp_path):
         p = write(tmp_path, "m.csv", "weight:0.25,1,2\n3,4\n")
         with pytest.raises(ValidationError, match="all rows or none"):
-            parse_dataset(p, FORMAT_CSV, "positive")
+            load_dataset(p, FORMAT_CSV, "positive").histograms
 
     def test_malformed_cell_reports_position(self, tmp_path):
         p = write(tmp_path, "bad.csv", "1,2\n1,zap\n")
         with pytest.raises(ValidationError, match=r"bad\.csv:2:2"):
-            parse_dataset(p, FORMAT_CSV, "positive")
+            load_dataset(p, FORMAT_CSV, "positive").histograms
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = write(tmp_path, "ragged.csv", "1,2,3\n1,2\n")
         with pytest.raises(ValidationError, match="expected 3"):
-            parse_dataset(p, FORMAT_CSV, "positive")
+            load_dataset(p, FORMAT_CSV, "positive").histograms
 
     def test_frequency_validation(self, tmp_path):
         good = write(tmp_path, "f.csv", "0.5,0.5\n0.9,0.1\n")
-        s = parse_dataset(good, FORMAT_CSV, "frequency")
-        assert s.is_frequency()
+        s = load_dataset(good, FORMAT_CSV, "frequency").histograms
+        assert s.frequency
         bad = write(tmp_path, "g.csv", "0.5,0.4\n0.9,0.1\n")
         with pytest.raises(ValidationError, match="declared frequency"):
-            parse_dataset(bad, FORMAT_CSV, "frequency")
+            load_dataset(bad, FORMAT_CSV, "frequency").histograms
 
     def test_zero_bins_smoothed(self, tmp_path):
         p = write(tmp_path, "z.csv", "0,4\n2,2\n")
-        s = parse_dataset(p, FORMAT_CSV, "positive")
+        s = load_dataset(p, FORMAT_CSV, "positive").histograms
         assert s.matrix[0, 0] == pytest.approx(2e-10)
         assert np.all(s.matrix > 0.0)
 
@@ -72,27 +72,27 @@ class TestJSON:
     def test_with_weights(self, tmp_path):
         payload = {"weights": [0.25, 0.75], "histograms": [[1, 2], [3, 4]]}
         p = write(tmp_path, "d.json", json.dumps(payload))
-        s = parse_dataset(p, FORMAT_JSON, "positive")
+        s = load_dataset(p, FORMAT_JSON, "positive").histograms
         assert np.allclose(s.weights, [0.25, 0.75])
 
     def test_without_weights(self, tmp_path):
         p = write(tmp_path, "d.json", json.dumps({"histograms": [[1, 2], [3, 4]]}))
-        s = parse_dataset(p, FORMAT_JSON, "positive")
+        s = load_dataset(p, FORMAT_JSON, "positive").histograms
         assert np.allclose(s.weights, [0.5, 0.5])
 
     def test_malformed(self, tmp_path):
         p = write(tmp_path, "d.json", "{nope")
         with pytest.raises(ValidationError, match="malformed JSON"):
-            parse_dataset(p, FORMAT_JSON, "positive")
+            load_dataset(p, FORMAT_JSON, "positive").histograms
         q = write(tmp_path, "e.json", json.dumps({"rows": []}))
         with pytest.raises(ValidationError, match="histograms"):
-            parse_dataset(q, FORMAT_JSON, "positive")
+            load_dataset(q, FORMAT_JSON, "positive").histograms
 
     def test_non_positive_weight(self, tmp_path):
         payload = {"weights": [0.0, 1.0], "histograms": [[1, 2], [3, 4]]}
         p = write(tmp_path, "d.json", json.dumps(payload))
         with pytest.raises(ValidationError, match="weights"):
-            parse_dataset(p, FORMAT_JSON, "positive")
+            load_dataset(p, FORMAT_JSON, "positive").histograms
 
 
 class TestPGM:
@@ -100,7 +100,7 @@ class TestPGM:
         p = write_pgm(tmp_path / "t.pgm", 2, 2, [0, 0, 255, 255])
         pixels = read_pgm(p)
         assert list(pixels) == [0, 0, 255, 255]
-        s = parse_dataset(p, FORMAT_PGM, "positive")
+        s = load_dataset(p, FORMAT_PGM, "positive").histograms
         assert s.d == 256
         # the two populated bins keep their counts (plus epsilon smoothing)
         assert s.matrix[0, 0] == pytest.approx(2.0, abs=1e-6)
@@ -109,7 +109,7 @@ class TestPGM:
 
     def test_frequency_kind_normalizes_counts(self, tmp_path):
         p = write_pgm(tmp_path / "t.pgm", 2, 2, [7, 7, 7, 9])
-        s = parse_dataset(p, FORMAT_PGM, "frequency")
+        s = load_dataset(p, FORMAT_PGM, "frequency").histograms
         assert s.matrix[0].sum() == pytest.approx(1.0, abs=1e-12)
         # 3/4 of the pixels, up to the 256-bin epsilon smoothing mass
         assert s.matrix[0, 7] == pytest.approx(0.75, abs=1e-7)
@@ -119,7 +119,7 @@ class TestPGM:
         d.mkdir()
         write_pgm(d / "b.pgm", 1, 2, [1, 2])
         write_pgm(d / "a.pgm", 2, 1, [3, 4])
-        s = parse_dataset(d, FORMAT_PGM, "positive")
+        s = load_dataset(d, FORMAT_PGM, "positive").histograms
         assert s.n == 2
         # sorted order: a.pgm first
         assert s.matrix[0, 3] == pytest.approx(1.0, abs=1e-6)
@@ -128,6 +128,24 @@ class TestPGM:
     def test_rejects_16_bit(self, tmp_path):
         p = write_pgm(tmp_path / "t.pgm", 1, 1, [0, 0], maxval=65535)
         with pytest.raises(ValidationError, match="8-bit"):
+            read_pgm(p)
+
+    def test_maxval_is_rescaled_to_the_8_bit_scale(self, tmp_path):
+        pixels = np.random.default_rng(5).integers(0, 16, size=64)
+        low = write_pgm(tmp_path / "low.pgm", 8, 8, pixels.tolist(), maxval=15)
+        high = write_pgm(tmp_path / "high.pgm", 8, 8, (pixels * 17).tolist())
+        assert np.array_equal(read_pgm(low), pixels * 17)
+        for kind in ("positive", "frequency"):
+            a = load_dataset(low, FORMAT_PGM, kind).histograms.matrix
+            b = load_dataset(high, FORMAT_PGM, kind).histograms.matrix
+            assert np.array_equal(a, b)
+        # maxval 255 is the identity
+        every = write_pgm(tmp_path / "every.pgm", 16, 16, list(range(256)))
+        assert np.array_equal(read_pgm(every), np.arange(256))
+
+    def test_rejects_pixel_above_maxval(self, tmp_path):
+        p = write_pgm(tmp_path / "over.pgm", 2, 1, [3, 16], maxval=15)
+        with pytest.raises(ValidationError, match=r"over\.pgm: pixel value 16 exceeds maxval 15"):
             read_pgm(p)
 
     def test_rejects_truncated(self, tmp_path):
@@ -146,11 +164,11 @@ class TestEpsilonOverride:
     def test_env_variable(self, tmp_path, monkeypatch):
         p = write(tmp_path, "z.csv", "0,4\n2,2\n")
         monkeypatch.setenv("JEFFREYS_EPSILON", "1e-6")
-        s = parse_dataset(p, FORMAT_CSV, "positive")
+        s = load_dataset(p, FORMAT_CSV, "positive").histograms
         assert s.matrix[0, 0] == pytest.approx(2e-6)
         monkeypatch.setenv("JEFFREYS_EPSILON", "bogus")
         with pytest.raises(ValidationError, match="JEFFREYS_EPSILON"):
-            parse_dataset(p, FORMAT_CSV, "positive")
+            load_dataset(p, FORMAT_CSV, "positive").histograms
 
     def test_reported_in_dataset(self, tmp_path):
         p = write(tmp_path, "z.csv", "1,4\n")
@@ -167,11 +185,87 @@ class TestRoundTrip:
         weights /= weights.sum()
         from jeffreys import WeightedHistogramSet
 
-        s = WeightedHistogramSet.from_rows(rows, weights)
+        s = WeightedHistogramSet(rows, weights)
         ext = "csv" if fmt == FORMAT_CSV else "json"
         path = tmp_path / f"round.{ext}"
         write_dataset(s, path, fmt)
-        back = parse_dataset(path, fmt, "positive")
+        back = load_dataset(path, fmt, "positive").histograms
         # shortest round-trip decimals reproduce every bin bit for bit
         assert np.array_equal(back.matrix, s.matrix)
         assert np.allclose(back.weights, s.weights, atol=1e-15)
+
+
+def reference_matrix(rows, kind, normalize_counts, eps=1e-10):
+    """The loader's smoothing and simplex rule, applied one row at a time."""
+    out = []
+    for row in np.asarray(rows, dtype=np.float64):
+        if kind == "frequency" and not normalize_counts:
+            assert abs(float(row.sum()) - 1.0) <= 1e-6
+        if np.any(row == 0.0):
+            row = row + eps * max(1.0, float(row.sum()) / row.size)
+        if kind == "frequency":
+            row = row / row.sum()
+            total = float(row.sum())
+            if abs(total - 1.0) > 1e-12:
+                row = row / total
+        out.append(row)
+    return np.vstack(out)
+
+
+def reference_weights(weights, n):
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=np.float64)
+    w = w / w.sum()
+    total = float(w.sum())
+    return w / total if abs(total - 1.0) > 1e-12 else w
+
+
+class TestWholeMatrixLoader:
+    """The loader validates the whole matrix at once, bit for bit like a per-row loop."""
+
+    @staticmethod
+    def tabular_rows(rng, n=40, d=300):
+        rows = rng.dirichlet(np.full(d, 0.05), size=n)
+        rows[rng.random((n, d)) < 0.3] = 0.0  # many empty bins
+        rows[0] = 0.0
+        rows[0, 7] = 1.0  # one populated bin
+        rows /= rows.sum(axis=1, keepdims=True)
+        # simplex defects in (1e-12, 1e-6], as rounding in a file would leave
+        rows[1:] *= 1.0 + rng.uniform(2e-12, 1e-6, size=(n - 1, 1)) * rng.choice([-1, 1], (n - 1, 1))
+        return rows
+
+    @pytest.mark.parametrize("kind", ["positive", "frequency"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_csv_and_json(self, tmp_path, rng, kind, weighted):
+        rows = self.tabular_rows(rng)
+        weights = rng.uniform(0.1, 3.0, size=len(rows)) if weighted else None
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("".join(
+            ("" if weights is None else f"weight:{float(weights[j])!r},")
+            + ",".join(map(repr, row)) + "\n"
+            for j, row in enumerate(rows.tolist())
+        ))
+        json_path = tmp_path / "rows.json"
+        payload = {"histograms": rows.tolist()}
+        if weights is not None:
+            payload["weights"] = weights.tolist()
+        json_path.write_text(json.dumps(payload))
+        expected = reference_matrix(rows, kind, normalize_counts=False)
+        for path, fmt in ((csv_path, FORMAT_CSV), (json_path, FORMAT_JSON)):
+            s = load_dataset(path, fmt, kind).histograms
+            assert np.array_equal(s.matrix, expected)
+            assert np.array_equal(s.weights, reference_weights(weights, len(rows)))
+            assert s.frequency == (kind == "frequency")
+
+    @pytest.mark.parametrize("kind", ["positive", "frequency"])
+    def test_pgm_directory(self, tmp_path, rng, kind):
+        d = tmp_path / "imgs"
+        d.mkdir()
+        for i, maxval in enumerate((255, 255, 15, 200)):
+            pixels = rng.integers(0, maxval + 1, size=(12, 10)) // 9 * 9 % (maxval + 1)
+            write_pgm(d / f"img{i}.pgm", 12, 10, pixels.ravel().tolist(), maxval=maxval)
+        counts = [np.bincount(read_pgm(f), minlength=256) for f in sorted(d.glob("*.pgm"))]
+        s = load_dataset(d, FORMAT_PGM, kind).histograms
+        assert np.array_equal(s.matrix, reference_matrix(counts, kind, normalize_counts=True))
+        assert np.array_equal(s.weights, np.full(4, 0.25))

@@ -131,18 +131,18 @@ class TestJeffreys:
 class TestSetAverages:
     def test_singleton(self, rng):
         member = rng.uniform(0.01, 1.0, size=5)
-        s = WeightedHistogramSet.from_rows(member[None, :])
+        s = WeightedHistogramSet(member[None, :])
         x = rng.uniform(0.01, 1.0, size=5)
         assert jeffreys_to_set(x, s) == pytest.approx(jeffreys(x, member), rel=1e-12)
 
     def test_zero_when_equal_to_every_member(self):
         member = np.array([0.2, 0.8])
-        s = WeightedHistogramSet.from_rows([member, member], frequency=True)
+        s = WeightedHistogramSet([member, member], frequency=True)
         assert jeffreys_to_set(member, s) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_member_hand_sum(self, rng):
         rows = rng.uniform(0.01, 1.0, size=(2, 4))
-        s = WeightedHistogramSet.from_rows(rows)
+        s = WeightedHistogramSet(rows)
         x = rng.uniform(0.01, 1.0, size=4)
         expected = 0.5 * brute_jeffreys(x, rows[0]) + 0.5 * brute_jeffreys(x, rows[1])
         assert jeffreys_to_set(x, s) == pytest.approx(expected, rel=1e-12)
@@ -153,7 +153,7 @@ class TestSetAverages:
             x = rng.uniform(0.01, 1.0, size=s.d)
             x /= x.sum()
             expected = sum(
-                w * kl(x, h.bins) for w, h in zip(s.weights, s.histograms)
+                w * kl(x, h) for w, h in zip(s.weights, s.matrix)
             )
             assert kl_to_set(x, s) == pytest.approx(expected, rel=1e-12)
 

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jeffreys import (
     FrequencyHistogram,
     Histogram,
     ValidationError,
     WeightedHistogramSet,
-    cumulative_sum,
-    normalize,
     normalized_means,
     smooth_bins,
     weighted_arithmetic_mean,
@@ -19,14 +20,14 @@ from jeffreys import (
 
 class TestHistogramTypes:
     def test_cumulative_sum(self):
-        assert cumulative_sum(Histogram(np.array([1.0, 2.0, 3.0]))) == 6.0
-        assert cumulative_sum(Histogram(np.array([0.2, 0.3]))) == pytest.approx(0.5)
+        assert Histogram(np.array([1.0, 2.0, 3.0])).total == 6.0
+        assert Histogram(np.array([0.2, 0.3])).total == pytest.approx(0.5)
 
     def test_frequency_sum_is_one(self, rng):
         for _ in range(20):
             raw = rng.uniform(0.01, 1.0, size=8)
             h = FrequencyHistogram(raw / raw.sum())
-            assert cumulative_sum(h) == pytest.approx(1.0, abs=1e-12)
+            assert h.total == pytest.approx(1.0, abs=1e-12)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValidationError):
@@ -61,63 +62,60 @@ class TestHistogramTypes:
 
 class TestNormalize:
     def test_examples(self):
-        assert np.allclose(normalize(Histogram(np.array([1.0, 1.0]))).bins, [0.5, 0.5])
-        assert np.allclose(normalize(Histogram(np.array([2.0, 6.0]))).bins, [0.25, 0.75])
+        assert np.allclose(Histogram(np.array([1.0, 1.0])).normalized().bins, [0.5, 0.5])
+        assert np.allclose(Histogram(np.array([2.0, 6.0])).normalized().bins, [0.25, 0.75])
 
     def test_idempotent(self, rng):
         raw = rng.uniform(0.01, 1.0, size=6)
-        once = normalize(Histogram(raw))
-        twice = normalize(once)
+        once = Histogram(raw).normalized()
+        twice = once.normalized()
         assert np.array_equal(once.bins, twice.bins)
-        assert cumulative_sum(once) == pytest.approx(1.0, abs=1e-12)
+        assert once.total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWeightedSet:
     def test_weight_validation(self):
         rows = [[1.0, 2.0], [2.0, 1.0]]
         with pytest.raises(ValidationError):
-            WeightedHistogramSet.from_rows(rows, [0.5, -0.5])
+            WeightedHistogramSet(rows, [0.5, -0.5])
         with pytest.raises(ValidationError):
-            WeightedHistogramSet.from_rows(rows, [0.9, 0.9])
-        s = WeightedHistogramSet.from_rows(rows, [0.5 + 1e-8, 0.5])
+            WeightedHistogramSet(rows, [0.9, 0.9])
+        s = WeightedHistogramSet(rows, [0.5 + 1e-8, 0.5])
         assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            WeightedHistogramSet(
-                (Histogram(np.array([1.0, 2.0])), Histogram(np.array([1.0, 2.0, 3.0]))),
-                np.array([0.5, 0.5]),
-            )
+            WeightedHistogramSet([[1.0, 2.0], [1.0, 2.0, 3.0]], np.array([0.5, 0.5]))
 
     def test_as_frequency(self):
-        s = WeightedHistogramSet.from_rows([[0.5, 0.5], [0.25, 0.75]])
-        assert s.as_frequency().is_frequency()
-        bad = WeightedHistogramSet.from_rows([[1.0, 2.0], [2.0, 1.0]])
+        s = WeightedHistogramSet([[0.5, 0.5], [0.25, 0.75]])
+        assert s.as_frequency().frequency
+        bad = WeightedHistogramSet([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValidationError):
             bad.as_frequency()
 
 
 class TestMeans:
     def test_arithmetic_examples(self):
-        s = WeightedHistogramSet.from_rows([[1.0, 3.0], [3.0, 1.0]])
+        s = WeightedHistogramSet([[1.0, 3.0], [3.0, 1.0]])
         assert np.allclose(weighted_arithmetic_mean(s).bins, [2.0, 2.0])
-        single = WeightedHistogramSet.from_rows([[1.5, 2.5]])
+        single = WeightedHistogramSet([[1.5, 2.5]])
         assert np.allclose(weighted_arithmetic_mean(single).bins, [1.5, 2.5])
-        s2 = WeightedHistogramSet.from_rows([[1.0, 0.5], [2.0, 1.0]], [0.25, 0.75])
+        s2 = WeightedHistogramSet([[1.0, 0.5], [2.0, 1.0]], [0.25, 0.75])
         assert np.allclose(weighted_arithmetic_mean(s2).bins, [1.75, 0.875])
 
     def test_geometric_examples(self):
-        s = WeightedHistogramSet.from_rows([[1.0, 3.0], [3.0, 1.0]])
+        s = WeightedHistogramSet([[1.0, 3.0], [3.0, 1.0]])
         assert np.allclose(weighted_geometric_mean(s).bins, [np.sqrt(3.0)] * 2)
-        s2 = WeightedHistogramSet.from_rows([[4.0, 1.0], [1.0, 1.0]])
+        s2 = WeightedHistogramSet([[4.0, 1.0], [1.0, 1.0]])
         assert np.allclose(weighted_geometric_mean(s2).bins, [2.0, 1.0])
-        single = WeightedHistogramSet.from_rows([[1.5, 2.5]])
+        single = WeightedHistogramSet([[1.5, 2.5]])
         assert np.allclose(weighted_geometric_mean(single).bins, [1.5, 2.5])
 
     def test_geometric_log_domain_underflow(self):
         # 400 sub-unit bins would underflow a naive product
         rows = np.full((400, 2), 1e-3)
-        s = WeightedHistogramSet.from_rows(rows.T)
+        s = WeightedHistogramSet(rows.T)
         assert np.all(weighted_geometric_mean(s).bins > 0.0)
 
     def test_am_gm_inequality(self, rng):
@@ -131,12 +129,12 @@ class TestMeans:
 
     def test_normalized_means_examples(self):
         member = np.array([0.3, 0.7])
-        s = WeightedHistogramSet.from_rows([member, member], frequency=True)
+        s = WeightedHistogramSet([member, member], frequency=True)
         arith, geom = normalized_means(s)
         assert np.allclose(arith.bins, member, atol=1e-14)
         assert np.allclose(geom.bins, member, atol=1e-14)
 
-        s2 = WeightedHistogramSet.from_rows([[0.5, 0.5], [0.9, 0.1]], frequency=True)
+        s2 = WeightedHistogramSet([[0.5, 0.5], [0.9, 0.1]], frequency=True)
         arith2, geom2 = normalized_means(s2)
         assert np.allclose(arith2.bins, [0.7, 0.3], atol=1e-14)
         # hand derivation: (sqrt(0.45), sqrt(0.05)) renormalized is (3/4, 1/4)
@@ -151,3 +149,99 @@ class TestMeans:
         for _ in range(50):
             s = random_frequency_set(rng)
             assert weighted_arithmetic_mean(s).total == pytest.approx(1.0, abs=1e-12)
+
+
+# Anything a caller might pass as rows or weights: ragged nesting, any
+# dimension (empty included), NaN, +-inf, zero, negative, huge integers and
+# non-numbers.
+_NUMBERS = st.floats() | st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300]) | st.integers()
+_CELLS = _NUMBERS | st.none() | st.text(max_size=3) | st.complex_numbers()
+_NESTED = st.recursive(_CELLS, lambda inner: st.lists(inner, max_size=4), max_leaves=24)
+_ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats() | st.sampled_from([0.0, 1.0, 0.25]),
+)
+
+
+@st.composite
+def _near_simplex(draw):
+    """Positive rows on the simplex, each scaled by 1 + a defect around the tolerances."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    raw = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(1e-3, 1.0)))
+    scale = draw(hnp.arrays(np.float64, (n, 1), elements=st.sampled_from(
+        [1.0, 1.0 + 1e-13, 1.0 - 5e-12, 1.0 + 1e-9, 1.0 - 1e-7, 1.0 + 9.9e-7, 1.0 + 2e-6, 1.5]
+    )))
+    return raw / raw.sum(axis=1, keepdims=True) * scale
+
+
+_WEIGHTS = st.none() | _NESTED | hnp.arrays(
+    np.float64, st.integers(0, 6), elements=st.floats(1e-3, 1.0) | st.floats()
+)
+
+
+class TestSetConstructor:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_NESTED | _ARRAYS | _near_simplex(), weights=_WEIGHTS, frequency=st.booleans())
+    def test_builds_a_valid_set_or_raises_validation_error(self, rows, weights, frequency):
+        self.check(rows, weights, frequency)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_near_simplex())
+    def test_near_simplex_rows(self, rows):
+        self.check(rows, None, True)
+
+    @staticmethod
+    def check(rows, weights, frequency):
+        try:
+            s = WeightedHistogramSet(rows, weights, frequency=frequency)
+        except ValidationError:
+            return  # anything else (ValueError, TypeError, ...) fails the test
+        m, w = s.matrix, s.weights
+        assert m.ndim == 2 and m.shape == (s.n, s.d) and s.n >= 1 and s.d >= 1
+        assert np.all(np.isfinite(m)) and np.all(m > 0.0)
+        assert w.shape == (s.n,) and np.all(w > 0.0) and abs(w.sum() - 1.0) <= 1e-12
+        assert not m.flags.writeable and not w.flags.writeable
+        assert not s.log_matrix.flags.writeable
+        assert np.array_equal(s.log_matrix, np.log(m))
+        assert s.frequency is frequency
+        if frequency:
+            # the row-wise simplex rule is the one FrequencyHistogram applies
+            for row, member in zip(np.asarray(rows, dtype=np.float64), m):
+                assert np.array_equal(FrequencyHistogram(row).bins, member)
+            assert np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12)
+        else:
+            assert np.array_equal(m, np.asarray(rows, dtype=np.float64))
+
+    def test_read_only_copy(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        s = WeightedHistogramSet(rows)
+        rows[0, 0] = 9.0
+        assert s.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            s.matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            s.log_matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("rows", [
+        [1.0, 2.0], [[[1.0]]], [], [[]], [["a", 1.0]], [[1.0, None]],
+        [[1.0, float("inf")]], [[1.0, 0.0]], [[1.0, -1.0]], [[10**400]], [[1j]],
+    ])
+    def test_rejects_bad_rows(self, rows):
+        with pytest.raises(ValidationError):
+            WeightedHistogramSet(rows)
+
+    def test_frequency_rows_follow_the_simplex_rule(self):
+        rows = np.array([[0.5, 0.5], [0.5 + 1e-13, 0.5], [0.5 + 2e-7, 0.5]])
+        s = WeightedHistogramSet(rows, frequency=True)
+        assert np.array_equal(s.matrix[:2], rows[:2])  # within SIMPLEX_ATOL: kept
+        assert np.array_equal(s.matrix[2], rows[2] / rows[2].sum())  # repaired
+        with pytest.raises(ValidationError, match="sum to 1"):
+            WeightedHistogramSet([[0.5, 0.5], [0.6, 0.5]], frequency=True)
+
+    def test_smooth_bins_along_the_last_axis(self):
+        rows = np.array([[0.0, 4.0], [1.0, 2.0], [0.0, 0.0]])
+        smoothed = smooth_bins(rows)
+        for row, out in zip(rows, smoothed):
+            assert np.array_equal(smooth_bins(row), out)
+        assert np.array_equal(smoothed[1], rows[1])

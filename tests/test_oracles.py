@@ -20,12 +20,12 @@ from conftest import random_frequency_set, random_positive_set
 class TestPositiveOracle:
     def test_identical_members(self):
         member = np.array([0.5, 1.5])
-        s = WeightedHistogramSet.from_rows([member, member])
+        s = WeightedHistogramSet([member, member])
         sol = oracle_positive_centroid(s)
         assert np.allclose(sol.argmin, member, atol=1e-6)
 
     def test_symmetric_pair_matches_closed_form(self):
-        s = WeightedHistogramSet.from_rows([[1.0, 3.0], [3.0, 1.0]])
+        s = WeightedHistogramSet([[1.0, 3.0], [3.0, 1.0]])
         sol = oracle_positive_centroid(s)
         assert np.allclose(sol.argmin, 1.8635889573808236, atol=1e-6)
 
@@ -49,12 +49,12 @@ class TestPositiveOracle:
 class TestFrequencyOracle:
     def test_identical_members(self):
         member = np.array([0.4, 0.6])
-        s = WeightedHistogramSet.from_rows([member, member], frequency=True)
+        s = WeightedHistogramSet([member, member], frequency=True)
         sol = oracle_frequency_centroid(s)
         assert np.allclose(sol.argmin, member, atol=1e-6)
 
     def test_matches_bisection_d2(self):
-        s = WeightedHistogramSet.from_rows([[0.5, 0.5], [0.9, 0.1]], frequency=True)
+        s = WeightedHistogramSet([[0.5, 0.5], [0.9, 0.1]], frequency=True)
         sol = oracle_frequency_centroid(s)
         exact = frequency_centroid_bisection(s)
         assert np.abs(sol.argmin - exact.centroid.bins).max() <= 10 * sol.resolution
