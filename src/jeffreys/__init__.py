@@ -18,6 +18,7 @@ from .centroids import (
     CentroidResult,
     frequency_centroid_bisection,
     frequency_centroid_fixedpoint,
+    normalized_means,
     normalized_positive_centroid,
     positive_centroid,
     veldhuis_centroid,
@@ -44,7 +45,6 @@ from .histograms import (
     FrequencyHistogram,
     Histogram,
     WeightedHistogramSet,
-    normalized_means,
     smooth_bins,
     weighted_arithmetic_mean,
     weighted_geometric_mean,

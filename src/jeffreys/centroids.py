@@ -20,6 +20,12 @@ The mass function ``s(lam) = sum_i c_i(lam)`` is strictly decreasing with
 ``s(0) <= 1``, and the multiplier lives in
 ``[max_i(a_i + log g_i) - 1, 0]``, which makes bisection safe.  At the
 solution ``lam = -KL(c : g) <= 0``.
+
+Both frequency solvers are written once, for ``T`` problems at a time:
+:func:`batch_frequency_bisection` and :func:`batch_frequency_fixedpoint`
+take ``(T, d)`` normalized means, one problem per row.  The scalar solvers
+run them at ``T = 1``; k-means and the trial harness run them on every
+cluster or trial at once.
 """
 
 from __future__ import annotations
@@ -32,12 +38,7 @@ import numpy as np
 
 from .divergences import jeffreys_to_set
 from .errors import NumericError, ValidationError
-from .histograms import (
-    FrequencyHistogram,
-    Histogram,
-    WeightedHistogramSet,
-    normalized_means,
-)
+from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
 from .lambertw import lambert_w0_values
 
 MODE_POSITIVE = "positive"
@@ -60,7 +61,7 @@ DEFAULT_BISECTION_TOL = 1e-12
 DEGENERACY_TOL = 1e-13
 #: ``s(lower)`` below ``1 - BRACKET_SLACK`` means the bracket misses the root.
 BRACKET_SLACK = 1e-9
-
+#: Fixed-point steps after which the solver falls back to bisection.
 _FIXEDPOINT_CAP = 100
 
 
@@ -108,6 +109,62 @@ def _means(s: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
     return a, g
 
 
+def _normalized_means(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arithmetic and geometric means divided by their sums along the last axis."""
+    return a / a.sum(axis=-1, keepdims=True), g / g.sum(axis=-1, keepdims=True)
+
+
+def normalized_means(s: WeightedHistogramSet) -> tuple[FrequencyHistogram, FrequencyHistogram]:
+    """Normalized weighted arithmetic and geometric means of a frequency set.
+
+    Both means are divided by their sums, exactly as the frequency solvers
+    normalize them.
+    """
+    a, g = _normalized_means(*_means(s.as_frequency()))
+    return FrequencyHistogram(a), FrequencyHistogram(g)
+
+
+def _coordinates(a: np.ndarray, ratio: np.ndarray, lam=0.0, return_iterations: bool = False):
+    """``c(lam) = a / W0(ratio * e^(lam + 1))`` row by row, with ``ratio = a / g``.
+
+    ``lam`` is a scalar or one multiplier per row of ``(T, d)`` means; on
+    raw means ``lam = 0`` gives the positive centroid.  With
+    ``return_iterations=True`` also returns the ``W0`` step counts.
+    """
+    x = ratio * np.exp(lam + 1.0)[..., None]
+    if return_iterations:
+        w, steps = lambert_w0_values(x, return_iterations=True)
+        return a / w, steps
+    return a / lambert_w0_values(x)
+
+
+def _simplex_coordinates(a: np.ndarray, ratio: np.ndarray, lam) -> np.ndarray:
+    """``c(lam)`` divided by its row sums: the fixed point's iterate."""
+    coords = _coordinates(a, ratio, lam)
+    return coords / coords.sum(axis=-1, keepdims=True)
+
+
+def _kl_multiplier(x: np.ndarray, log_g: np.ndarray) -> np.ndarray:
+    """``-KL(x : g)`` per row, the multiplier the fixed point takes from ``x``."""
+    return -(x * (np.log(x) - log_g)).sum(axis=-1)
+
+
+def _on_simplex(a: np.ndarray, ratio: np.ndarray, lam: np.ndarray, limit, mode: str):
+    """``c(lam)`` divided by its row sums, and each row's defect ``|sum - 1|``.
+
+    A defect above ``limit`` (a bound for all rows, or one per row) raises
+    :class:`NumericError`.
+    """
+    coords = _coordinates(a, ratio, lam)
+    mass = coords.sum(axis=1)
+    defect = np.abs(mass - 1.0)
+    if np.any(defect > limit):
+        raise NumericError(
+            f"{mode} stopped with simplex defect {defect.max():.3e} > tol {np.min(limit):.3e}"
+        )
+    return coords / mass[:, None], defect
+
+
 def positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
     """Exact Jeffreys centroid over the positive orthant.
 
@@ -117,8 +174,8 @@ def positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
     if s.n == 1:
         return _singleton_result(s, MODE_POSITIVE, frequency=False)
     a, g = _means(s)
-    w, steps = lambert_w0_values((a / g) * math.e, return_iterations=True)
-    c = Histogram(a / w)
+    coords, steps = _coordinates(a, a / g, return_iterations=True)
+    c = Histogram(coords)
     return CentroidResult(
         centroid=c,
         mode=MODE_POSITIVE,
@@ -156,8 +213,8 @@ def veldhuis_centroid(s: WeightedHistogramSet) -> CentroidResult:
     sf = s.as_frequency()
     if sf.n == 1:
         return _singleton_result(sf, MODE_VELDHUIS, frequency=True)
-    arith, geom = normalized_means(sf)
-    c = FrequencyHistogram(0.5 * (arith.bins + geom.bins))
+    a, g = _normalized_means(*_means(sf))
+    c = FrequencyHistogram(0.5 * (a + g))
     return CentroidResult(
         centroid=c,
         mode=MODE_VELDHUIS,
@@ -166,43 +223,115 @@ def veldhuis_centroid(s: WeightedHistogramSet) -> CentroidResult:
     )
 
 
-def _frequency_problem(sf: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized means and their ratio, shared by both frequency solvers."""
-    a = sf.weights @ sf.matrix
-    a = a / a.sum()
-    g = np.exp(sf.weights @ sf.log_matrix)
-    g = g / g.sum()
-    return a, g, a / g
+def batch_frequency_bisection(
+    a: np.ndarray, g: np.ndarray, tol: float = DEFAULT_BISECTION_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Multiplier bisection for ``T`` frequency problems at once.
+
+    ``a`` and ``g`` are ``(T, d)`` normalized arithmetic and geometric
+    means, one problem per row.  Returns ``(lam, coords, halvings,
+    defect)``: the multipliers, the ``(T, d)`` centroids on the simplex,
+    the halvings and the simplex defects before renormalization, per row.
+    The bracket ``[max_i(a_i + log g_i) - 1, 0]`` is halved
+    exactly :data:`BISECTION_HALVINGS` times, which resolves the multiplier
+    to the 52-bit significand of a double, and ``tol`` is then checked
+    against each row's simplex defect (stopping on the defect alone could
+    leave the coordinates under-resolved where ``s`` is flat).  A row with
+    ``1 - s(0) <= min(tol, DEGENERACY_TOL)`` (identical members) keeps
+    ``lam = 0`` and 0 halvings, its defect held to ``max(tol,
+    DEGENERACY_TOL)``.  A bracket with ``s(lower)`` below one or a defect
+    above its bound raises :class:`NumericError`.  Every row shares the 55
+    ``W0`` evaluations, and no row's result depends on the other rows.
+    """
+    ratio = a / g
+    # s(0) <= 1 up to rounding; s(0) == 1 means a == g and lam* = 0.  The
+    # threshold is at the rounding floor so that merely similar inputs
+    # still get the full bisection schedule.
+    degenerate = 1.0 - _coordinates(a, ratio).sum(axis=1) <= min(tol, DEGENERACY_TOL)
+    lo = np.where(degenerate, 0.0, (a + np.log(g)).max(axis=1) - 1.0)
+    hi = np.zeros(a.shape[0])
+    s_lo = _coordinates(a, ratio, lo).sum(axis=1)
+    if np.any(s_lo < 1.0 - BRACKET_SLACK):
+        raise NumericError(
+            f"bisection bracket violated: s(lower) = {float(s_lo.min())!r} < 1 "
+            "(means computed inconsistently)"
+        )
+    # With every row degenerate, lo = hi = 0 and halving changes nothing.
+    for _ in range(0 if degenerate.all() else BISECTION_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        ge = _coordinates(a, ratio, mid).sum(axis=1) >= 1.0
+        lo = np.where(ge, mid, lo)
+        hi = np.where(ge, hi, mid)
+    lam = 0.5 * (lo + hi)
+    limit = np.where(degenerate, max(tol, DEGENERACY_TOL), tol)
+    coords, defect = _on_simplex(a, ratio, lam, limit, MODE_BISECTION)
+    return lam, coords, np.where(degenerate, 0, BISECTION_HALVINGS), defect
 
 
-def _coordinates(a: np.ndarray, ratio: np.ndarray, lam: float) -> np.ndarray:
-    return a / lambert_w0_values(ratio * math.exp(lam + 1.0))
+def batch_frequency_fixedpoint(
+    a: np.ndarray,
+    g: np.ndarray,
+    tol: float = DEFAULT_FIXEDPOINT_TOL,
+    cap: int = _FIXEDPOINT_CAP,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multiplier fixed point for ``T`` frequency problems at once.
+
+    ``a`` and ``g`` are ``(T, d)`` normalized means, one problem per row.
+    Each row starts from the arithmetic mean (``lam_0 = -KL(a : g)``) and
+    iterates
+
+        c_l = normalize(a / W0(a * exp(lam_{l-1} + 1) / g))
+        lam_l = -KL(c_l : g)
+
+    until ``|lam_l - lam_{l-1}| <= tol``; a converged row keeps its
+    multiplier and its count while the others go on, for at most ``cap``
+    steps.  Returns ``(lam, iterations, converged)`` per row; a row that
+    reaches ``cap`` without meeting ``tol`` has ``converged`` False.
+    """
+    ratio = a / g
+    log_g = np.log(g)
+    lam = _kl_multiplier(a, log_g)
+    iterations = np.zeros(a.shape[0], dtype=np.int64)
+    active = np.ones(a.shape[0], dtype=bool)
+    for _ in range(cap):
+        lam_next = _kl_multiplier(_simplex_coordinates(a, ratio, lam), log_g)
+        delta = np.abs(lam_next - lam)
+        iterations += active
+        lam = np.where(active, lam_next, lam)
+        active &= ~(delta <= tol)
+        if not active.any():
+            break
+    return lam, iterations, ~active
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _frequency_problem(sf: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(1, d)`` normalized means of a set: one row of the batched solvers."""
+    a, g = _normalized_means(*_means(sf))
+    return a[None], g[None]
 
 
 def _finish_frequency(
     sf: WeightedHistogramSet,
-    coords: np.ndarray,
     mode: str,
-    lam: float,
+    lam: np.ndarray,
+    coords: np.ndarray,
     iterations: int,
-    tol: float,
-    fallback: bool = False,
+    defect: np.ndarray,
 ) -> CentroidResult:
-    mass = float(coords.sum())
-    defect = abs(mass - 1.0)
-    if defect > tol:
-        raise NumericError(
-            f"{mode} stopped with simplex defect {defect:.3e} > tol {tol:.3e}"
-        )
-    c = FrequencyHistogram(coords / mass)
+    """The report of a batched solve of ``sf``'s one problem."""
+    c = FrequencyHistogram(coords[0])
     return CentroidResult(
         centroid=c,
         mode=mode,
         objective=jeffreys_to_set(c, sf),
         iterations=iterations,
-        lambda_star=min(lam, 0.0),
-        simplex_defect=defect,
-        fallback=fallback,
+        lambda_star=min(float(lam[0]), 0.0),
+        simplex_defect=float(defect[0]),
     )
 
 
@@ -211,94 +340,18 @@ def frequency_centroid_bisection(
 ) -> CentroidResult:
     """Exact Jeffreys frequency centroid via bisection on the multiplier.
 
-    The bracket ``[max_i(a_i + log g_i) - 1, 0]`` always contains the
-    root of ``s(lam) = 1``.  Unless the upper endpoint already satisfies
-    ``|s(0) - 1| <= tol`` (identical-member degeneracy), the bracket is
-    halved exactly :data:`BISECTION_HALVINGS` times, which resolves the
-    multiplier to the full 52-bit significand of a double relative to the
-    initial bracket; ``tol`` is then verified against the final simplex
-    defect.  Stopping on the defect alone could leave the coordinates
-    under-resolved where ``s`` is flat.
+    Runs :func:`batch_frequency_bisection` on the set's one problem: unless
+    the members are identical (``lam = 0``, 0 iterations), the multiplier
+    bracket is halved :data:`BISECTION_HALVINGS` times and ``tol`` is
+    verified against the final simplex defect.
     """
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     sf = s.as_frequency()
     if sf.n == 1:
         return _singleton_result(sf, MODE_BISECTION, frequency=True)
-    a, g, ratio = _frequency_problem(sf)
-
-    coords_hi = _coordinates(a, ratio, 0.0)
-    # s(0) <= 1 up to rounding; s(0) == 1 means a == g and lam* = 0.  The
-    # threshold is at the rounding floor so that merely similar inputs
-    # still get the full bisection schedule.
-    if 1.0 - float(coords_hi.sum()) <= min(tol, DEGENERACY_TOL):
-        return _finish_frequency(
-            sf, coords_hi, MODE_BISECTION, 0.0, 0, max(tol, DEGENERACY_TOL)
-        )
-
-    lo = float(np.max(a + np.log(g))) - 1.0
-    hi = 0.0
-    s_lo = float(_coordinates(a, ratio, lo).sum())
-    if s_lo < 1.0 - BRACKET_SLACK:
-        raise NumericError(
-            f"bisection bracket violated: s(lower) = {s_lo!r} < 1 "
-            "(means computed inconsistently)"
-        )
-    for _ in range(BISECTION_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        if float(_coordinates(a, ratio, mid).sum()) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    coords = _coordinates(a, ratio, lam)
-    return _finish_frequency(sf, coords, MODE_BISECTION, lam, BISECTION_HALVINGS, tol)
-
-
-def batch_frequency_bisection(
-    a: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multiplier bisection for ``T`` frequency problems at once.
-
-    ``a`` and ``g`` are ``(T, d)`` normalized arithmetic and geometric
-    means, one problem per row.  Returns ``(lam, coords, halvings)``: the
-    multipliers, the ``(T, d)`` centroids on the simplex and the halvings
-    per row.  Row for row it solves the problem of
-    :func:`frequency_centroid_bisection` at its default tolerance (equal to
-    rounding), with the same checks: a row with ``1 - s(0) <=
-    DEGENERACY_TOL`` keeps ``lam = 0`` and 0 halvings, a bracket with
-    ``s(lower)`` below one raises :class:`NumericError`, and so does a
-    final simplex defect above ``DEFAULT_BISECTION_TOL``.  Every row shares
-    the 55 ``W0`` evaluations of the schedule, and each row's result does
-    not depend on the other rows.
-    """
-    ratio = a / g
-    coords0 = a / lambert_w0_values(ratio * math.e)
-    degenerate = 1.0 - coords0.sum(axis=1) <= DEGENERACY_TOL
-    lo = np.where(degenerate, 0.0, (a + np.log(g)).max(axis=1) - 1.0)
-    hi = np.zeros(a.shape[0])
-    s_lo = (a / lambert_w0_values(ratio * np.exp(lo + 1.0)[:, None])).sum(axis=1)
-    if np.any(s_lo < 1.0 - BRACKET_SLACK):
-        raise NumericError(
-            f"bisection bracket violated: s(lower) = {float(s_lo.min())!r} < 1 "
-            "(means computed inconsistently)"
-        )
-    for _ in range(BISECTION_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        ge = (a / lambert_w0_values(ratio * np.exp(mid + 1.0)[:, None])).sum(axis=1) >= 1.0
-        lo = np.where(ge, mid, lo)
-        hi = np.where(ge, hi, mid)
-    lam = 0.5 * (lo + hi)
-    coords = a / lambert_w0_values(ratio * np.exp(lam + 1.0)[:, None])
-    mass = coords.sum(axis=1)
-    defect = float(np.abs(mass - 1.0).max())
-    if defect > DEFAULT_BISECTION_TOL:
-        raise NumericError(
-            f"{MODE_BISECTION} stopped with simplex defect {defect:.3e} "
-            f"> tol {DEFAULT_BISECTION_TOL:.3e}"
-        )
-    halvings = np.where(degenerate, 0, BISECTION_HALVINGS)
-    return lam, coords / mass[:, None], halvings
+    a, g = _frequency_problem(sf)
+    lam, coords, halvings, defect = batch_frequency_bisection(a, g, tol)
+    return _finish_frequency(sf, MODE_BISECTION, lam, coords, int(halvings[0]), defect)
 
 
 def frequency_centroid_fixedpoint(
@@ -308,37 +361,24 @@ def frequency_centroid_fixedpoint(
 ) -> CentroidResult:
     """Exact Jeffreys frequency centroid via fixed-point iteration on the multiplier.
 
-    Starts from the arithmetic mean (``lam_0 = -KL(a : g)``) and iterates
-
-        c_l = normalize(a / W0(a * exp(lam_{l-1} + 1) / g))
-        lam_l = -KL(c_l : g)
-
-    until ``|lam_l - lam_{l-1}| <= tol``.  Keeping the iterate on the
-    simplex makes the map nearly flat at its fixed point, so convergence
-    typically takes about five to seven iterations.  No contraction
-    guarantee exists, so on cap breach the solver falls back to bisection
-    and flags the result instead of looping forever.
+    Runs :func:`batch_frequency_fixedpoint` on the set's one problem.
+    Keeping the iterate on the simplex makes the map nearly flat at its
+    fixed point, so convergence typically takes about five to seven
+    iterations.  No contraction guarantee exists, so if ``max_iterations``
+    steps do not meet ``tol`` the solver falls back to bisection and flags
+    the result instead of looping forever.
     """
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
+    if max_iterations < 1:
+        raise ValidationError(f"max_iterations must be at least 1, got {max_iterations!r}")
     sf = s.as_frequency()
     if sf.n == 1:
         return _singleton_result(sf, MODE_FIXEDPOINT, frequency=True)
-    a, g, ratio = _frequency_problem(sf)
-    log_g = np.log(g)
-
-    lam = -float(np.sum(a * (np.log(a) - log_g)))
-    for iterations in range(1, max_iterations + 1):
-        coords = _coordinates(a, ratio, lam)
-        coords = coords / coords.sum()  # the iterate lives on the simplex
-        lam_next = -float(np.sum(coords * (np.log(coords) - log_g)))
-        delta = abs(lam_next - lam)
-        lam = lam_next
-        if delta <= tol:
-            coords = _coordinates(a, ratio, lam)
-            return _finish_frequency(
-                sf, coords, MODE_FIXEDPOINT, lam, iterations, max(tol * 10.0, 1e-12)
-            )
+    a, g = _frequency_problem(sf)
+    lam, iterations, converged = batch_frequency_fixedpoint(a, g, tol, max_iterations)
+    if converged[0]:
+        coords, defect = _on_simplex(a, a / g, lam, max(tol * 10.0, 1e-12), MODE_FIXEDPOINT)
+        return _finish_frequency(sf, MODE_FIXEDPOINT, lam, coords, int(iterations[0]), defect)
 
     warnings.warn(
         f"fixed-point iteration did not contract within {max_iterations} steps; "

@@ -10,15 +10,14 @@ non-increasing for every mode, exact or approximate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .centroids import _coordinates, _kl_multiplier, _normalized_means, _simplex_coordinates
 from .centroids import batch_frequency_bisection
 from .errors import ValidationError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
-from .lambertw import lambert_w0_values
 
 CENTROID_MODE_POSITIVE = "positive"
 CENTROID_MODE_NORMALIZED = "normalized_approx"
@@ -138,16 +137,11 @@ def _repair_empty(assign: np.ndarray, costs: np.ndarray, k: int) -> np.ndarray:
 
 
 def _positive_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return a / lambert_w0_values((a / g) * math.e)
+    return _coordinates(a, a / g)
 
 
 def _normalized_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    c = _positive_candidates(a, g)
-    return c / c.sum(axis=1, keepdims=True)
-
-
-def _frequency_means(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return a / a.sum(axis=1, keepdims=True), g / g.sum(axis=1, keepdims=True)
+    return _simplex_coordinates(a, a / g, 0.0)
 
 
 def _one_step_frequency_update(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -157,17 +151,15 @@ def _one_step_frequency_update(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     provably-better-than-mean update that keeps the variational k-means
     cheap.
     """
-    lam = -(a * (np.log(a) - np.log(g))).sum(axis=1)
-    coords = a / lambert_w0_values((a / g) * np.exp(lam + 1.0)[:, None])
-    return coords / coords.sum(axis=1, keepdims=True)
+    return _simplex_coordinates(a, a / g, _kl_multiplier(a, np.log(g)))
 
 
 def _fixedpoint_1step_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return _one_step_frequency_update(*_frequency_means(a, g))
+    return _one_step_frequency_update(*_normalized_means(a, g))
 
 
 def _exact_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return batch_frequency_bisection(*_frequency_means(a, g))[1]
+    return batch_frequency_bisection(*_normalized_means(a, g))[1]
 
 
 # Centroid mode -> (k, d) candidate centroids from the (k, d) raw weighted

@@ -198,14 +198,3 @@ def weighted_geometric_mean(s: WeightedHistogramSet) -> Histogram:
     """
     return Histogram(np.exp(s.weights @ s.log_matrix))
 
-
-def normalized_means(s: WeightedHistogramSet) -> tuple[FrequencyHistogram, FrequencyHistogram]:
-    """Normalized weighted arithmetic and geometric means of a frequency set.
-
-    The arithmetic mean of simplex members is already on the simplex; the
-    geometric mean is renormalized onto it.
-    """
-    sf = s.as_frequency()
-    arith = FrequencyHistogram(sf.weights @ sf.matrix)
-    geom = weighted_geometric_mean(sf).normalized()
-    return arith, geom

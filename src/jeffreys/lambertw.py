@@ -16,6 +16,10 @@ The Halley update is evaluated in a form scaled by ``exp(-w)``,
 so no intermediate ever computes ``exp(w)`` on its own; the scaled residual
 stays finite for every finite double input, including ``x ~ 1e300`` where
 ``w > 680``.  The denominator is bounded away from zero on ``w >= 0``.
+
+The array path runs each Halley step on every lane and freezes a
+converged lane with ``np.where``, so no lane is gathered or scattered and
+each lane's value and step count equal those of the scalar path.
 """
 
 from __future__ import annotations
@@ -95,47 +99,39 @@ def lambert_w0(x: float) -> LambertEval:
 def lambert_w0_values(x, return_iterations: bool = False):
     """Evaluate ``W0`` elementwise over an array of non-negative values.
 
-    The vectorized twin of :func:`lambert_w0`; converged lanes are frozen
-    while the rest keep iterating.  With ``return_iterations=True`` also
-    returns the per-element Halley step counts.
+    The vectorized twin of :func:`lambert_w0`, step for step the same
+    arithmetic.  Every Halley step runs on every lane; a converged lane is
+    frozen by ``np.where`` (it keeps its value and its step count) while
+    the rest keep iterating.  With ``return_iterations=True`` also returns
+    the per-element Halley step counts.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
+    squeeze = arr.ndim == 0
+    if squeeze:
         arr = arr.reshape(1)
-        squeeze = True
-    else:
-        squeeze = False
     if not np.all(np.isfinite(arr)):
         raise ValidationError("lambert_w0 requires finite arguments")
     if np.any(arr < 0.0):
         raise ValidationError("lambert_w0 is only defined for x >= 0")
 
-    flat = arr.reshape(-1)
-    w = np.log1p(flat)
-    big = flat >= math.e
-    if np.any(big):
-        lx = np.log(flat[big])
-        w[big] = lx - np.log(lx)
+    # log(max(x, e)) >= 1, so neither log warns on the lanes log1p serves.
+    lx = np.log(np.maximum(arr, math.e))
+    w = np.where(arr >= math.e, lx - np.log(lx), np.log1p(arr))
 
-    iterations = np.zeros(flat.shape, dtype=np.int64)
-    active = flat > 0.0
+    iterations = np.zeros(arr.shape, dtype=np.int64)
+    active = arr > 0.0
     for _ in range(_MAX_STEPS):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if not active.any():
             break
-        wa = w[idx]
-        r = wa - flat[idx] * np.exp(-wa)
-        step = r / ((1.0 + wa) - r * (2.0 + wa) / (2.0 + 2.0 * wa))
-        wa -= step
-        w[idx] = wa
-        iterations[idx] += 1
-        converged = np.abs(step) <= _EPS * (1.0 + np.abs(wa))
-        active[idx[converged]] = False
+        r = w - arr * np.exp(-w)
+        step = r / ((1.0 + w) - r * (2.0 + w) / (2.0 + 2.0 * w))
+        stepped = w - step
+        w = np.where(active, stepped, w)
+        iterations += active
+        active &= ~(np.abs(step) <= _EPS * (1.0 + np.abs(stepped)))
     if np.any(active):
         raise NumericError("Halley iteration did not converge for some entries")
 
-    w = w.reshape(arr.shape)
-    iterations = iterations.reshape(arr.shape)
     if squeeze:
         w = w[0]
         iterations = int(iterations[0])

@@ -16,13 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .centroids import _coordinates, normalized_means
 from .centroids import batch_frequency_bisection as _batch_bisection
+from .centroids import batch_frequency_fixedpoint as _batch_fixedpoint
 from .divergences import jeffreys_to_set
 from .errors import ValidationError
-from .histograms import WeightedHistogramSet, normalized_means
-from .lambertw import lambert_w0_values
+from .histograms import WeightedHistogramSet
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Trials per chunk of :func:`run_alpha_trials`, each with its own RNG stream.
+_CHUNK_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -172,28 +175,6 @@ def batch_kl_to_set(x: np.ndarray, members: np.ndarray, weights: np.ndarray) -> 
     return terms.sum(axis=2) @ weights
 
 
-def _batch_fixedpoint(
-    a: np.ndarray, g: np.ndarray, tol: float = 1e-14, cap: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized fixed-point iteration; returns (lam, iterations per trial)."""
-    ratio = a / g
-    log_g = np.log(g)
-    lam = -(a * (np.log(a) - log_g)).sum(axis=1)
-    iters = np.zeros(a.shape[0], dtype=np.int64)
-    active = np.ones(a.shape[0], dtype=bool)
-    for _ in range(cap):
-        coords = a / lambert_w0_values(ratio * np.exp(lam + 1.0)[:, None])
-        coords = coords / coords.sum(axis=1, keepdims=True)
-        lam_next = -(coords * (np.log(coords) - log_g)).sum(axis=1)
-        delta = np.abs(lam_next - lam)
-        iters[active] += 1
-        lam = np.where(active, lam_next, lam)
-        active = active & (delta > tol)
-        if not active.any():
-            break
-    return lam, iters
-
-
 @dataclass(frozen=True)
 class TrialData:
     """Per-trial arrays from a batch of random centroid problems."""
@@ -251,12 +232,12 @@ def _run_chunk(seed_seq: np.random.SeedSequence, trials: int, n: int, d: int) ->
     g_raw = np.exp(np.log(members).mean(axis=1))
     g = g_raw / g_raw.sum(axis=1, keepdims=True)
 
-    c_pos = a / lambert_w0_values((a / g_raw) * math.e)
+    c_pos = _coordinates(a, a / g_raw)
     w_c = c_pos.sum(axis=1)
     c_norm = c_pos / w_c[:, None]
     c_veld = 0.5 * (a + g)
-    lam, c_exact, halvings = _batch_bisection(a, g)
-    _, fp_iters = _batch_fixedpoint(a, g)
+    lam, c_exact, halvings, _ = _batch_bisection(a, g)
+    _, fp_iters, _ = _batch_fixedpoint(a, g)
 
     return TrialData(
         j_positive=batch_jeffreys_to_set(c_pos, members, weights),
@@ -275,13 +256,13 @@ def run_alpha_trials(
     d: int,
     seed: int = 0,
     histograms_per_trial: int = 2,
-    chunk_size: int = 8192,
     threads: int = 1,
 ) -> TrialData:
     """Run randomized centroid trials and return the per-trial arrays.
 
-    Trials are generated in fixed-size chunks with RNG streams spawned
-    from ``seed``, so results are identical for any ``threads`` value.
+    Trials are generated in chunks of ``_CHUNK_SIZE`` with RNG streams
+    spawned from ``seed``, so results are identical for any ``threads``
+    value.
     """
     if num_trials < 1:
         raise ValidationError(f"num_trials must be at least 1, got {num_trials}")
@@ -292,9 +273,9 @@ def run_alpha_trials(
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
 
-    sizes = [chunk_size] * (num_trials // chunk_size)
-    if num_trials % chunk_size:
-        sizes.append(num_trials % chunk_size)
+    sizes = [_CHUNK_SIZE] * (num_trials // _CHUNK_SIZE)
+    if num_trials % _CHUNK_SIZE:
+        sizes.append(num_trials % _CHUNK_SIZE)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
 
     def job(args):

@@ -23,7 +23,7 @@ from jeffreys import (
     weighted_arithmetic_mean,
     weighted_geometric_mean,
 )
-from jeffreys.centroids import batch_frequency_bisection
+from jeffreys.centroids import batch_frequency_bisection, batch_frequency_fixedpoint
 from jeffreys.lambertw import lambert_w0_values
 from conftest import random_frequency_set, random_positive_set
 
@@ -214,10 +214,9 @@ class TestBisection:
         )
 
     def test_tol_validation(self):
-        with pytest.raises(ValidationError):
-            frequency_centroid_bisection(canonical_set(), tol=0.0)
-        with pytest.raises(ValidationError):
-            frequency_centroid_bisection(canonical_set(), tol=-1e-9)
+        for tol in (0.0, -1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="tol"):
+                frequency_centroid_bisection(canonical_set(), tol=tol)
 
     def test_unachievable_tol_raises(self):
         with pytest.raises(NumericError):
@@ -243,21 +242,23 @@ class TestBatchBisection:
 
     def test_rows_are_independent_bitwise(self, rng):
         _, a, g = self.stacked_problems(rng)
-        lam, coords, halvings = batch_frequency_bisection(a, g)
+        lam, coords, halvings, defect = batch_frequency_bisection(a, g)
         for i in range(a.shape[0]):
-            lam_i, coords_i, halvings_i = batch_frequency_bisection(a[i:i + 1], g[i:i + 1])
+            lam_i, coords_i, halvings_i, defect_i = batch_frequency_bisection(a[i:i + 1], g[i:i + 1])
             assert lam_i[0] == lam[i]
             assert np.array_equal(coords_i[0], coords[i])
             assert halvings_i[0] == halvings[i]
+            assert defect_i[0] == defect[i]
 
     def test_matches_scalar_bisection(self, rng):
         sets, a, g = self.stacked_problems(rng)
-        lam, coords, halvings = batch_frequency_bisection(a, g)
+        lam, coords, halvings, defect = batch_frequency_bisection(a, g)
         for i, s in enumerate(sets):
             r = frequency_centroid_bisection(s)
             assert np.abs(coords[i] - r.centroid.bins).max() <= 1e-12
             assert lam[i] == pytest.approx(r.lambda_star, abs=1e-12)
             assert halvings[i] == r.iterations
+            assert defect[i] == r.simplex_defect
         # the identical-member row takes the s(0) ~ 1 shortcut
         assert halvings[-1] == 0 and lam[-1] == 0.0
         assert set(halvings[:-1]) == {BISECTION_HALVINGS}
@@ -334,8 +335,42 @@ class TestFixedPoint:
         assert np.abs(r.centroid.bins - b.centroid.bins).max() <= 1e-12
 
     def test_tol_validation(self):
-        with pytest.raises(ValidationError):
-            frequency_centroid_fixedpoint(canonical_set(), tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="tol"):
+                frequency_centroid_fixedpoint(canonical_set(), tol=tol)
+        for max_iterations in (0, -3):
+            with pytest.raises(ValidationError, match="max_iterations"):
+                frequency_centroid_fixedpoint(canonical_set(), max_iterations=max_iterations)
+
+
+class TestBatchFixedPoint:
+    def test_rows_are_independent_bitwise(self, rng):
+        _, a, g = TestBatchBisection.stacked_problems(rng)
+        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
+        for i in range(a.shape[0]):
+            lam_i, iterations_i, converged_i = batch_frequency_fixedpoint(a[i:i + 1], g[i:i + 1])
+            assert lam_i[0] == lam[i]
+            assert iterations_i[0] == iterations[i]
+            assert converged_i[0] == converged[i]
+
+    def test_matches_scalar_fixedpoint(self, rng):
+        sets, a, g = TestBatchBisection.stacked_problems(rng)
+        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
+        assert converged.all()
+        for i, s in enumerate(sets):
+            r = frequency_centroid_fixedpoint(s)
+            assert iterations[i] == r.iterations
+            assert min(lam[i], 0.0) == r.lambda_star
+
+    def test_capped_rows_are_not_converged(self, rng):
+        _, a, g = TestBatchBisection.stacked_problems(rng)
+        _, free, _ = batch_frequency_fixedpoint(a, g)
+        cap = 2
+        _, iterations, converged = batch_frequency_fixedpoint(a, g, cap=cap)
+        assert np.array_equal(iterations, np.minimum(free, cap))
+        assert np.array_equal(converged, free <= cap)
+        # the identical-member row converges at once, the random ones need more
+        assert converged[-1] and not converged[:-1].any()
 
 
 class TestSandwich:

@@ -118,11 +118,15 @@ class TestCentroidCommand:
         assert "frequency" in err
 
     def test_bad_tol_is_validation_error(self, pair_csv):
-        code, _, _ = run_cli(
-            ["centroid", "--input", pair_csv, "--format", "csv",
-             "--kind", "frequency", "--mode", "bisection", "--tol", "-1"]
-        )
-        assert code == EXIT_VALIDATION
+        for mode in ("bisection", "fixedpoint"):
+            for tol in ("-1", "nan", "inf"):
+                code, out, err = run_cli(
+                    ["centroid", "--input", pair_csv, "--format", "csv",
+                     "--kind", "frequency", "--mode", mode, "--tol", tol]
+                )
+                assert code == EXIT_VALIDATION
+                assert out == ""
+                assert "tol" in err
 
     @pytest.mark.parametrize("mode", ["positive", "normalized", "veldhuis"])
     def test_tol_with_a_mode_that_ignores_it_is_validation_error(self, pair_csv, mode):

@@ -247,7 +247,6 @@ class TestRelocationCost:
             return lambert_w0_values(*args, **kwargs)
 
         monkeypatch.setattr("jeffreys.centroids.lambert_w0_values", counting)
-        monkeypatch.setattr("jeffreys.clustering.lambert_w0_values", counting)
         rows = rng.uniform(0.01, 1.0, size=(30, 6))
         rows /= rows.sum(axis=1, keepdims=True)
         assign = np.arange(30) % k

@@ -112,11 +112,23 @@ class TestContract:
         assert lambert_w0_values(np.float64(1.0)) == pytest.approx(0.5671432904097838)
 
     def test_scalar_and_array_paths_agree_bitwise(self, rng):
-        # Criterion 1's grid plus random arguments over the double range.
+        # Criterion 1's grid, random arguments over the double range, and
+        # the edge lanes: zero, subnormals, both sides of the guess switch
+        # at e, and the top of the range.
+        edges = [0.0, 5e-324, 1e-310, math.e, np.nextafter(math.e, 0.0), 1.0, 1e300]
         xs = np.concatenate([np.logspace(-300.0, 300.0, 10**4),
-                             np.exp(rng.uniform(-700.0, 700.0, 2000))])
-        scalar = np.array([lambert_w0(float(x)).value for x in xs])
-        assert np.array_equal(scalar, lambert_w0_values(xs))
+                             np.exp(rng.uniform(-700.0, 700.0, 2000)), edges])
+        evals = [lambert_w0(float(x)) for x in xs]
+        values, steps = lambert_w0_values(xs, return_iterations=True)
+        assert np.array_equal([e.value for e in evals], values)
+        assert np.array_equal([e.iterations for e in evals], steps)
+
+        # A lane's value and step count do not depend on its neighbours.
+        mixed = rng.permutation(np.concatenate([rng.choice(xs, 301), edges])).reshape(-1, 7)
+        values, steps = lambert_w0_values(mixed, return_iterations=True)
+        for x, w, n in zip(mixed.flat, values.flat, steps.flat):
+            alone, alone_steps = lambert_w0_values(np.float64(x), return_iterations=True)
+            assert alone == w and alone_steps == n
 
     def test_random_round_trip_against_oracle(self, rng):
         for _ in range(200):

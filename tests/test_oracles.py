@@ -14,6 +14,7 @@ from jeffreys import (
     run_alpha_trials,
     veldhuis_centroid,
 )
+from jeffreys import oracles
 from conftest import random_frequency_set, random_positive_set
 
 
@@ -102,8 +103,10 @@ class TestTrialHarness:
         assert np.all(data.lambda_star <= 1e-15)
 
     def test_deterministic_and_thread_invariant(self):
-        a = run_alpha_trials(5000, 2, seed=5, chunk_size=1024, threads=1)
-        b = run_alpha_trials(5000, 2, seed=5, chunk_size=1024, threads=4)
+        trials = 10000
+        assert trials > oracles._CHUNK_SIZE  # at least two chunks for the threads to share
+        a = run_alpha_trials(trials, 2, seed=5, threads=1)
+        b = run_alpha_trials(trials, 2, seed=5, threads=4)
         assert np.array_equal(a.alpha_normalized, b.alpha_normalized)
         assert np.array_equal(a.w_c, b.w_c)
 
