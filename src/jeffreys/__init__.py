@@ -10,11 +10,7 @@ with monotone convergence, plus dataset ingestion and a CLI.
 
 from .centroids import (
     BISECTION_HALVINGS,
-    MODE_BISECTION,
-    MODE_FIXEDPOINT,
-    MODE_NORMALIZED,
-    MODE_POSITIVE,
-    MODE_VELDHUIS,
+    MODES,
     CentroidResult,
     frequency_centroid_bisection,
     frequency_centroid_fixedpoint,
@@ -23,13 +19,7 @@ from .centroids import (
     positive_centroid,
     veldhuis_centroid,
 )
-from .clustering import (
-    CENTROID_MODES,
-    ClusteringConfig,
-    ClusteringResult,
-    kmeans,
-    seed_centroids,
-)
+from .clustering import ClusteringConfig, ClusteringResult, kmeans, seed_centroids
 from .datasets import DatasetFile, load_dataset, read_pgm, write_dataset
 from .divergences import (
     cross_entropy,
@@ -41,14 +31,7 @@ from .divergences import (
     kl_to_set,
 )
 from .errors import NumericError, ValidationError
-from .histograms import (
-    FrequencyHistogram,
-    Histogram,
-    WeightedHistogramSet,
-    smooth_bins,
-    weighted_arithmetic_mean,
-    weighted_geometric_mean,
-)
+from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet, smooth_bins
 from .lambertw import LambertEval, lambert_w0, lambert_w0_values
 from .oracles import (
     AlphaTrialStats,
@@ -65,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaTrialStats",
     "BISECTION_HALVINGS",
-    "CENTROID_MODES",
     "CentroidResult",
     "ClusteringConfig",
     "ClusteringResult",
@@ -73,11 +55,7 @@ __all__ = [
     "FrequencyHistogram",
     "Histogram",
     "LambertEval",
-    "MODE_BISECTION",
-    "MODE_FIXEDPOINT",
-    "MODE_NORMALIZED",
-    "MODE_POSITIVE",
-    "MODE_VELDHUIS",
+    "MODES",
     "NumericError",
     "OracleSolution",
     "RunReport",
@@ -107,7 +85,5 @@ __all__ = [
     "seed_centroids",
     "smooth_bins",
     "veldhuis_centroid",
-    "weighted_arithmetic_mean",
-    "weighted_geometric_mean",
     "write_dataset",
 ]

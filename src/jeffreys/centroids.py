@@ -1,4 +1,4 @@
-"""Jeffreys centroid constructions.
+"""Jeffreys centroid constructions and the registry of centroid modes.
 
 Four ways to summarize a weighted histogram set under the Jeffreys
 divergence:
@@ -26,6 +26,10 @@ Both frequency solvers are written once, for ``T`` problems at a time:
 take ``(T, d)`` normalized means, one problem per row.  The scalar solvers
 run them at ``T = 1``; k-means and the trial harness run them on every
 cluster or trial at once.
+
+:data:`MODES` names every centroid mode once: the scalar solvers here,
+the k-means relocations of :mod:`jeffreys.clustering`, and the CLI's
+``--mode`` and ``--centroid-mode`` choices all read it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +46,34 @@ from .errors import NumericError, ValidationError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
 from .lambertw import lambert_w0_values
 
-MODE_POSITIVE = "positive"
-MODE_NORMALIZED = "normalized_approx"
-MODE_VELDHUIS = "veldhuis"
-MODE_BISECTION = "frequency_bisection"
-MODE_FIXEDPOINT = "frequency_fixedpoint"
+
+class Mode(NamedTuple):
+    """One row of :data:`MODES`.
+
+    ``solver`` names the scalar solver in this module and ``builder`` the
+    ``(k, d)`` candidate builder of k-means relocation in
+    :mod:`jeffreys.clustering`; either is ``None`` where the mode has no
+    such form.  Names are looked up on their module at call time, so a
+    patched attribute is the one that runs.  ``frequency`` marks a mode
+    that only accepts frequency sets, ``tol`` a solver that takes ``tol``.
+    """
+
+    solver: str | None
+    builder: str | None
+    frequency: bool
+    tol: bool
+
+
+#: Every centroid mode, by the name that results, reports and the CLI use.
+MODES = {
+    "positive": Mode("positive_centroid", "_positive_candidates", False, False),
+    "normalized": Mode("normalized_positive_centroid", "_normalized_candidates", True, False),
+    "veldhuis": Mode("veldhuis_centroid", None, True, False),
+    "bisection": Mode("frequency_centroid_bisection", None, True, True),
+    "fixedpoint": Mode("frequency_centroid_fixedpoint", None, True, True),
+    "frequency_fixedpoint_1step": Mode(None, "_fixedpoint_1step_candidates", True, False),
+    "frequency_exact": Mode(None, "_exact_candidates", True, False),
+}
 
 #: Number of interval halvings that resolves the multiplier bracket to the
 #: 52 significand bits of an IEEE double.  The bisection always runs this
@@ -74,7 +102,8 @@ class CentroidResult:
     normalized mode, ``lambda_star`` the converged simplex multiplier of
     the frequency solvers, and ``simplex_defect`` the pre-renormalization
     ``|sum - 1|`` of their output.  ``fallback`` marks a fixed-point run
-    that was finished by bisection after failing to contract.
+    that was finished by bisection after failing to contract.  ``mode`` is
+    the solver's name in :data:`MODES`.
     """
 
     centroid: Histogram
@@ -88,8 +117,9 @@ class CentroidResult:
     fallback: bool = False
 
 
-def _singleton_result(s: WeightedHistogramSet, mode: str, frequency: bool) -> CentroidResult:
+def _singleton_result(s: WeightedHistogramSet, mode: str) -> CentroidResult:
     # n == 1 is analytically exact; skip the solvers entirely.
+    frequency = MODES[mode].frequency
     member = (FrequencyHistogram if frequency else Histogram)(s.matrix[0])
     return CentroidResult(
         centroid=member,
@@ -98,7 +128,7 @@ def _singleton_result(s: WeightedHistogramSet, mode: str, frequency: bool) -> Ce
         iterations=0,
         w_c=member.total,
         lambda_star=0.0 if frequency else None,
-        bound_factor=1.0 if mode == MODE_NORMALIZED else None,
+        bound_factor=1.0 if mode == "normalized" else None,
         simplex_defect=0.0 if frequency else None,
     )
 
@@ -172,13 +202,13 @@ def positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
     ``log(c/g) + 1 - a/c = 0``, whose root is ``a / W0(a * e / g)``.
     """
     if s.n == 1:
-        return _singleton_result(s, MODE_POSITIVE, frequency=False)
+        return _singleton_result(s, "positive")
     a, g = _means(s)
     coords, steps = _coordinates(a, a / g, return_iterations=True)
     c = Histogram(coords)
     return CentroidResult(
         centroid=c,
-        mode=MODE_POSITIVE,
+        mode="positive",
         objective=jeffreys_to_set(c, s),
         iterations=int(np.max(steps)),
         w_c=c.total,
@@ -194,13 +224,13 @@ def normalized_positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
     """
     sf = s.as_frequency()
     if sf.n == 1:
-        return _singleton_result(sf, MODE_NORMALIZED, frequency=True)
+        return _singleton_result(sf, "normalized")
     pos = positive_centroid(sf)
     w_c = pos.w_c
     c = FrequencyHistogram(pos.centroid.bins / w_c)
     return CentroidResult(
         centroid=c,
-        mode=MODE_NORMALIZED,
+        mode="normalized",
         objective=jeffreys_to_set(c, sf),
         iterations=pos.iterations,
         w_c=w_c,
@@ -212,12 +242,12 @@ def veldhuis_centroid(s: WeightedHistogramSet) -> CentroidResult:
     """Half-sum of the normalized arithmetic and geometric means."""
     sf = s.as_frequency()
     if sf.n == 1:
-        return _singleton_result(sf, MODE_VELDHUIS, frequency=True)
+        return _singleton_result(sf, "veldhuis")
     a, g = _normalized_means(*_means(sf))
     c = FrequencyHistogram(0.5 * (a + g))
     return CentroidResult(
         centroid=c,
-        mode=MODE_VELDHUIS,
+        mode="veldhuis",
         objective=jeffreys_to_set(c, sf),
         iterations=0,
     )
@@ -264,7 +294,7 @@ def batch_frequency_bisection(
         hi = np.where(ge, hi, mid)
     lam = 0.5 * (lo + hi)
     limit = np.where(degenerate, max(tol, DEGENERACY_TOL), tol)
-    coords, defect = _on_simplex(a, ratio, lam, limit, MODE_BISECTION)
+    coords, defect = _on_simplex(a, ratio, lam, limit, "bisection")
     return lam, coords, np.where(degenerate, 0, BISECTION_HALVINGS), defect
 
 
@@ -348,10 +378,10 @@ def frequency_centroid_bisection(
     _check_tol(tol)
     sf = s.as_frequency()
     if sf.n == 1:
-        return _singleton_result(sf, MODE_BISECTION, frequency=True)
+        return _singleton_result(sf, "bisection")
     a, g = _frequency_problem(sf)
     lam, coords, halvings, defect = batch_frequency_bisection(a, g, tol)
-    return _finish_frequency(sf, MODE_BISECTION, lam, coords, int(halvings[0]), defect)
+    return _finish_frequency(sf, "bisection", lam, coords, int(halvings[0]), defect)
 
 
 def frequency_centroid_fixedpoint(
@@ -373,12 +403,12 @@ def frequency_centroid_fixedpoint(
         raise ValidationError(f"max_iterations must be at least 1, got {max_iterations!r}")
     sf = s.as_frequency()
     if sf.n == 1:
-        return _singleton_result(sf, MODE_FIXEDPOINT, frequency=True)
+        return _singleton_result(sf, "fixedpoint")
     a, g = _frequency_problem(sf)
     lam, iterations, converged = batch_frequency_fixedpoint(a, g, tol, max_iterations)
     if converged[0]:
-        coords, defect = _on_simplex(a, a / g, lam, max(tol * 10.0, 1e-12), MODE_FIXEDPOINT)
-        return _finish_frequency(sf, MODE_FIXEDPOINT, lam, coords, int(iterations[0]), defect)
+        coords, defect = _on_simplex(a, a / g, lam, max(tol * 10.0, 1e-12), "fixedpoint")
+        return _finish_frequency(sf, "fixedpoint", lam, coords, int(iterations[0]), defect)
 
     warnings.warn(
         f"fixed-point iteration did not contract within {max_iterations} steps; "
@@ -389,7 +419,7 @@ def frequency_centroid_fixedpoint(
     rescue = frequency_centroid_bisection(sf)
     return CentroidResult(
         centroid=rescue.centroid,
-        mode=MODE_FIXEDPOINT,
+        mode="fixedpoint",
         objective=rescue.objective,
         iterations=max_iterations,
         lambda_star=rescue.lambda_star,

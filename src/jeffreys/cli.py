@@ -18,7 +18,8 @@ import sys
 import time
 
 from . import centroids
-from .clustering import CENTROID_MODES, ClusteringConfig, kmeans
+from .centroids import MODES
+from .clustering import ClusteringConfig, kmeans
 from .datasets import FORMAT_CSV, FORMAT_JSON, FORMAT_PGM, KIND_FREQUENCY, KINDS, load_dataset
 from .errors import NumericError, ValidationError
 from .oracles import alpha_trial_harness
@@ -30,16 +31,6 @@ EXIT_NUMERIC = 2
 EXIT_USAGE = 64
 
 _CLI_FORMATS = {"csv": FORMAT_CSV, "json": FORMAT_JSON, "pgm-dir": FORMAT_PGM}
-# --mode name -> (solver in .centroids, accepts --tol, requires --kind frequency).
-# Solvers are looked up on the module at call time, so a patched attribute
-# (a test double, a tracer) is the one that runs.
-_MODES = {
-    "positive": ("positive_centroid", False, False),
-    "normalized": ("normalized_positive_centroid", False, True),
-    "veldhuis": ("veldhuis_centroid", False, True),
-    "bisection": ("frequency_centroid_bisection", True, True),
-    "fixedpoint": ("frequency_centroid_fixedpoint", True, True),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +52,9 @@ def build_parser() -> _Parser:
 
     centroid = sub.add_parser("centroid", help="compute a Jeffreys centroid")
     add_io_flags(centroid)
-    centroid.add_argument("--mode", required=True, choices=tuple(_MODES))
+    centroid.add_argument(
+        "--mode", required=True, choices=[name for name, m in MODES.items() if m.solver]
+    )
     centroid.add_argument(
         "--tol", type=float, default=None, help="solver tolerance (bisection and fixedpoint)"
     )
@@ -76,7 +69,10 @@ def build_parser() -> _Parser:
     add_io_flags(km)
     km.add_argument("--k", type=int, required=True)
     km.add_argument("--seed", type=int, default=0)
-    km.add_argument("--centroid-mode", choices=CENTROID_MODES, default="positive")
+    km.add_argument(
+        "--centroid-mode", choices=[name for name, m in MODES.items() if m.builder],
+        default="positive",
+    )
     km.add_argument("--max-iters", type=int, default=100)
     km.add_argument("--output", choices=("json",), default="json")
 
@@ -89,15 +85,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_kind(flag: str, mode: str, kind: str) -> None:
+    """Reject a frequency-only mode of :data:`MODES` on positive data."""
+    if MODES[mode].frequency and kind != KIND_FREQUENCY:
+        raise ValidationError(f"{flag} {mode} requires --kind frequency")
+
+
 def _run_centroid(args) -> int:
+    # Every argument is checked before the data is read or a solver runs.
+    _check_kind("--mode", args.mode, args.kind)
+    if args.tol is not None and not MODES[args.mode].tol:
+        raise ValidationError(f"--tol does not apply to --mode {args.mode}")
+    if args.compare_exact and args.kind != KIND_FREQUENCY:
+        raise ValidationError("--compare-exact requires --kind frequency")
     dataset = load_dataset(args.input, _CLI_FORMATS[args.format], args.kind)
     histograms = dataset.histograms
-    name, takes_tol, frequency_only = _MODES[args.mode]
-    if frequency_only and args.kind != KIND_FREQUENCY:
-        raise ValidationError(f"--mode {args.mode} requires --kind frequency")
-    if args.tol is not None and not takes_tol:
-        raise ValidationError(f"--tol does not apply to --mode {args.mode}")
-    solver = getattr(centroids, name)
+    # Looked up at call time, so a patched attribute (a test double, a
+    # tracer) is the one that runs.
+    solver = getattr(centroids, MODES[args.mode].solver)
 
     start = time.perf_counter()
     # The solvers validate tol themselves.
@@ -105,8 +110,6 @@ def _run_centroid(args) -> int:
 
     alpha = None
     if args.compare_exact:
-        if args.kind != KIND_FREQUENCY:
-            raise ValidationError("--compare-exact requires --kind frequency")
         exact = centroids.frequency_centroid_bisection(histograms)
         alpha = result.objective / exact.objective if exact.objective > 0.0 else 1.0
     elapsed = time.perf_counter() - start
@@ -130,6 +133,7 @@ def _run_centroid(args) -> int:
 
 
 def _run_kmeans(args) -> int:
+    _check_kind("--centroid-mode", args.centroid_mode, args.kind)
     dataset = load_dataset(args.input, _CLI_FORMATS[args.format], args.kind)
     cfg = ClusteringConfig(
         k=args.k,

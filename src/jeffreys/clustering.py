@@ -1,11 +1,14 @@
 """Jeffreys k-means over weighted histogram sets.
 
 Lloyd iteration with the Jeffreys divergence as the assignment distance.
-The relocation step runs one of four centroid updates: the exact positive
-centroid, the normalized approximation, a single fixed-point refinement
-(the variational scheme), or the exact frequency centroid.  Every update
-is guarded against the previous centroid, so the objective trace is
-non-increasing for every mode, exact or approximate.
+The relocation step runs one of four centroid updates, the rows of
+:data:`jeffreys.centroids.MODES` that name a ``(k, d)`` candidate builder
+here: the exact positive centroid (``positive``), the normalized
+approximation (``normalized``), a single fixed-point refinement, the
+variational scheme (``frequency_fixedpoint_1step``), or the exact frequency
+centroid (``frequency_exact``).  Every update is guarded against the
+previous centroid, so the objective trace is non-increasing for every mode,
+exact or approximate.
 """
 
 from __future__ import annotations
@@ -14,35 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import _coordinates, _kl_multiplier, _normalized_means, _simplex_coordinates
-from .centroids import batch_frequency_bisection
+from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means
+from .centroids import _simplex_coordinates, batch_frequency_bisection
 from .errors import ValidationError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
-
-CENTROID_MODE_POSITIVE = "positive"
-CENTROID_MODE_NORMALIZED = "normalized_approx"
-CENTROID_MODE_FIXEDPOINT_1STEP = "frequency_fixedpoint_1step"
-CENTROID_MODE_EXACT = "frequency_exact"
-CENTROID_MODES = (
-    CENTROID_MODE_POSITIVE,
-    CENTROID_MODE_NORMALIZED,
-    CENTROID_MODE_FIXEDPOINT_1STEP,
-    CENTROID_MODE_EXACT,
-)
-_FREQUENCY_MODES = (
-    CENTROID_MODE_NORMALIZED,
-    CENTROID_MODE_FIXEDPOINT_1STEP,
-    CENTROID_MODE_EXACT,
-)
 
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    """Knobs of a k-means run; ``seed`` makes the whole run reproducible."""
+    """Knobs of a k-means run; ``seed`` makes the whole run reproducible.
+
+    ``centroid_mode`` is a name in :data:`jeffreys.centroids.MODES` whose
+    row has a candidate builder.
+    """
 
     k: int
     max_iterations: int = 100
-    centroid_mode: str = CENTROID_MODE_POSITIVE
+    centroid_mode: str = "positive"
     seed: int = 0
     objective_tolerance: float = 0.0
 
@@ -51,9 +42,10 @@ class ClusteringConfig:
             raise ValidationError(f"k must be at least 1, got {self.k}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.centroid_mode not in CENTROID_MODES:
+        if self.centroid_mode not in MODES or MODES[self.centroid_mode].builder is None:
+            choices = [name for name, mode in MODES.items() if mode.builder]
             raise ValidationError(
-                f"unknown centroid mode {self.centroid_mode!r}; choose from {CENTROID_MODES}"
+                f"unknown centroid mode {self.centroid_mode!r}; choose from {choices}"
             )
         if self.objective_tolerance < 0.0:
             raise ValidationError("objective_tolerance must be non-negative")
@@ -162,15 +154,6 @@ def _exact_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return batch_frequency_bisection(*_normalized_means(a, g))[1]
 
 
-# Centroid mode -> (k, d) candidate centroids from the (k, d) raw weighted
-# arithmetic and geometric means of the clusters.
-_CANDIDATES = {
-    CENTROID_MODE_POSITIVE: _positive_candidates,
-    CENTROID_MODE_NORMALIZED: _normalized_candidates,
-    CENTROID_MODE_FIXEDPOINT_1STEP: _fixedpoint_1step_candidates,
-    CENTROID_MODE_EXACT: _exact_candidates,
-}
-
 
 def _relocate(
     matrix: np.ndarray,
@@ -183,9 +166,10 @@ def _relocate(
     """Update every centroid of one round in a single batched solve.
 
     The clusters' normalized weights form one ``(k, n)`` matrix, so their
-    arithmetic and geometric means are two matmuls and the configured
-    update runs once for every cluster with at least two members.  A
-    singleton cluster takes its member, an empty one keeps its centroid.
+    arithmetic and geometric means are two matmuls and the mode's builder,
+    which maps the ``(k, d)`` raw means to ``(k, d)`` candidates, runs once
+    for every cluster with at least two members.  A singleton cluster takes
+    its member, an empty one keeps its centroid.
     """
     k = centers.shape[0]
     counts = np.bincount(assign, minlength=k)
@@ -201,7 +185,7 @@ def _relocate(
         w = cluster_weights[solve]
         a = w @ matrix
         g = np.exp(w @ log_matrix)
-        candidates[solve] = _CANDIDATES[mode](a, g)
+        candidates[solve] = globals()[MODES[mode].builder](a, g)
 
     # Keep the previous centroid when the update does not improve the
     # within-cluster objective; this pins down monotone convergence for
@@ -224,9 +208,8 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     The trace records the weighted objective after each relocation and
     never increases.
     """
-    if cfg.k > s.n:
-        raise ValidationError(f"k={cfg.k} exceeds the number of histograms n={s.n}")
-    if cfg.centroid_mode in _FREQUENCY_MODES:
+    frequency = MODES[cfg.centroid_mode].frequency
+    if frequency:
         s = s.as_frequency()
     matrix = s.matrix
     log_matrix = s.log_matrix
@@ -262,7 +245,7 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
 
     assignments = np.asarray(assignments, dtype=np.int64)
     assignments.flags.writeable = False
-    make = FrequencyHistogram if cfg.centroid_mode in _FREQUENCY_MODES else Histogram
+    make = FrequencyHistogram if frequency else Histogram
     return ClusteringResult(
         assignments=assignments,
         centroids=tuple(make(c) for c in centers),

@@ -184,17 +184,3 @@ class WeightedHistogramSet:
             return self
         return WeightedHistogramSet(self.matrix, self.weights, frequency=True)
 
-
-def weighted_arithmetic_mean(s: WeightedHistogramSet) -> Histogram:
-    """Coordinate-wise weighted arithmetic mean of the members."""
-    return Histogram(s.weights @ s.matrix)
-
-
-def weighted_geometric_mean(s: WeightedHistogramSet) -> Histogram:
-    """Coordinate-wise weighted geometric mean, accumulated in log domain.
-
-    Log-domain accumulation avoids underflow in long products of sub-unit
-    bins.
-    """
-    return Histogram(np.exp(s.weights @ s.log_matrix))
-

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import _coordinates, normalized_means
+from .centroids import _coordinates, _means, normalized_means
 from .centroids import batch_frequency_bisection as _batch_bisection
 from .centroids import batch_frequency_fixedpoint as _batch_fixedpoint
 from .divergences import jeffreys_to_set
@@ -66,8 +66,7 @@ def oracle_positive_centroid(s: WeightedHistogramSet, resolution: float = 1e-8) 
         raise ValidationError(f"resolution must be positive, got {resolution!r}")
     if s.d > 4:
         raise ValidationError("the positive-centroid oracle is limited to d <= 4")
-    a = s.weights @ s.matrix
-    g = np.exp(s.weights @ s.log_matrix)
+    a, g = _means(s)
     argmin = np.empty(s.d)
     for i in range(s.d):
         ai, gi = float(a[i]), float(g[i])
@@ -203,20 +202,15 @@ class TrialData:
 
 @dataclass(frozen=True)
 class AlphaTrialStats:
-    """Summary statistics of the normalized-centroid approximation factor.
+    """Summary statistics of the approximation factors over random trials.
 
-    ``mean_alpha``/``max_alpha``/``min_alpha`` and the ``w_c`` statistics
-    describe the normalized closed-form centroid; the ``summary`` mapping
-    adds (avg, min, max) triples for every mode for benchmark tables.
+    ``summary`` maps ``alpha_positive``, ``alpha_normalized``, ``w_c`` and
+    ``alpha_veldhuis`` to their (avg, min, max) triples, the rows of the
+    benchmark table.
     """
 
     trials: int
     dims: int
-    mean_alpha: float
-    max_alpha: float
-    min_alpha: float
-    mean_w_c: float
-    min_w_c: float
     mean_fixedpoint_iterations: float
     mean_bisection_halvings: float
     summary: dict[str, tuple[float, float, float]]
@@ -318,20 +312,14 @@ def alpha_trial_harness(
     def triple(values: np.ndarray) -> tuple[float, float, float]:
         return float(values.mean()), float(values.min()), float(values.max())
 
-    alpha = data.alpha_normalized
     return AlphaTrialStats(
         trials=num_trials,
         dims=d,
-        mean_alpha=float(alpha.mean()),
-        max_alpha=float(alpha.max()),
-        min_alpha=float(alpha.min()),
-        mean_w_c=float(data.w_c.mean()),
-        min_w_c=float(data.w_c.min()),
         mean_fixedpoint_iterations=float(data.fixedpoint_iterations.mean()),
         mean_bisection_halvings=float(data.bisection_halvings.mean()),
         summary={
             "alpha_positive": triple(data.alpha_positive),
-            "alpha_normalized": triple(alpha),
+            "alpha_normalized": triple(data.alpha_normalized),
             "w_c": triple(data.w_c),
             "alpha_veldhuis": triple(data.alpha_veldhuis),
         },

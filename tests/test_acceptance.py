@@ -29,11 +29,9 @@ from jeffreys import (
     oracle_positive_centroid,
     positive_centroid,
     run_alpha_trials,
-    weighted_arithmetic_mean,
-    weighted_geometric_mean,
 )
 from jeffreys.cli import main as cli_main
-from jeffreys.clustering import CENTROID_MODES
+from jeffreys.centroids import MODES, _means
 from jeffreys.oracles import batch_jeffreys_to_set, batch_kl_to_set, random_frequency_rows
 from conftest import planted_blobs, random_frequency_set
 
@@ -137,8 +135,7 @@ def test_criterion_2_closed_form_optimality():
         closed = positive_centroid(s).centroid.bins
         oracle = oracle_positive_centroid(s, resolution=1e-8).argmin
         max_coord_err = max(max_coord_err, float(np.abs(closed - oracle).max()))
-        a = weighted_arithmetic_mean(s).bins
-        g = weighted_geometric_mean(s).bins
+        a, g = _means(s)
         residual = np.abs(np.log(closed / g) + 1.0 - a / closed).max()
         max_stationarity = max(max_stationarity, float(residual))
     elapsed = time.perf_counter() - start
@@ -280,11 +277,12 @@ def test_criterion_9_kmeans_monotonicity_and_recovery():
     rng = np.random.default_rng(900)
     worst_increase = -np.inf
     runs = 0
+    kmeans_modes = [name for name, mode in MODES.items() if mode.builder]
     for trial in range(50):
         rows = rng.uniform(0.01, 1.0, size=(200, 16))
         rows /= rows.sum(axis=1, keepdims=True)
         s = WeightedHistogramSet(rows, frequency=True)
-        for mode in CENTROID_MODES:
+        for mode in kmeans_modes:
             res = kmeans(s, ClusteringConfig(k=5, centroid_mode=mode, seed=trial))
             trace = res.objective_trace
             for i in range(len(trace) - 1):
@@ -294,7 +292,7 @@ def test_criterion_9_kmeans_monotonicity_and_recovery():
     blob_rows, labels = planted_blobs(np.random.default_rng(901), n=200, d=16)
     blob_set = WeightedHistogramSet(blob_rows, frequency=True)
     recovery_ok = True
-    for mode in CENTROID_MODES:
+    for mode in kmeans_modes:
         res = kmeans(blob_set, ClusteringConfig(k=2, centroid_mode=mode, seed=17))
         agreement = max(
             float(np.mean(res.assignments == labels)),

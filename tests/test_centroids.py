@@ -7,8 +7,6 @@ import pytest
 
 from jeffreys import (
     BISECTION_HALVINGS,
-    MODE_BISECTION,
-    MODE_FIXEDPOINT,
     NumericError,
     ValidationError,
     WeightedHistogramSet,
@@ -20,10 +18,8 @@ from jeffreys import (
     normalized_positive_centroid,
     positive_centroid,
     veldhuis_centroid,
-    weighted_arithmetic_mean,
-    weighted_geometric_mean,
 )
-from jeffreys.centroids import batch_frequency_bisection, batch_frequency_fixedpoint
+from jeffreys.centroids import _means, batch_frequency_bisection, batch_frequency_fixedpoint
 from jeffreys.lambertw import lambert_w0_values
 from conftest import random_frequency_set, random_positive_set
 
@@ -67,8 +63,7 @@ class TestPositiveCentroid:
         for _ in range(50):
             s = random_positive_set(rng)
             c = positive_centroid(s).centroid.bins
-            a = weighted_arithmetic_mean(s).bins
-            g = weighted_geometric_mean(s).bins
+            a, g = _means(s)
             residual = np.log(c / g) + 1.0 - a / c
             assert np.abs(residual).max() <= 1e-10
 
@@ -76,8 +71,7 @@ class TestPositiveCentroid:
         for _ in range(50):
             s = random_positive_set(rng)
             c = positive_centroid(s).centroid.bins
-            a = weighted_arithmetic_mean(s).bins
-            g = weighted_geometric_mean(s).bins
+            a, g = _means(s)
             assert np.all(c <= a * (1.0 + 1e-12))
             assert np.all(c >= g * (1.0 - 1e-12))
 
@@ -171,7 +165,7 @@ class TestBisection:
         for _ in range(20):
             r = frequency_centroid_bisection(random_frequency_set(rng))
             assert r.iterations == BISECTION_HALVINGS
-            assert r.mode == MODE_BISECTION
+            assert r.mode == "bisection"
             assert r.simplex_defect <= 1e-12
 
     def test_lambda_sign_and_consistency(self, rng):
@@ -307,7 +301,7 @@ class TestFixedPoint:
             b = frequency_centroid_bisection(s, tol=1e-12)
             f = frequency_centroid_fixedpoint(s, tol=1e-14)
             assert np.abs(b.centroid.bins - f.centroid.bins).max() <= 1e-10
-            assert f.mode == MODE_FIXEDPOINT
+            assert f.mode == "fixedpoint"
             assert not f.fallback
 
     def test_iteration_counts_moderate(self, rng):

@@ -7,10 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from jeffreys import ValidationError
-from jeffreys.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from jeffreys import MODES, ValidationError, WeightedHistogramSet, centroids, clustering
+from jeffreys.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from jeffreys.reports import RunReport
 from conftest import planted_blobs
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a solver ran although the arguments are invalid")
 
 
 def run_cli(argv):
@@ -128,7 +132,7 @@ class TestCentroidCommand:
                 assert out == ""
                 assert "tol" in err
 
-    @pytest.mark.parametrize("mode", ["positive", "normalized", "veldhuis"])
+    @pytest.mark.parametrize("mode", [n for n, m in MODES.items() if m.solver and not m.tol])
     def test_tol_with_a_mode_that_ignores_it_is_validation_error(self, pair_csv, mode):
         code, out, err = run_cli(
             ["centroid", "--input", pair_csv, "--format", "csv",
@@ -186,6 +190,16 @@ class TestCentroidCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_compare_exact_is_rejected_before_solving(self, pair_csv, monkeypatch):
+        monkeypatch.setattr(centroids, "positive_centroid", _must_not_run)
+        code, out, err = run_cli(
+            ["centroid", "--input", pair_csv, "--format", "csv",
+             "--kind", "positive", "--mode", "positive", "--compare-exact"]
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "--compare-exact" in err
+
 
 class TestKMeansCommand:
     def test_blob_partition_and_determinism(self, blobs_csv):
@@ -224,6 +238,61 @@ class TestKMeansCommand:
         )
         assert code == EXIT_VALIDATION
         assert "exceeds" in err
+
+    def test_frequency_mode_on_positive_kind_is_rejected_before_solving(
+        self, pair_csv, monkeypatch
+    ):
+        # The rows of pair.csv sum to one, so only the rule can reject them.
+        monkeypatch.setattr(centroids, "positive_centroid", _must_not_run)
+        monkeypatch.setattr("jeffreys.cli.kmeans", _must_not_run)
+        code, out, err = run_cli(
+            ["kmeans", "--input", pair_csv, "--format", "csv", "--kind", "positive",
+             "--k", "1", "--centroid-mode", "frequency_exact"]
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "frequency" in err
+
+
+def _choices(subcommand: str, dest: str) -> list:
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return next(a.choices for a in sub.choices[subcommand]._actions if a.dest == dest)
+
+
+class TestModeRegistry:
+    def test_every_named_function_exists(self):
+        for mode in MODES.values():
+            assert mode.solver is None or callable(getattr(centroids, mode.solver))
+            assert mode.builder is None or callable(getattr(clustering, mode.builder))
+            assert mode.solver or mode.builder
+
+    def test_cli_choices_are_the_registry_rows(self):
+        assert list(_choices("centroid", "mode")) == [n for n, m in MODES.items() if m.solver]
+        assert list(_choices("kmeans", "centroid_mode")) == [
+            n for n, m in MODES.items() if m.builder
+        ]
+
+    @pytest.mark.parametrize("rows", [[[0.5, 0.5], [0.9, 0.1]], [[0.3, 0.7]]])
+    def test_solver_results_carry_their_row_name(self, rows):
+        s = WeightedHistogramSet(rows, frequency=True)
+        for name, mode in MODES.items():
+            if mode.solver:
+                assert getattr(centroids, mode.solver)(s).mode == name
+
+    @pytest.mark.parametrize("name", [n for n, m in MODES.items() if m.frequency])
+    def test_frequency_only_rows_reject_positive_kind(self, pair_csv, name):
+        io_flags = ["--input", pair_csv, "--format", "csv", "--kind", "positive"]
+        mode = MODES[name]
+        runs = []
+        if mode.solver:
+            runs.append(["centroid", *io_flags, "--mode", name])
+        if mode.builder:
+            runs.append(["kmeans", *io_flags, "--k", "1", "--centroid-mode", name])
+        for argv in runs:
+            code, out, err = run_cli(argv)
+            assert code == EXIT_VALIDATION
+            assert out == ""
+            assert "requires --kind frequency" in err
 
 
 class TestBenchCommand:

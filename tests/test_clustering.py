@@ -16,17 +16,13 @@ from jeffreys import (
     positive_centroid,
     seed_centroids,
 )
-from jeffreys.clustering import (
-    CENTROID_MODE_EXACT,
-    CENTROID_MODE_FIXEDPOINT_1STEP,
-    CENTROID_MODE_NORMALIZED,
-    CENTROID_MODE_POSITIVE,
-    CENTROID_MODES,
-    _one_step_frequency_update,
-    _relocate,
-)
+from jeffreys.centroids import MODES
+from jeffreys.clustering import _one_step_frequency_update, _relocate
 from jeffreys.lambertw import lambert_w0_values
 from conftest import planted_blobs, random_frequency_set
+
+#: The registry's k-means modes: the rows with a candidate builder.
+KMEANS_MODES = [name for name, mode in MODES.items() if mode.builder]
 
 
 def small_frequency_set(rng, n=12, d=6):
@@ -94,7 +90,7 @@ class TestKMeans:
 
     def test_k_one_exact_mode(self, rng):
         s = small_frequency_set(rng)
-        res = kmeans(s, ClusteringConfig(k=1, seed=0, centroid_mode=CENTROID_MODE_EXACT))
+        res = kmeans(s, ClusteringConfig(k=1, seed=0, centroid_mode="frequency_exact"))
         whole = frequency_centroid_bisection(s)
         assert np.abs(res.centroids[0].bins - whole.centroid.bins).max() <= 1e-12
 
@@ -103,7 +99,7 @@ class TestKMeans:
         with pytest.raises(ValidationError):
             kmeans(s, ClusteringConfig(k=5, seed=0))
 
-    @pytest.mark.parametrize("mode", CENTROID_MODES)
+    @pytest.mark.parametrize("mode", KMEANS_MODES)
     def test_two_blob_recovery(self, mode):
         rng = np.random.default_rng(77)
         rows, labels = planted_blobs(rng, n=60, d=8)
@@ -117,7 +113,7 @@ class TestKMeans:
         )
         assert agreement == 1.0
 
-    @pytest.mark.parametrize("mode", CENTROID_MODES)
+    @pytest.mark.parametrize("mode", KMEANS_MODES)
     def test_monotone_trace(self, mode, rng):
         for trial in range(5):
             s = small_frequency_set(rng, n=40, d=8)
@@ -174,7 +170,7 @@ class TestOneStepUpdate:
     def test_relocation_guard_in_full_run(self, rng):
         s = small_frequency_set(rng, n=50, d=10)
         res = kmeans(
-            s, ClusteringConfig(k=5, centroid_mode=CENTROID_MODE_FIXEDPOINT_1STEP, seed=8)
+            s, ClusteringConfig(k=5, centroid_mode="frequency_fixedpoint_1step", seed=8)
         )
         trace = res.objective_trace
         assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
@@ -190,10 +186,10 @@ def one_step_reference(s):
 
 
 SCALAR_CANDIDATE = {
-    CENTROID_MODE_POSITIVE: lambda s: positive_centroid(s).centroid.bins,
-    CENTROID_MODE_NORMALIZED: lambda s: normalized_positive_centroid(s).centroid.bins,
-    CENTROID_MODE_FIXEDPOINT_1STEP: one_step_reference,
-    CENTROID_MODE_EXACT: lambda s: frequency_centroid_bisection(s).centroid.bins,
+    "positive": lambda s: positive_centroid(s).centroid.bins,
+    "normalized": lambda s: normalized_positive_centroid(s).centroid.bins,
+    "frequency_fixedpoint_1step": one_step_reference,
+    "frequency_exact": lambda s: frequency_centroid_bisection(s).centroid.bins,
 }
 
 
@@ -215,7 +211,7 @@ class TestBatchedRelocation:
         centers[:, 0] = 0.99
         return rows, weights, assign, centers
 
-    @pytest.mark.parametrize("mode", CENTROID_MODES)
+    @pytest.mark.parametrize("mode", KMEANS_MODES)
     def test_matches_per_cluster_solvers(self, mode, rng):
         rows, weights, assign, centers = self.clustered(rng)
         new = _relocate(rows, np.log(rows), weights, assign, centers, mode)
@@ -230,9 +226,9 @@ class TestBatchedRelocation:
 
     def test_guard_keeps_better_old_centre(self, rng):
         rows, weights, assign, centers = self.clustered(rng)
-        exact = _relocate(rows, np.log(rows), weights, assign, centers, CENTROID_MODE_EXACT)
+        exact = _relocate(rows, np.log(rows), weights, assign, centers, "frequency_exact")
         # the exact centroids are optimal, so no approximate update replaces them
-        for mode in (CENTROID_MODE_NORMALIZED, CENTROID_MODE_FIXEDPOINT_1STEP):
+        for mode in ("normalized", "frequency_fixedpoint_1step"):
             kept = _relocate(rows, np.log(rows), weights, assign, exact, mode)
             assert np.array_equal(kept[[0, 4]], exact[[0, 4]])
 
@@ -251,5 +247,5 @@ class TestRelocationCost:
         rows /= rows.sum(axis=1, keepdims=True)
         assign = np.arange(30) % k
         centers = rows[:k].copy()
-        _relocate(rows, np.log(rows), np.full(30, 1.0 / 30), assign, centers, CENTROID_MODE_EXACT)
+        _relocate(rows, np.log(rows), np.full(30, 1.0 / 30), assign, centers, "frequency_exact")
         assert len(calls) == 55

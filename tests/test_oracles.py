@@ -82,10 +82,12 @@ class TestFrequencyOracle:
 class TestTrialHarness:
     def test_basic_bounds(self):
         stats = alpha_trial_harness(2000, 2, seed=11)
-        assert stats.min_alpha >= 1.0 - 1e-12
-        assert stats.mean_alpha >= 1.0 - 1e-12
-        assert stats.max_alpha < 1.01
-        assert 0.0 < stats.min_w_c <= stats.mean_w_c <= 1.0 + 1e-12
+        mean_alpha, min_alpha, max_alpha = stats.summary["alpha_normalized"]
+        mean_w_c, min_w_c, _ = stats.summary["w_c"]
+        assert min_alpha >= 1.0 - 1e-12
+        assert mean_alpha >= 1.0 - 1e-12
+        assert max_alpha < 1.01
+        assert 0.0 < min_w_c <= mean_w_c <= 1.0 + 1e-12
         assert stats.trials == 2000 and stats.dims == 2
         assert set(stats.summary) == {
             "alpha_positive",
