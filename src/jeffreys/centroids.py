@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -416,13 +416,6 @@ def frequency_centroid_fixedpoint(
         RuntimeWarning,
         stacklevel=2,
     )
-    rescue = frequency_centroid_bisection(sf)
-    return CentroidResult(
-        centroid=rescue.centroid,
-        mode="fixedpoint",
-        objective=rescue.objective,
-        iterations=max_iterations,
-        lambda_star=rescue.lambda_star,
-        simplex_defect=rescue.simplex_defect,
-        fallback=True,
-    )
+    lam, coords, _, defect = batch_frequency_bisection(a, g)
+    rescue = _finish_frequency(sf, "fixedpoint", lam, coords, max_iterations, defect)
+    return replace(rescue, fallback=True)

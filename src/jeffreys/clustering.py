@@ -28,14 +28,15 @@ class ClusteringConfig:
     """Knobs of a k-means run; ``seed`` makes the whole run reproducible.
 
     ``centroid_mode`` is a name in :data:`jeffreys.centroids.MODES` whose
-    row has a candidate builder.
+    row has a candidate builder.  A run stops early when assignments repeat
+    or the objective trace does not decrease; ``max_iterations`` caps the
+    rounds.
     """
 
     k: int
     max_iterations: int = 100
     centroid_mode: str = "positive"
     seed: int = 0
-    objective_tolerance: float = 0.0
 
     def __post_init__(self):
         if self.k < 1:
@@ -47,8 +48,6 @@ class ClusteringConfig:
             raise ValidationError(
                 f"unknown centroid mode {self.centroid_mode!r}; choose from {choices}"
             )
-        if self.objective_tolerance < 0.0:
-            raise ValidationError("objective_tolerance must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,11 @@ def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
     matrix = s.matrix
     log_matrix = s.log_matrix
     chosen = [int(rng.integers(s.n))]
-    nearest = _pairwise_jeffreys(matrix, log_matrix, matrix[chosen[-1]][None, :])[:, 0]
+    nearest = np.full(s.n, np.inf)
+    # One cost vector per pick but the last, whose costs are never read.
     while len(chosen) < k:
+        dist = _pairwise_jeffreys(matrix, log_matrix, matrix[chosen[-1]][None, :])[:, 0]
+        nearest = np.minimum(nearest, dist)
         total = float(nearest.sum())
         if total > 0.0:
             idx = int(rng.choice(s.n, p=nearest / total))
@@ -106,8 +108,6 @@ def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
             remaining = np.setdiff1d(np.arange(s.n), np.asarray(chosen))
             idx = int(rng.choice(remaining))
         chosen.append(idx)
-        dist = _pairwise_jeffreys(matrix, log_matrix, matrix[idx][None, :])[:, 0]
-        nearest = np.minimum(nearest, dist)
     return np.array(chosen)
 
 
@@ -154,15 +154,15 @@ def _exact_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return batch_frequency_bisection(*_normalized_means(a, g))[1]
 
 
-
 def _relocate(
     matrix: np.ndarray,
     log_matrix: np.ndarray,
     weights: np.ndarray,
     assign: np.ndarray,
     centers: np.ndarray,
+    costs: np.ndarray,
     mode: str,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Update every centroid of one round in a single batched solve.
 
     The clusters' normalized weights form one ``(k, n)`` matrix, so their
@@ -170,12 +170,18 @@ def _relocate(
     which maps the ``(k, d)`` raw means to ``(k, d)`` candidates, runs once
     for every cluster with at least two members.  A singleton cluster takes
     its member, an empty one keeps its centroid.
+
+    ``costs`` is the round's ``(n, k)`` matrix against ``centers``, from
+    which the guard reads the old centres' costs; only the candidates'
+    ``n`` costs are computed here.  Returns the kept centres and each row's
+    cost to the centre kept for its cluster.
     """
     k = centers.shape[0]
+    rows = np.arange(matrix.shape[0])
     counts = np.bincount(assign, minlength=k)
     row_weights = weights / np.bincount(assign, weights=weights, minlength=k)[assign]
-    cluster_weights = np.zeros((k, matrix.shape[0]))
-    cluster_weights[assign, np.arange(matrix.shape[0])] = row_weights
+    cluster_weights = np.zeros((k, rows.size))
+    cluster_weights[assign, rows] = row_weights
 
     candidates = centers.copy()
     alone = np.flatnonzero(counts[assign] == 1)
@@ -190,12 +196,15 @@ def _relocate(
     # Keep the previous centroid when the update does not improve the
     # within-cluster objective; this pins down monotone convergence for
     # the approximate modes.
-    def objectives(cents: np.ndarray) -> np.ndarray:
-        costs = ((matrix - cents[assign]) * (log_matrix - np.log(cents)[assign])).sum(axis=1)
-        return np.bincount(assign, weights=row_weights * costs, minlength=k)
-
-    better = objectives(candidates) <= objectives(centers)
-    return np.where(better[:, None], candidates, centers)
+    old_costs = costs[rows, assign]
+    new_costs = (
+        (matrix - candidates[assign]) * (log_matrix - np.log(candidates)[assign])
+    ).sum(axis=1)
+    new_objectives = np.bincount(assign, weights=row_weights * new_costs, minlength=k)
+    old_objectives = np.bincount(assign, weights=row_weights * old_costs, minlength=k)
+    better = new_objectives <= old_objectives
+    kept_costs = np.where(better[assign], new_costs, old_costs)
+    return np.where(better[:, None], candidates, centers), kept_costs
 
 
 def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
@@ -203,10 +212,12 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
 
     Assignment sends each histogram to its nearest centroid (ties to the
     lowest index); relocation applies the configured centroid update to
-    every cluster in one batched call.  Stops when assignments repeat, when the objective decrease
-    drops to ``objective_tolerance``, or after ``max_iterations`` rounds.
-    The trace records the weighted objective after each relocation and
-    never increases.
+    every cluster in one batched call.  Each round computes the ``(n, k)``
+    divergence matrix once: assignment, the relocation guard and the trace
+    entry all read it or the candidates' own costs.  Stops when assignments
+    repeat, when the trace did not decrease, or after ``max_iterations``
+    rounds.  The trace records the weighted objective after each relocation
+    and never increases.
     """
     frequency = MODES[cfg.centroid_mode].frequency
     if frequency:
@@ -220,10 +231,6 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     rounds = 0
     rows = np.arange(s.n)
 
-    def objective(assign: np.ndarray, cents: np.ndarray) -> float:
-        costs = _pairwise_jeffreys(matrix, log_matrix, cents)[rows, assign]
-        return float(s.weights @ costs)
-
     while rounds < cfg.max_iterations:
         costs = _pairwise_jeffreys(matrix, log_matrix, centers)
         new_assign = costs.argmin(axis=1)
@@ -231,16 +238,19 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        centers = _relocate(matrix, log_matrix, s.weights, assignments, centers, cfg.centroid_mode)
+        centers, kept_costs = _relocate(
+            matrix, log_matrix, s.weights, assignments, centers, costs, cfg.centroid_mode
+        )
         rounds += 1
-        trace.append(objective(assignments, centers))
-        if len(trace) >= 2 and trace[-2] - trace[-1] <= cfg.objective_tolerance:
+        trace.append(float(s.weights @ kept_costs))
+        if len(trace) >= 2 and trace[-1] >= trace[-2]:
             # Refresh assignments so the result is optimal against the
             # final centroids; this can only decrease the objective.
-            refreshed = _pairwise_jeffreys(matrix, log_matrix, centers).argmin(axis=1)
+            costs = _pairwise_jeffreys(matrix, log_matrix, centers)
+            refreshed = costs.argmin(axis=1)
             if not np.array_equal(refreshed, assignments):
                 assignments = refreshed
-                trace.append(objective(assignments, centers))
+                trace.append(float(s.weights @ costs[rows, assignments]))
             break
 
     assignments = np.asarray(assignments, dtype=np.int64)

@@ -11,8 +11,8 @@ Three on-disk formats map to a :class:`WeightedHistogramSet`:
   directory ingests every ``*.pgm`` inside.
 
 Missing weights default to uniform; explicit weights are normalized to sum
-to one.  Empty bins are smoothed with a small epsilon (overridable through
-the ``JEFFREYS_EPSILON`` environment variable), and data declared as
+to one.  Empty bins are smoothed with a small epsilon, whose scale only
+the ``JEFFREYS_EPSILON`` environment variable overrides, and data declared as
 frequency histograms must already sum to one per row, except PGM counts,
 which are normalized after smoothing.
 """
@@ -56,10 +56,8 @@ class DatasetFile:
     path: str
 
 
-def epsilon_scale_from_env(override: float | None = None) -> float:
-    """Smoothing scale: explicit override, else JEFFREYS_EPSILON, else default."""
-    if override is not None:
-        return float(override)
+def epsilon_scale_from_env() -> float:
+    """Smoothing scale: JEFFREYS_EPSILON if set, else the default."""
     raw = os.environ.get(EPSILON_ENV)
     if raw is None:
         return DEFAULT_EPSILON_SCALE
@@ -204,13 +202,12 @@ def _parse_pgm(path: Path) -> tuple[np.ndarray, None]:
     return rows, None
 
 
-def load_dataset(
-    path,
-    format: str,
-    kind: str,
-    epsilon_scale: float | None = None,
-) -> DatasetFile:
-    """Parse a dataset file into a weighted histogram set."""
+def load_dataset(path, format: str, kind: str) -> DatasetFile:
+    """Parse a dataset file into a weighted histogram set.
+
+    Empty bins are smoothed with the scale from ``JEFFREYS_EPSILON`` (or the
+    default), which the returned :class:`DatasetFile` reports.
+    """
     if format not in FORMATS:
         raise ValidationError(f"unknown format {format!r}; choose from {FORMATS}")
     if kind not in KINDS:
@@ -218,7 +215,7 @@ def load_dataset(
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"{path}: no such file or directory")
-    eps = epsilon_scale_from_env(epsilon_scale)
+    eps = epsilon_scale_from_env()
 
     parser = {FORMAT_CSV: _parse_csv, FORMAT_JSON: _parse_json, FORMAT_PGM: _parse_pgm}[format]
     rows, weights = parser(p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -276,25 +276,12 @@ def run_alpha_trials(
         sq, size = args
         return _run_chunk(sq, size, histograms_per_trial, d)
 
-    if threads == 1 or len(sizes) == 1:
-        chunks = [job(p) for p in zip(seeds, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(job, zip(seeds, sizes)))
-
-    def cat(field: str) -> np.ndarray:
-        return np.concatenate([getattr(c, field) for c in chunks])
-
-    return TrialData(
-        j_positive=cat("j_positive"),
-        j_normalized=cat("j_normalized"),
-        j_veldhuis=cat("j_veldhuis"),
-        j_exact=cat("j_exact"),
-        w_c=cat("w_c"),
-        lambda_star=cat("lambda_star"),
-        fixedpoint_iterations=cat("fixedpoint_iterations"),
-        bisection_halvings=cat("bisection_halvings"),
-    )
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = list(pool.map(job, zip(seeds, sizes)))
+    return TrialData(**{
+        f.name: np.concatenate([getattr(c, f.name) for c in chunks])
+        for f in fields(TrialData)
+    })
 
 
 def alpha_trial_harness(

@@ -200,6 +200,26 @@ class TestCentroidCommand:
         assert out == ""
         assert "--compare-exact" in err
 
+    @pytest.mark.parametrize("tol, solves", [(None, 1), ("1e-12", 2)])
+    def test_compare_exact_with_bisection_solves_once_without_tol(
+        self, pair_csv, monkeypatch, tol, solves
+    ):
+        # Only a --tol can make the mode's solve differ from the reference.
+        calls = []
+        real = centroids.frequency_centroid_bisection
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(centroids, "frequency_centroid_bisection", counting)
+        argv = ["centroid", "--input", pair_csv, "--format", "csv",
+                "--kind", "frequency", "--mode", "bisection", "--compare-exact"]
+        code, out, _ = run_cli(argv + ([] if tol is None else ["--tol", tol]))
+        assert code == EXIT_OK
+        assert len(calls) == solves
+        assert json.loads(out)["alpha_vs_exact"] == 1.0
+
 
 class TestKMeansCommand:
     def test_blob_partition_and_determinism(self, blobs_csv):

@@ -17,12 +17,20 @@ from jeffreys import (
     seed_centroids,
 )
 from jeffreys.centroids import MODES
-from jeffreys.clustering import _one_step_frequency_update, _relocate
+from jeffreys import clustering
+from jeffreys.clustering import _one_step_frequency_update, _pairwise_jeffreys, _relocate
 from jeffreys.lambertw import lambert_w0_values
 from conftest import planted_blobs, random_frequency_set
 
 #: The registry's k-means modes: the rows with a candidate builder.
 KMEANS_MODES = [name for name, mode in MODES.items() if mode.builder]
+
+
+def relocate(rows, weights, assign, centers, mode):
+    """One relocation of ``centers``, given the round's cost matrix against them."""
+    log_rows = np.log(rows)
+    costs = _pairwise_jeffreys(rows, log_rows, centers)
+    return _relocate(rows, log_rows, weights, assign, centers, costs, mode)
 
 
 def small_frequency_set(rng, n=12, d=6):
@@ -71,8 +79,6 @@ class TestConfigValidation:
             ClusteringConfig(k=2, max_iterations=0)
         with pytest.raises(ValidationError):
             ClusteringConfig(k=2, centroid_mode="nope")
-        with pytest.raises(ValidationError):
-            ClusteringConfig(k=2, objective_tolerance=-1.0)
 
 
 class TestKMeans:
@@ -214,7 +220,7 @@ class TestBatchedRelocation:
     @pytest.mark.parametrize("mode", KMEANS_MODES)
     def test_matches_per_cluster_solvers(self, mode, rng):
         rows, weights, assign, centers = self.clustered(rng)
-        new = _relocate(rows, np.log(rows), weights, assign, centers, mode)
+        new, _ = relocate(rows, weights, assign, centers, mode)
         for m in (0, 3, 4):
             idx = np.flatnonzero(assign == m)
             sub = WeightedHistogramSet(
@@ -226,11 +232,14 @@ class TestBatchedRelocation:
 
     def test_guard_keeps_better_old_centre(self, rng):
         rows, weights, assign, centers = self.clustered(rng)
-        exact = _relocate(rows, np.log(rows), weights, assign, centers, "frequency_exact")
+        exact, _ = relocate(rows, weights, assign, centers, "frequency_exact")
         # the exact centroids are optimal, so no approximate update replaces them
         for mode in ("normalized", "frequency_fixedpoint_1step"):
-            kept = _relocate(rows, np.log(rows), weights, assign, exact, mode)
+            kept, costs = relocate(rows, weights, assign, exact, mode)
             assert np.array_equal(kept[[0, 4]], exact[[0, 4]])
+            # a kept old centre's costs are the round's matrix entries
+            direct = _pairwise_jeffreys(rows, np.log(rows), kept)[np.arange(13), assign]
+            assert np.array_equal(costs, direct)
 
 
 class TestRelocationCost:
@@ -247,5 +256,91 @@ class TestRelocationCost:
         rows /= rows.sum(axis=1, keepdims=True)
         assign = np.arange(30) % k
         centers = rows[:k].copy()
-        _relocate(rows, np.log(rows), np.full(30, 1.0 / 30), assign, centers, "frequency_exact")
+        relocate(rows, np.full(30, 1.0 / 30), assign, centers, "frequency_exact")
         assert len(calls) == 55
+
+
+class TestRoundCost:
+    """A k-means run computes each Jeffreys cost once."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _pairwise_jeffreys(*args)
+
+        monkeypatch.setattr(clustering, "_pairwise_jeffreys", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", KMEANS_MODES)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_matrix_per_round(self, mode, seed, rng, monkeypatch):
+        # k - 1 seeding vectors, one matrix per round, and one more for the
+        # round that finds the assignments repeated or the trace stalled.
+        s = small_frequency_set(rng, n=40, d=8)
+        k = 4
+        calls = self.counted(monkeypatch)
+        full = kmeans(s, ClusteringConfig(k=k, centroid_mode=mode, seed=seed))
+        assert 2 <= full.iterations < 100
+        assert len(calls) == (k - 1) + full.iterations + 1
+        for cap in range(1, full.iterations):
+            calls.clear()
+            kmeans(s, ClusteringConfig(k=k, max_iterations=cap, centroid_mode=mode, seed=seed))
+            assert len(calls) == (k - 1) + cap
+
+    def test_seeding_makes_k_minus_1_calls(self, rng, monkeypatch):
+        s = small_frequency_set(rng, n=20)
+        calls = self.counted(monkeypatch)
+        for k in (1, 2, 5, 19):
+            calls.clear()
+            seed_centroids(s, k, seed=1)
+            assert len(calls) == k - 1
+        calls.clear()
+        seed_centroids(s, 20, seed=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", KMEANS_MODES)
+    def test_kept_costs_are_the_trace(self, mode, rng, monkeypatch):
+        s = small_frequency_set(rng, n=40, d=8)
+        rounds = []
+
+        def recording(*args):
+            kept, costs = _relocate(*args)
+            rounds.append((args[0], args[1], args[3], kept, costs))
+            return kept, costs
+
+        monkeypatch.setattr(clustering, "_relocate", recording)
+        res = kmeans(s, ClusteringConfig(k=4, centroid_mode=mode, seed=2))
+        assert len(rounds) == res.iterations
+        for (matrix, log_matrix, assign, kept, costs), entry in zip(rounds, res.objective_trace):
+            direct = _pairwise_jeffreys(matrix, log_matrix, kept)[np.arange(s.n), assign]
+            assert np.array_equal(costs, direct)
+            assert entry == float(s.weights @ costs)
+
+    def test_stalled_trace_refreshes_from_one_matrix(self, rng, monkeypatch):
+        # A stall is rare on real data, so round 2's trace entry is forced
+        # up; the refresh then reads its new entry from one final matrix.
+        s = small_frequency_set(rng, n=40, d=8)
+        cfg = ClusteringConfig(k=4, seed=3)
+        assert kmeans(s, cfg).iterations >= 3
+        rounds = []
+
+        def stalling(*args):
+            kept, costs = _relocate(*args)
+            rounds.append((args[3].copy(), kept))
+            if len(rounds) == 2:
+                costs = np.full_like(costs, np.inf)
+            return kept, costs
+
+        monkeypatch.setattr(clustering, "_relocate", stalling)
+        calls = self.counted(monkeypatch)
+        res = kmeans(s, cfg)
+        assert res.iterations == 2
+        assert len(calls) == (cfg.k - 1) + 2 + 1
+        assert len(res.objective_trace) == 3
+        assign, final = rounds[-1]
+        assert not np.array_equal(res.assignments, assign)
+        direct = _pairwise_jeffreys(s.matrix, s.log_matrix, final)[np.arange(s.n), res.assignments]
+        assert res.objective_trace[-1] == float(s.weights @ direct)

@@ -1,5 +1,7 @@
 """Brute-force oracles and the randomized trial harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,18 @@ class TestTrialHarness:
         b = run_alpha_trials(trials, 2, seed=5, threads=4)
         assert np.array_equal(a.alpha_normalized, b.alpha_normalized)
         assert np.array_equal(a.w_c, b.w_c)
+
+    def test_chunks_in_stream_order(self):
+        # Every field is the chunks' arrays, one chunk per spawned stream, in order.
+        trials = oracles._CHUNK_SIZE + 100
+        data = run_alpha_trials(trials, 2, seed=5, threads=2)
+        first, second = (
+            oracles._run_chunk(sq, size, 2, 2)
+            for sq, size in zip(np.random.SeedSequence(5).spawn(2), (oracles._CHUNK_SIZE, 100))
+        )
+        for f in dataclasses.fields(oracles.TrialData):
+            expected = np.concatenate([getattr(first, f.name), getattr(second, f.name)])
+            assert np.array_equal(getattr(data, f.name), expected)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

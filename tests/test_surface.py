@@ -1,9 +1,11 @@
 """Guards on the public surface and on the benchmark's per-layer tracer."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
 import jeffreys
+from jeffreys import cli
 
 EXPECTED_ALL = {
     "AlphaTrialStats", "BISECTION_HALVINGS", "CentroidResult", "ClusteringConfig",
@@ -24,6 +26,26 @@ def test_public_names():
     assert set(jeffreys.__all__) == EXPECTED_ALL
     for name in jeffreys.__all__:
         assert getattr(jeffreys, name) is not None
+
+
+#: Every option string of each CLI subcommand, ``-h``/``--help`` included.
+EXPECTED_OPTIONS = {
+    "centroid": {"-h", "--help", "--input", "--format", "--kind", "--mode", "--tol",
+                 "--output", "--compare-exact"},
+    "kmeans": {"-h", "--help", "--input", "--format", "--kind", "--k", "--seed",
+               "--centroid-mode", "--max-iters"},
+    "bench": {"-h", "--help", "--trials", "--dims", "--seed", "--threads"},
+}
+
+
+def test_cli_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {s for action in p._actions for s in action.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert options == EXPECTED_OPTIONS
 
 
 def _spans():
