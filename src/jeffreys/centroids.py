@@ -21,11 +21,15 @@ The mass function ``s(lam) = sum_i c_i(lam)`` is strictly decreasing with
 ``[max_i(a_i + log g_i) - 1, 0]``, which makes bisection safe.  At the
 solution ``lam = -KL(c : g) <= 0``.
 
-Both frequency solvers are written once, for ``T`` problems at a time:
-:func:`batch_frequency_bisection` and :func:`batch_frequency_fixedpoint`
-take ``(T, d)`` normalized means, one problem per row.  The scalar solvers
-run them at ``T = 1``; k-means and the trial harness run them on every
-cluster or trial at once.
+The multiplier solvers are written once, for ``T`` problems at a time:
+:func:`batch_frequency_bisection`, :func:`batch_frequency_newton` and
+:func:`batch_frequency_fixedpoint` take ``(T, d)`` normalized means, one
+problem per row.  The bisection always makes 55 ``W0`` passes; the
+safeguarded Newton on ``log s(lam) = 0`` keeps the same bracket and the
+same final checks and needs about seven.  The scalar solvers run them at
+``T = 1``; k-means runs Newton (``frequency_exact``) on every cluster at
+once, the fixed point's rescue runs Newton, and the trial harness runs
+the bisection and the fixed point on every trial at once.
 
 :data:`MODES` names every centroid mode once: the scalar solvers here,
 the k-means relocations of :mod:`jeffreys.clustering`, and the CLI's
@@ -82,15 +86,19 @@ BISECTION_HALVINGS = 52
 
 #: Stop the fixed-point iteration once |lam_l - lam_{l-1}| falls below this.
 DEFAULT_FIXEDPOINT_TOL = 1e-14
-#: Required simplex defect |s(lam) - 1| at the bisection solution.
+#: Required simplex defect |s(lam) - 1| at the bisection and Newton solutions.
 DEFAULT_BISECTION_TOL = 1e-12
-#: ``1 - s(0)`` at or below which the bisection takes ``lam = 0`` without
-#: halving (identical members); the rounding floor of ``s``.
+#: ``1 - s(0)`` at or below which the bisection and Newton take ``lam = 0``
+#: without a step (identical members); the rounding floor of ``s``.
 DEGENERACY_TOL = 1e-13
 #: ``s(lower)`` below ``1 - BRACKET_SLACK`` means the bracket misses the root.
 BRACKET_SLACK = 1e-9
-#: Fixed-point steps after which the solver falls back to bisection.
+#: Fixed-point steps after which the solver falls back to Newton.
 _FIXEDPOINT_CAP = 100
+#: Newton steps after which a row still running raises.
+_NEWTON_CAP = 100
+#: A raw Newton step of at most ``_NEWTON_STEP * max(1, |lam|)`` ends a row's solve.
+_NEWTON_STEP = 4.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -102,8 +110,8 @@ class CentroidResult:
     normalized mode, ``lambda_star`` the converged simplex multiplier of
     the frequency solvers, and ``simplex_defect`` the pre-renormalization
     ``|sum - 1|`` of their output.  ``fallback`` marks a fixed-point run
-    that was finished by bisection after failing to contract.  ``mode`` is
-    the solver's name in :data:`MODES`.
+    that was finished by the Newton solver after failing to contract.
+    ``mode`` is the solver's name in :data:`MODES`.
     """
 
     centroid: Histogram
@@ -253,6 +261,21 @@ def veldhuis_centroid(s: WeightedHistogramSet) -> CentroidResult:
     )
 
 
+def _bracket(a: np.ndarray, g: np.ndarray, ratio: np.ndarray, tol: float):
+    """Each row's degeneracy, the lower end of its bracket, and its defect bound.
+
+    ``s(0) <= 1`` up to rounding, and ``s(0) == 1`` means ``a == g`` and
+    ``lam* = 0``.  A row with ``1 - s(0) <= min(tol, DEGENERACY_TOL)``, a
+    threshold at the rounding floor of ``s`` so that merely similar inputs
+    are still solved, is degenerate: its bracket is ``[0, 0]`` and its
+    final defect is held to ``max(tol, DEGENERACY_TOL)``.  Every other row
+    has the bracket ``[max_i(a_i + log g_i) - 1, 0]`` and the bound ``tol``.
+    """
+    degenerate = 1.0 - _coordinates(a, ratio).sum(axis=1) <= min(tol, DEGENERACY_TOL)
+    lo = np.where(degenerate, 0.0, (a + np.log(g)).max(axis=1) - 1.0)
+    return degenerate, lo, np.where(degenerate, max(tol, DEGENERACY_TOL), tol)
+
+
 def batch_frequency_bisection(
     a: np.ndarray, g: np.ndarray, tol: float = DEFAULT_BISECTION_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -274,11 +297,7 @@ def batch_frequency_bisection(
     ``W0`` evaluations, and no row's result depends on the other rows.
     """
     ratio = a / g
-    # s(0) <= 1 up to rounding; s(0) == 1 means a == g and lam* = 0.  The
-    # threshold is at the rounding floor so that merely similar inputs
-    # still get the full bisection schedule.
-    degenerate = 1.0 - _coordinates(a, ratio).sum(axis=1) <= min(tol, DEGENERACY_TOL)
-    lo = np.where(degenerate, 0.0, (a + np.log(g)).max(axis=1) - 1.0)
+    degenerate, lo, limit = _bracket(a, g, ratio, tol)
     hi = np.zeros(a.shape[0])
     s_lo = _coordinates(a, ratio, lo).sum(axis=1)
     if np.any(s_lo < 1.0 - BRACKET_SLACK):
@@ -293,9 +312,65 @@ def batch_frequency_bisection(
         lo = np.where(ge, mid, lo)
         hi = np.where(ge, hi, mid)
     lam = 0.5 * (lo + hi)
-    limit = np.where(degenerate, max(tol, DEGENERACY_TOL), tol)
     coords, defect = _on_simplex(a, ratio, lam, limit, "bisection")
     return lam, coords, np.where(degenerate, 0, BISECTION_HALVINGS), defect
+
+
+def batch_frequency_newton(
+    a: np.ndarray, g: np.ndarray, tol: float = DEFAULT_BISECTION_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Safeguarded Newton on the multiplier for ``T`` frequency problems at once.
+
+    Same problems and returns as :func:`batch_frequency_bisection`, with
+    Newton steps in place of halvings: ``(lam, coords, steps, defect)``.
+    Each row solves ``log s(lam) = 0`` from the fixed point's start
+    ``lam_0 = -KL(a : g)``, clipped to the bracket ``[max_i(a_i + log g_i)
+    - 1, 0]``.  The derivative ``s'(lam) = -sum_i c_i / (1 + W_i)`` reuses
+    the pass's ``W0`` values, so a step costs one ``W0`` pass.  Every
+    evaluation moves one end of the row's bracket by the sign of ``s - 1``,
+    and a step that leaves the bracket is replaced by its midpoint.  A row
+    stops once its raw Newton step, tested before that safeguard, is at
+    most ``4 eps * max(1, |lam|)``; tested after it, the last ulp-sized
+    steps would turn into midpoints.
+
+    Degenerate rows keep ``lam = 0`` and 0 steps, and the final defect is
+    checked as in the bisection.  The bisection's ``s(lower)`` pass is left
+    out: ``s(lower) >= 1`` holds analytically, since the coordinate that
+    attains the bracket's max is exactly 1 there.  A root outside the
+    bracket (an inaccurate ``W0``) drives the midpoints to its end, where
+    the raw step never shrinks, so a row still running after
+    ``_NEWTON_CAP`` steps raises :class:`NumericError`.  No row's result
+    depends on the other rows.
+    """
+    ratio = a / g
+    degenerate, lo, limit = _bracket(a, g, ratio, tol)
+    hi = np.zeros(a.shape[0])
+    lam = np.clip(_kl_multiplier(a, np.log(g)), lo, hi)
+    steps = np.zeros(a.shape[0], dtype=np.int64)
+    active = ~degenerate
+    for _ in range(_NEWTON_CAP):
+        if not active.any():
+            break
+        w = lambert_w0_values(ratio * np.exp(lam + 1.0)[:, None])
+        c = a / w
+        mass = c.sum(axis=1)
+        raw = np.log(mass) * mass / (c / (1.0 + w)).sum(axis=1)
+        done = np.abs(raw) <= _NEWTON_STEP * np.maximum(1.0, np.abs(lam))
+        above = mass >= 1.0
+        lo = np.where(active & above, lam, lo)
+        hi = np.where(active & ~above, lam, hi)
+        nxt = lam + raw
+        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        lam = np.where(active, nxt, lam)
+        steps += active
+        active &= ~done
+    if active.any():
+        raise NumericError(
+            f"Newton on the multiplier did not converge within {_NEWTON_CAP} steps; "
+            f"s(lam) = {float(mass[active].min())!r} on the last pass"
+        )
+    coords, defect = _on_simplex(a, ratio, lam, limit, "newton")
+    return lam, coords, steps, defect
 
 
 def batch_frequency_fixedpoint(
@@ -395,8 +470,9 @@ def frequency_centroid_fixedpoint(
     Keeping the iterate on the simplex makes the map nearly flat at its
     fixed point, so convergence typically takes about five to seven
     iterations.  No contraction guarantee exists, so if ``max_iterations``
-    steps do not meet ``tol`` the solver falls back to bisection and flags
-    the result instead of looping forever.
+    steps do not meet ``tol`` the solver finishes with
+    :func:`batch_frequency_newton` on the same means and flags the result
+    as a ``fallback`` instead of looping forever.
     """
     _check_tol(tol)
     if max_iterations < 1:
@@ -412,10 +488,10 @@ def frequency_centroid_fixedpoint(
 
     warnings.warn(
         f"fixed-point iteration did not contract within {max_iterations} steps; "
-        "falling back to bisection",
+        "finishing with the safeguarded Newton solver",
         RuntimeWarning,
         stacklevel=2,
     )
-    lam, coords, _, defect = batch_frequency_bisection(a, g)
+    lam, coords, _, defect = batch_frequency_newton(a, g)
     rescue = _finish_frequency(sf, "fixedpoint", lam, coords, max_iterations, defect)
     return replace(rescue, fallback=True)

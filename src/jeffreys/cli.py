@@ -132,6 +132,7 @@ def _run_centroid(args) -> int:
         alpha_vs_exact=alpha,
         simplex_defect=result.simplex_defect,
         epsilon_scale=dataset.epsilon_scale,
+        fallback=result.fallback,
     )
     sys.stdout.write(report.to_json() + "\n" if args.output == "json" else report.to_csv())
     return EXIT_OK

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means
-from .centroids import _simplex_coordinates, batch_frequency_bisection
+from .centroids import _simplex_coordinates, batch_frequency_newton
 from .errors import ValidationError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
 
@@ -151,7 +151,7 @@ def _fixedpoint_1step_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _exact_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return batch_frequency_bisection(*_normalized_means(a, g))[1]
+    return batch_frequency_newton(*_normalized_means(a, g))[1]
 
 
 def _relocate(
@@ -245,9 +245,11 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
         trace.append(float(s.weights @ kept_costs))
         if len(trace) >= 2 and trace[-1] >= trace[-2]:
             # Refresh assignments so the result is optimal against the
-            # final centroids; this can only decrease the objective.
+            # final centroids, repairing any cluster the refresh empties;
+            # both can only decrease the objective.
             costs = _pairwise_jeffreys(matrix, log_matrix, centers)
             refreshed = costs.argmin(axis=1)
+            refreshed = _repair_empty(refreshed, costs[rows, refreshed], cfg.k)
             if not np.array_equal(refreshed, assignments):
                 assignments = refreshed
                 trace.append(float(s.weights @ costs[rows, assignments]))

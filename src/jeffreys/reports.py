@@ -13,7 +13,8 @@ class RunReport:
     """One centroid run: the result vector plus solver diagnostics.
 
     Serialized with shortest round-trip decimals, so a report survives a
-    JSON round trip bit for bit.
+    JSON round trip bit for bit.  ``fallback`` is True when a fixed-point
+    run did not contract and its rescue produced the centroid.
     """
 
     mode: str
@@ -28,6 +29,7 @@ class RunReport:
     alpha_vs_exact: float | None = None
     simplex_defect: float | None = None
     epsilon_scale: float | None = None
+    fallback: bool = False
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))

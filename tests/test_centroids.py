@@ -1,9 +1,12 @@
-"""Centroid solvers: closed form, normalized bound, bisection, fixed point."""
+"""Centroid solvers: closed form, normalized bound, bisection, Newton, fixed point."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jeffreys import (
     BISECTION_HALVINGS,
@@ -19,7 +22,9 @@ from jeffreys import (
     positive_centroid,
     veldhuis_centroid,
 )
-from jeffreys.centroids import _means, batch_frequency_bisection, batch_frequency_fixedpoint
+from jeffreys.centroids import _means, _normalized_means, batch_frequency_bisection
+from jeffreys.centroids import batch_frequency_fixedpoint, batch_frequency_newton
+from jeffreys.histograms import smooth_bins
 from jeffreys.lambertw import lambert_w0_values
 from conftest import random_frequency_set, random_positive_set
 
@@ -286,6 +291,103 @@ class TestBatchBisection:
         assert len(calls) == 2 + BISECTION_HALVINGS + 1
 
 
+def sparse_problem(seed, alpha, d, n):
+    """``(1, d)`` normalized means of ``n`` Dirichlet(alpha) rows, smoothed as the loader does."""
+    rows = smooth_bins(np.random.default_rng(seed).dirichlet(np.full(d, alpha), size=n))
+    weights = np.full(n, 1.0 / n)
+    return _normalized_means((weights @ rows)[None], np.exp(weights @ np.log(rows))[None])
+
+
+def relative_gap(x, y):
+    return float(np.max(np.abs(x - y) / y))
+
+
+def distance_to_exact(a, g, lam, candidates):
+    """Largest relative distance of each candidate to the 50-digit centroid."""
+    with mpmath.workdps(50):
+        a_mp = [mpmath.mpf(v) for v in a]
+        ratio = [mpmath.mpf(v) / mpmath.mpf(w) for v, w in zip(a, g)]
+
+        def coords(lam):
+            scale = mpmath.exp(lam + 1)
+            return [v / mpmath.lambertw(r * scale).real for v, r in zip(a_mp, ratio)]
+
+        lam = mpmath.findroot(lambda t: mpmath.fsum(coords(t)) - 1, mpmath.mpf(lam))
+        exact = coords(lam)
+        return [
+            float(max(abs(mpmath.mpf(c) - e) / e for c, e in zip(candidate, exact)))
+            for candidate in candidates
+        ]
+
+
+class TestBatchNewton:
+    def test_rows_are_independent_bitwise(self, rng):
+        _, a, g = TestBatchBisection.stacked_problems(rng)
+        lam, coords, steps, defect = batch_frequency_newton(a, g)
+        for i in range(a.shape[0]):
+            lam_i, coords_i, steps_i, defect_i = batch_frequency_newton(a[i:i + 1], g[i:i + 1])
+            assert lam_i[0] == lam[i]
+            assert np.array_equal(coords_i[0], coords[i])
+            assert steps_i[0] == steps[i]
+            assert defect_i[0] == defect[i]
+
+    def test_matches_bisection(self, rng):
+        _, a, g = TestBatchBisection.stacked_problems(rng)
+        lam, coords, steps, defect = batch_frequency_newton(a, g)
+        lam_b, coords_b, _, _ = batch_frequency_bisection(a, g)
+        assert relative_gap(coords, coords_b) <= 1e-15
+        assert np.abs(lam - lam_b).max() <= 1e-15
+        assert defect.max() <= 1e-12
+        # the identical-member row takes the s(0) ~ 1 shortcut
+        assert steps[-1] == 0 and lam[-1] == 0.0
+        assert 1 <= steps[:-1].min() and steps.max() <= 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_alpha=st.floats(-3.0, 0.0),
+        d=st.integers(2, 512),
+        n=st.integers(2, 11),
+    )
+    def test_sparse_sets_match_bisection(self, seed, log_alpha, d, n):
+        a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
+        lam, coords, steps, _ = batch_frequency_newton(a, g)
+        _, coords_b, _, _ = batch_frequency_bisection(a, g)
+        assert steps[0] <= 8
+        if relative_gap(coords, coords_b) > 1e-15:
+            newton, bisection = distance_to_exact(a[0], g[0], lam[0], [coords[0], coords_b[0]])
+            assert newton <= bisection
+
+    def test_scaled_w0_raises(self, monkeypatch):
+        # W0 scaled by 4 puts the root of the scaled s below the bracket,
+        # so the iterate runs into the bracket's lower end and never stops.
+        import jeffreys.centroids as centroids
+
+        arith, geom = normalized_means(canonical_set())
+        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x: 4.0 * lambert_w0_values(x))
+        with pytest.raises(NumericError, match="Newton"):
+            batch_frequency_newton(arith.bins[None, :], geom.bins[None, :])
+
+    def test_final_simplex_defect_raises(self, monkeypatch):
+        # Break only the last W0 pass, which yields the returned coordinates.
+        import jeffreys.centroids as centroids
+
+        arith, geom = normalized_means(canonical_set())
+        a, g = arith.bins[None, :], geom.bins[None, :]
+        passes = 1 + int(batch_frequency_newton(a, g)[2][0]) + 1
+        calls = []
+
+        def off_on_last_pass(x):
+            calls.append(1)
+            w = lambert_w0_values(x)
+            return w * (1.0 + 1e-6) if len(calls) == passes else w
+
+        monkeypatch.setattr(centroids, "lambert_w0_values", off_on_last_pass)
+        with pytest.raises(NumericError, match="simplex defect"):
+            batch_frequency_newton(a, g)
+        assert len(calls) == passes
+
+
 class TestFixedPoint:
     def test_identical_members_converges_first_step(self):
         member = np.array([0.3, 0.7])
@@ -322,7 +424,7 @@ class TestFixedPoint:
 
     def test_cap_falls_back_to_bisection(self, rng):
         s = random_frequency_set(rng)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="Newton"):
             r = frequency_centroid_fixedpoint(s, tol=1e-14, max_iterations=1)
         assert r.fallback
         b = frequency_centroid_bisection(s)

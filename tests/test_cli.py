@@ -84,6 +84,44 @@ class TestCentroidCommand:
         )
         report = RunReport.from_json(out)
         assert report.to_json() == out.strip()
+        assert report.fallback is False
+
+    def test_fixedpoint_rescue_is_reported(self, pair_csv, monkeypatch):
+        # A one-step cap forces the rescue; the report carries its flag.
+        real = centroids.frequency_centroid_fixedpoint
+        monkeypatch.setattr(
+            centroids, "frequency_centroid_fixedpoint",
+            lambda s, *args: real(s, *args, max_iterations=1),
+        )
+        with pytest.warns(RuntimeWarning, match="Newton"):
+            code, out, _ = run_cli(
+                ["centroid", "--input", pair_csv, "--format", "csv",
+                 "--kind", "frequency", "--mode", "fixedpoint"]
+            )
+        assert code == EXIT_OK
+        assert json.loads(out)["fallback"] is True
+
+    def test_report_with_fallback_round_trips(self):
+        report = RunReport(
+            mode="fixedpoint", kind="frequency", centroid=[0.25, 0.75], iterations=100,
+            objective=0.125, wall_clock_seconds=0.5, lambda_star=-0.01,
+            simplex_defect=1e-16, fallback=True,
+        )
+        assert RunReport.from_json(report.to_json()) == report
+
+        def parse(name, text):
+            if text == "" or name in ("mode", "kind"):
+                return text or None
+            if name == "fallback":
+                return {"True": True, "False": False}[text]
+            return int(text) if name == "iterations" else float(text)
+
+        header, row = report.to_csv().strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["fallback"] == "True"
+        bins = [name for name in cells if name.startswith("bin_")]
+        scalars = {name: parse(name, text) for name, text in cells.items() if name not in bins}
+        assert RunReport(centroid=[float(cells[b]) for b in bins], **scalars) == report
 
     @pytest.mark.parametrize(
         "mutate",
