@@ -317,7 +317,7 @@ def batch_frequency_bisection(
 
 
 def batch_frequency_newton(
-    a: np.ndarray, g: np.ndarray, tol: float = DEFAULT_BISECTION_TOL
+    a: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Safeguarded Newton on the multiplier for ``T`` frequency problems at once.
 
@@ -334,7 +334,7 @@ def batch_frequency_newton(
     steps would turn into midpoints.
 
     Degenerate rows keep ``lam = 0`` and 0 steps, and the final defect is
-    checked as in the bisection.  The bisection's ``s(lower)`` pass is left
+    checked as in the bisection at :data:`DEFAULT_BISECTION_TOL`.  The bisection's ``s(lower)`` pass is left
     out: ``s(lower) >= 1`` holds analytically, since the coordinate that
     attains the bracket's max is exactly 1 there.  A root outside the
     bracket (an inaccurate ``W0``) drives the midpoints to its end, where
@@ -343,7 +343,7 @@ def batch_frequency_newton(
     depends on the other rows.
     """
     ratio = a / g
-    degenerate, lo, limit = _bracket(a, g, ratio, tol)
+    degenerate, lo, limit = _bracket(a, g, ratio, DEFAULT_BISECTION_TOL)
     hi = np.zeros(a.shape[0])
     lam = np.clip(_kl_multiplier(a, np.log(g)), lo, hi)
     steps = np.zeros(a.shape[0], dtype=np.int64)

@@ -244,15 +244,21 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
         rounds += 1
         trace.append(float(s.weights @ kept_costs))
         if len(trace) >= 2 and trace[-1] >= trace[-2]:
-            # Refresh assignments so the result is optimal against the
-            # final centroids, repairing any cluster the refresh empties;
-            # both can only decrease the objective.
+            # Refresh assignments against the final centroids.  A cluster
+            # the refresh empties is repaired and takes its donor as its
+            # centre, so the donor's cost drops to 0; the refresh and the
+            # repair can therefore only decrease the objective.
             costs = _pairwise_jeffreys(matrix, log_matrix, centers)
             refreshed = costs.argmin(axis=1)
-            refreshed = _repair_empty(refreshed, costs[rows, refreshed], cfg.k)
+            empty = np.flatnonzero(np.bincount(refreshed, minlength=cfg.k) == 0)
+            refreshed_costs = costs[rows, refreshed]
+            refreshed = _repair_empty(refreshed, refreshed_costs, cfg.k)
+            donors = np.isin(refreshed, empty)
+            centers[refreshed[donors]] = matrix[donors]
+            refreshed_costs[donors] = 0.0
             if not np.array_equal(refreshed, assignments):
                 assignments = refreshed
-                trace.append(float(s.weights @ costs[rows, assignments]))
+                trace.append(float(s.weights @ refreshed_costs))
             break
 
     assignments = np.asarray(assignments, dtype=np.int64)

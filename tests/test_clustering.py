@@ -348,29 +348,37 @@ class TestRoundCost:
         assert res.objective_trace[-1] == float(s.weights @ direct)
 
     def test_stalled_trace_refresh_repairs_an_emptied_cluster(self, rng, monkeypatch):
-        # Round 2 stalls and moves centre 0 far from every row, so the
-        # refreshed assignment empties cluster 0 and has to repair it.
+        # Round 2 moves centre 0 far from every row and reports the true
+        # costs against it, a finite trace entry above round 1's: a stall.
+        # The refreshed assignment empties cluster 0, whose repair takes
+        # the donor row as its centre, so the trace still decreases.
         s = small_frequency_set(rng, n=40, d=8)
         cfg = ClusteringConfig(k=4, seed=3)
         far = np.full(s.d, 1e-9)
         far[0] = 1.0 - far[1:].sum()
+        rows = np.arange(s.n)
         rounds = []
 
         def stalling(*args):
             kept, costs = _relocate(*args)
-            rounds.append(1)
-            if len(rounds) == 2:
+            if len(rounds) == 1:
                 kept = kept.copy()
                 kept[0] = far
-                costs = np.full_like(costs, np.inf)
+                costs = _pairwise_jeffreys(s.matrix, s.log_matrix, kept)[rows, args[3]]
+            rounds.append(kept.copy())
             return kept, costs
 
         monkeypatch.setattr(clustering, "_relocate", stalling)
         res = kmeans(s, cfg)
-        assert res.iterations == 2 and len(res.objective_trace) == 3
+        trace = res.objective_trace
+        assert res.iterations == 2 and len(trace) == 3
+        assert np.isfinite(trace).all() and trace[1] >= trace[0] and trace[2] <= trace[1]
+        assert (_pairwise_jeffreys(s.matrix, s.log_matrix, rounds[-1]).argmin(axis=1) != 0).all()
         final = np.vstack([c.bins for c in res.centroids])
-        costs = _pairwise_jeffreys(s.matrix, s.log_matrix, final)
-        assert np.array_equal(final[0], far)
-        assert (costs.argmin(axis=1) != 0).all()
+        (donor,) = np.flatnonzero(res.assignments == 0)
+        assert np.array_equal(final[0], s.matrix[donor])
+        assert np.array_equal(final[1:], rounds[-1][1:])
         assert np.bincount(res.assignments, minlength=cfg.k).min() >= 1
-        assert res.objective_trace[-1] == float(s.weights @ costs[np.arange(s.n), res.assignments])
+        direct = _pairwise_jeffreys(s.matrix, s.log_matrix, final)[rows, res.assignments]
+        assert direct[donor] == 0.0
+        assert trace[-1] == float(s.weights @ direct)
