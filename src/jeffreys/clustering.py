@@ -68,15 +68,73 @@ class ClusteringResult:
         }
 
 
-def _pairwise_jeffreys(matrix: np.ndarray, log_matrix: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of J(h_j, c_m); k is small so the loop is over centers."""
-    n = matrix.shape[0]
+def _row_costs(
+    matrix: np.ndarray, log_matrix: np.ndarray, centers: np.ndarray, assign: np.ndarray | int
+) -> np.ndarray:
+    """``J(h_j, c_assign[j])`` of every row, summed elementwise over the bins.
+
+    An integer ``assign`` names one centre for every row, which is
+    broadcast instead of gathered ``n`` times.
+    """
+    return ((matrix - centers[assign]) * (log_matrix - np.log(centers)[assign])).sum(axis=1)
+
+
+def _expanded_costs(
+    s: WeightedHistogramSet, centers: np.ndarray, log_centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, k)`` costs from ``J(h, c) = h.log h + c.log c - h.log c - c.log h``, and their slack.
+
+    The cross terms are two matmuls and ``h.log h`` is cached on the set.
+    Each entry differs from the elementwise sum ``(h - c).(log h - log c)``
+    by at most its slack, ``2 (d + 4) eps (h.|log h| + c.|log c| +
+    h.|log c| + c.|log h|)``: twice the two sums' worst-case rounding
+    error, so the slack also covers the rounding of the comparisons that
+    read it.
+    """
+    abs_log, abs_log_centers = np.abs(s.log_matrix), np.abs(log_centers)
+    costs = (
+        s.row_xlogx[:, None]
+        + (centers * log_centers).sum(axis=1)
+        - s.matrix @ log_centers.T
+        - s.log_matrix @ centers.T
+    )
+    slack = (2 * (s.d + 4) * np.finfo(np.float64).eps) * (
+        (s.matrix * abs_log).sum(axis=1)[:, None]
+        + (centers * abs_log_centers).sum(axis=1)
+        + s.matrix @ abs_log_centers.T
+        + abs_log @ centers.T
+    )
+    return costs, slack
+
+
+def _pairwise_jeffreys(
+    s: WeightedHistogramSet, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centre of every row (ties to the lowest index) and the row's cost to it.
+
+    The nearest centre is read from :func:`_expanded_costs`.  A row whose
+    best entry does not clear every other entry by both slacks, including
+    any row with a non-finite entry, is recomputed elementwise over all
+    ``k`` centres; so the assignment is the argmin of the elementwise
+    costs.  The returned costs are elementwise, one ``n x d`` pass; with
+    ``k == 1`` that pass is all that runs.
+    """
+    matrix, log_matrix = s.matrix, s.log_matrix
     k = centers.shape[0]
+    if k == 1:
+        return np.zeros(s.n, dtype=np.intp), _row_costs(matrix, log_matrix, centers, 0)
     log_centers = np.log(centers)
-    out = np.empty((n, k))
-    for m in range(k):
-        out[:, m] = ((matrix - centers[m]) * (log_matrix - log_centers[m])).sum(axis=1)
-    return out
+    costs, slack = _expanded_costs(s, centers, log_centers)
+    assign = costs.argmin(axis=1)
+    rows = np.arange(s.n)
+    top = costs[rows, assign] + slack[rows, assign]
+    # NaN compares False, so a row with one is unsure as well.
+    unsure = np.flatnonzero((~(costs - slack > top[:, None])).sum(axis=1) > 1)
+    if unsure.size:
+        h, log_h = matrix[unsure], log_matrix[unsure]
+        exact = np.stack([_row_costs(h, log_h, centers, m) for m in range(k)], axis=1)
+        assign[unsure] = exact.argmin(axis=1)
+    return assign, _row_costs(matrix, log_matrix, centers, assign)
 
 
 def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
@@ -91,13 +149,11 @@ def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
     if k == s.n:
         return np.arange(s.n)
     rng = np.random.default_rng(seed)
-    matrix = s.matrix
-    log_matrix = s.log_matrix
     chosen = [int(rng.integers(s.n))]
     nearest = np.full(s.n, np.inf)
     # One cost vector per pick but the last, whose costs are never read.
     while len(chosen) < k:
-        dist = _pairwise_jeffreys(matrix, log_matrix, matrix[chosen[-1]][None, :])[:, 0]
+        dist = _pairwise_jeffreys(s, s.matrix[chosen[-1]][None, :])[1]
         nearest = np.minimum(nearest, dist)
         total = float(nearest.sum())
         if total > 0.0:
@@ -116,16 +172,19 @@ def _repair_empty(assign: np.ndarray, costs: np.ndarray, k: int) -> np.ndarray:
 
     Moving the point with the largest divergence to its own centroid into a
     singleton cluster strictly decreases the objective.  Donors are only
-    taken from clusters with at least two members.
+    taken from clusters with at least two members.  ``assign`` is updated
+    in place; returns the donors' indices, whose ``costs`` are now stale.
     """
     counts = np.bincount(assign, minlength=k)
+    donors = []
     for m in np.flatnonzero(counts == 0):
         eligible = np.flatnonzero(counts[assign] >= 2)
         donor = eligible[np.argmax(costs[eligible])]
         counts[assign[donor]] -= 1
         assign[donor] = m
         counts[m] += 1
-    return assign
+        donors.append(donor)
+    return np.array(donors, dtype=np.intp)
 
 
 def _positive_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -171,10 +230,9 @@ def _relocate(
     for every cluster with at least two members.  A singleton cluster takes
     its member, an empty one keeps its centroid.
 
-    ``costs`` is the round's ``(n, k)`` matrix against ``centers``, from
-    which the guard reads the old centres' costs; only the candidates'
-    ``n`` costs are computed here.  Returns the kept centres and each row's
-    cost to the centre kept for its cluster.
+    ``costs`` holds each row's cost to its cluster's old centre, which the
+    guard compares with the candidates' ``n`` costs computed here.  Returns
+    the kept centres and each row's cost to the centre kept for its cluster.
     """
     k = centers.shape[0]
     rows = np.arange(matrix.shape[0])
@@ -196,14 +254,11 @@ def _relocate(
     # Keep the previous centroid when the update does not improve the
     # within-cluster objective; this pins down monotone convergence for
     # the approximate modes.
-    old_costs = costs[rows, assign]
-    new_costs = (
-        (matrix - candidates[assign]) * (log_matrix - np.log(candidates)[assign])
-    ).sum(axis=1)
+    new_costs = _row_costs(matrix, log_matrix, candidates, assign)
     new_objectives = np.bincount(assign, weights=row_weights * new_costs, minlength=k)
-    old_objectives = np.bincount(assign, weights=row_weights * old_costs, minlength=k)
+    old_objectives = np.bincount(assign, weights=row_weights * costs, minlength=k)
     better = new_objectives <= old_objectives
-    kept_costs = np.where(better[assign], new_costs, old_costs)
+    kept_costs = np.where(better[assign], new_costs, costs)
     return np.where(better[:, None], candidates, centers), kept_costs
 
 
@@ -212,12 +267,12 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
 
     Assignment sends each histogram to its nearest centroid (ties to the
     lowest index); relocation applies the configured centroid update to
-    every cluster in one batched call.  Each round computes the ``(n, k)``
-    divergence matrix once: assignment, the relocation guard and the trace
-    entry all read it or the candidates' own costs.  Stops when assignments
-    repeat, when the trace did not decrease, or after ``max_iterations``
-    rounds.  The trace records the weighted objective after each relocation
-    and never increases.
+    every cluster in one batched call.  Each round makes one assignment
+    call, which also returns every row's elementwise cost to its centre;
+    the relocation guard and the trace entry read those costs or the
+    candidates' own.  Stops when assignments repeat, when the trace did not
+    decrease, or after ``max_iterations`` rounds.  The trace records the
+    weighted objective after each relocation and never increases.
     """
     frequency = MODES[cfg.centroid_mode].frequency
     if frequency:
@@ -229,12 +284,13 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     assignments: np.ndarray | None = None
     trace: list[float] = []
     rounds = 0
-    rows = np.arange(s.n)
 
     while rounds < cfg.max_iterations:
-        costs = _pairwise_jeffreys(matrix, log_matrix, centers)
-        new_assign = costs.argmin(axis=1)
-        new_assign = _repair_empty(new_assign, costs[rows, new_assign], cfg.k)
+        new_assign, costs = _pairwise_jeffreys(s, centers)
+        donors = _repair_empty(new_assign, costs, cfg.k)
+        costs[donors] = _row_costs(
+            matrix[donors], log_matrix[donors], centers, new_assign[donors]
+        )
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
@@ -248,12 +304,8 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
             # the refresh empties is repaired and takes its donor as its
             # centre, so the donor's cost drops to 0; the refresh and the
             # repair can therefore only decrease the objective.
-            costs = _pairwise_jeffreys(matrix, log_matrix, centers)
-            refreshed = costs.argmin(axis=1)
-            empty = np.flatnonzero(np.bincount(refreshed, minlength=cfg.k) == 0)
-            refreshed_costs = costs[rows, refreshed]
-            refreshed = _repair_empty(refreshed, refreshed_costs, cfg.k)
-            donors = np.isin(refreshed, empty)
+            refreshed, refreshed_costs = _pairwise_jeffreys(s, centers)
+            donors = _repair_empty(refreshed, refreshed_costs, cfg.k)
             centers[refreshed[donors]] = matrix[donors]
             refreshed_costs[donors] = 0.0
             if not np.array_equal(refreshed, assignments):

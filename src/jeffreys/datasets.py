@@ -3,7 +3,10 @@
 Three on-disk formats map to a :class:`WeightedHistogramSet`:
 
 * CSV -- one histogram per row; an optional first column ``weight:<value>``
-  carries the row weight (all rows or none).
+  carries the row weight (all rows or none).  A file is read in one
+  vectorised parse; one that parse rejects is read again cell by cell,
+  which gives the same numbers and reports the first bad cell as
+  ``path:line:col``.
 * JSON -- ``{"histograms": [[...], ...], "weights": [...]}`` with the
   weights key optional.
 * PGM -- binary 8-bit grayscale (P5); every image becomes one 256-bin
@@ -24,6 +27,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +75,38 @@ def epsilon_scale_from_env() -> float:
 
 
 def _parse_csv(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse a CSV file in one vectorised call, or cell by cell when that fails.
+
+    The one-call parse strips the ``weight:`` column in Python and hands
+    the remaining lines to ``np.loadtxt``, whose number syntax is a subset
+    of ``float()``'s (no underscores, no non-ASCII digits, no quotes), so
+    any file it accepts gives the per-cell parser's matrix, bit for bit.
+    Anything it rejects is parsed again by :func:`_parse_csv_cells`, which
+    owns every rule and every ``path:line:col`` message.
+    """
+    lines = [line for line in Path(path).read_text().split("\n") if line.strip()]
+    if lines:
+        weighted = [line.lstrip().startswith(_WEIGHT_PREFIX) for line in lines]
+        try:
+            weights = None
+            if all(weighted):
+                heads, _, lines = zip(*(line.partition(",") for line in lines))
+                if not all(rest.strip() for rest in lines):
+                    raise ValueError("a row holds only its weight")
+                weights = np.array([float(h.strip()[len(_WEIGHT_PREFIX):]) for h in heads])
+            elif any(weighted):
+                raise ValueError("weight column on some rows only")
+            # comments=None: with the default "#", "1#" would parse as 1.
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            return rows, weights
+    return _parse_csv_cells(path)
+
+
+def _parse_csv_cells(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
+    """The reference CSV parser: ``csv.reader`` and ``float()`` per cell."""
     rows: list[list[float]] = []
     weights: list[float] = []
     has_weights: bool | None = None
@@ -125,18 +161,28 @@ def _parse_json(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValidationError(f"{path}: expected an object with a 'histograms' key")
     try:
         rows = np.asarray(payload["histograms"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: histograms must be numeric rows") from exc
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
         raise ValidationError(f"{path}: histograms must form a non-empty 2-D array")
+    # numpy converts "0.5", true and null to floats; JSON numbers only.
+    if not _json_numbers(chain.from_iterable(payload["histograms"])):
+        raise ValidationError(f"{path}: histograms must be numeric rows")
     weights = payload.get("weights")
     if weights is not None:
+        if not isinstance(weights, list) or not _json_numbers(weights):
+            raise ValidationError(f"{path}: weights must be finite and strictly positive")
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (rows.shape[0],):
             raise ValidationError(
                 f"{path}: weights length {weights.size} does not match {rows.shape[0]} histograms"
             )
     return rows, weights
+
+
+def _json_numbers(values) -> bool:
+    """True when every value is a JSON number: no string, boolean or null."""
+    return set(map(type, values)) <= {int, float}
 
 
 def read_pgm(path: Path) -> np.ndarray:

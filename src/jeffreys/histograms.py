@@ -3,8 +3,9 @@
 A histogram is a vector of strictly positive bin values; a frequency
 histogram additionally lives on the probability simplex (bins sum to one).
 A weighted set stores its ``n`` members as one read-only ``(n, d)`` matrix,
-validated as a whole, and caches the matrix's log.  All types are immutable
-after construction and safe to share across threads.
+validated as a whole, and caches the matrix's log and each row's
+``sum h log h``.  All types are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -171,6 +172,13 @@ class WeightedHistogramSet:
     def log_matrix(self) -> np.ndarray:
         """``log(matrix)``, computed once per set."""
         out = np.log(self.matrix)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def row_xlogx(self) -> np.ndarray:
+        """``sum_i h_i log h_i`` of every row, computed once per set."""
+        out = (self.matrix * self.log_matrix).sum(axis=1)
         out.flags.writeable = False
         return out
 

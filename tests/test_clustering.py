@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jeffreys import (
     ClusteringConfig,
@@ -18,7 +20,12 @@ from jeffreys import (
 )
 from jeffreys.centroids import MODES
 from jeffreys import clustering
-from jeffreys.clustering import _one_step_frequency_update, _pairwise_jeffreys, _relocate
+from jeffreys.clustering import (
+    _expanded_costs,
+    _one_step_frequency_update,
+    _pairwise_jeffreys,
+    _relocate,
+)
 from jeffreys.lambertw import lambert_w0_values
 from conftest import planted_blobs, random_frequency_set
 
@@ -26,11 +33,16 @@ from conftest import planted_blobs, random_frequency_set
 KMEANS_MODES = [name for name, mode in MODES.items() if mode.builder]
 
 
-def relocate(rows, weights, assign, centers, mode):
-    """One relocation of ``centers``, given the round's cost matrix against them."""
+def elementwise_costs(rows, centers):
+    """``(n, k)`` Jeffreys costs summed per centre over the bins: the assignment's reference."""
     log_rows = np.log(rows)
-    costs = _pairwise_jeffreys(rows, log_rows, centers)
-    return _relocate(rows, log_rows, weights, assign, centers, costs, mode)
+    return np.stack([((rows - c) * (log_rows - np.log(c))).sum(axis=1) for c in centers], axis=1)
+
+
+def relocate(rows, weights, assign, centers, mode):
+    """One relocation of ``centers``, given each row's cost to its old centre."""
+    costs = elementwise_costs(rows, centers)[np.arange(len(rows)), assign]
+    return _relocate(rows, np.log(rows), weights, assign, centers, costs, mode)
 
 
 def small_frequency_set(rng, n=12, d=6):
@@ -237,8 +249,8 @@ class TestBatchedRelocation:
         for mode in ("normalized", "frequency_fixedpoint_1step"):
             kept, costs = relocate(rows, weights, assign, exact, mode)
             assert np.array_equal(kept[[0, 4]], exact[[0, 4]])
-            # a kept old centre's costs are the round's matrix entries
-            direct = _pairwise_jeffreys(rows, np.log(rows), kept)[np.arange(13), assign]
+            # a kept old centre's costs are the old costs passed in
+            direct = elementwise_costs(rows, kept)[np.arange(13), assign]
             assert np.array_equal(costs, direct)
 
 
@@ -279,8 +291,9 @@ class TestRoundCost:
     @pytest.mark.parametrize("mode", KMEANS_MODES)
     @pytest.mark.parametrize("seed", [0, 3])
     def test_one_matrix_per_round(self, mode, seed, rng, monkeypatch):
-        # k - 1 seeding vectors, one matrix per round, and one more for the
-        # round that finds the assignments repeated or the trace stalled.
+        # k - 1 seeding calls, one assignment call per round, and one more
+        # for the round that finds the assignments repeated or the trace
+        # stalled.
         s = small_frequency_set(rng, n=40, d=8)
         k = 4
         calls = self.counted(monkeypatch)
@@ -310,20 +323,20 @@ class TestRoundCost:
 
         def recording(*args):
             kept, costs = _relocate(*args)
-            rounds.append((args[0], args[1], args[3], kept, costs))
+            rounds.append((args[0], args[3], kept, costs))
             return kept, costs
 
         monkeypatch.setattr(clustering, "_relocate", recording)
         res = kmeans(s, ClusteringConfig(k=4, centroid_mode=mode, seed=2))
         assert len(rounds) == res.iterations
-        for (matrix, log_matrix, assign, kept, costs), entry in zip(rounds, res.objective_trace):
-            direct = _pairwise_jeffreys(matrix, log_matrix, kept)[np.arange(s.n), assign]
+        for (matrix, assign, kept, costs), entry in zip(rounds, res.objective_trace):
+            direct = elementwise_costs(matrix, kept)[np.arange(s.n), assign]
             assert np.array_equal(costs, direct)
             assert entry == float(s.weights @ costs)
 
     def test_stalled_trace_refreshes_from_one_matrix(self, rng, monkeypatch):
         # A stall is rare on real data, so round 2's trace entry is forced
-        # up; the refresh then reads its new entry from one final matrix.
+        # up; the refresh then reads its new entry from one final assignment.
         s = small_frequency_set(rng, n=40, d=8)
         cfg = ClusteringConfig(k=4, seed=3)
         assert kmeans(s, cfg).iterations >= 3
@@ -344,7 +357,7 @@ class TestRoundCost:
         assert len(res.objective_trace) == 3
         assign, final = rounds[-1]
         assert not np.array_equal(res.assignments, assign)
-        direct = _pairwise_jeffreys(s.matrix, s.log_matrix, final)[np.arange(s.n), res.assignments]
+        direct = elementwise_costs(s.matrix, final)[np.arange(s.n), res.assignments]
         assert res.objective_trace[-1] == float(s.weights @ direct)
 
     def test_stalled_trace_refresh_repairs_an_emptied_cluster(self, rng, monkeypatch):
@@ -364,7 +377,7 @@ class TestRoundCost:
             if len(rounds) == 1:
                 kept = kept.copy()
                 kept[0] = far
-                costs = _pairwise_jeffreys(s.matrix, s.log_matrix, kept)[rows, args[3]]
+                costs = elementwise_costs(s.matrix, kept)[rows, args[3]]
             rounds.append(kept.copy())
             return kept, costs
 
@@ -373,12 +386,83 @@ class TestRoundCost:
         trace = res.objective_trace
         assert res.iterations == 2 and len(trace) == 3
         assert np.isfinite(trace).all() and trace[1] >= trace[0] and trace[2] <= trace[1]
-        assert (_pairwise_jeffreys(s.matrix, s.log_matrix, rounds[-1]).argmin(axis=1) != 0).all()
+        assert (elementwise_costs(s.matrix, rounds[-1]).argmin(axis=1) != 0).all()
         final = np.vstack([c.bins for c in res.centroids])
         (donor,) = np.flatnonzero(res.assignments == 0)
         assert np.array_equal(final[0], s.matrix[donor])
         assert np.array_equal(final[1:], rounds[-1][1:])
         assert np.bincount(res.assignments, minlength=cfg.k).min() >= 1
-        direct = _pairwise_jeffreys(s.matrix, s.log_matrix, final)[rows, res.assignments]
+        direct = elementwise_costs(s.matrix, final)[rows, res.assignments]
         assert direct[donor] == 0.0
         assert trace[-1] == float(s.weights @ direct)
+
+
+@st.composite
+def assignment_problems(draw):
+    """A set and ``k`` centres for one assignment call.
+
+    Rows are frequency or positive histograms, or bins spread from 1e-300 to
+    1e300, with or without duplicate members.  Centres are members (ties when
+    drawn twice), one member repeated (exact ties), copies of one member
+    perturbed at 1e-14 (costs closer than the expansion's rounding), members
+    perturbed at 1e-9 (costs near 0, where the expansion cancels), or fresh.
+    """
+    n, d, k = draw(st.integers(1, 30)), draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["frequency", "positive", "extreme"]))
+    centres = draw(st.sampled_from(["members", "tied", "near-tied", "near", "fresh"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def fresh(count):
+        if kind == "extreme":
+            return 10.0 ** rng.uniform(-300.0, 300.0, size=(count, d))
+        out = rng.gamma(draw(st.sampled_from([0.05, 1.0, 20.0])), size=(count, d)) + 1e-12
+        out /= out.sum(axis=1, keepdims=True)
+        return out if kind == "frequency" else out * rng.uniform(0.1, 1e3, size=(count, 1))
+
+    rows = fresh(n)
+    if draw(st.booleans()):
+        rows[rng.integers(n, size=n)] = rows[rng.integers(n)]
+    s = WeightedHistogramSet(rows, frequency=kind == "frequency")
+    picks = rng.integers(s.n, size=k)
+    if centres == "members":
+        centers = s.matrix[picks]
+    elif centres == "tied":
+        centers = s.matrix[np.full(k, picks[0])]
+    elif centres == "near-tied":
+        centers = s.matrix[picks[0]] * (1.0 + 1e-14 * rng.standard_normal((k, d)))
+    elif centres == "near":
+        centers = s.matrix[picks] * (1.0 + 1e-9 * rng.standard_normal((k, d)))
+    else:
+        centers = fresh(k)
+    return s, centers
+
+
+class TestAssignment:
+    """The matmul assignment against the elementwise costs it stands for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=assignment_problems())
+    def test_matches_elementwise_reference(self, problem):
+        s, centers = problem
+        reference = elementwise_costs(s.matrix, centers)
+        assign, costs = _pairwise_jeffreys(s, centers)
+        assert np.array_equal(assign, reference.argmin(axis=1))
+        assert costs.tobytes() == reference[np.arange(s.n), assign].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=assignment_problems())
+    def test_slack_covers_the_expansion_error(self, problem):
+        # Half the slack is the worst-case rounding of the two sums; the
+        # other half is margin for the comparisons that read it.
+        s, centers = problem
+        costs, slack = _expanded_costs(s, centers, np.log(centers))
+        error = np.abs(costs - elementwise_costs(s.matrix, centers))
+        finite = np.isfinite(error)
+        assert np.all(error[finite] <= slack[finite] / 2)
+
+    def test_tied_centres_go_to_the_lowest_index(self, rng):
+        s = small_frequency_set(rng)
+        centers = np.vstack([s.matrix[3], s.matrix[5], s.matrix[3], s.matrix[5]])
+        assign, costs = _pairwise_jeffreys(s, centers)
+        assert set(assign.tolist()) == {0, 1}
+        assert costs[3] == 0.0 and costs[5] == 0.0

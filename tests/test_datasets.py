@@ -5,9 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jeffreys import ValidationError, load_dataset, read_pgm, write_dataset
-from jeffreys.datasets import FORMAT_CSV, FORMAT_JSON, FORMAT_PGM
+from jeffreys.datasets import FORMAT_CSV, FORMAT_JSON, FORMAT_PGM, _parse_csv, _parse_csv_cells
 
 
 def write(tmp_path, name, text):
@@ -88,11 +90,96 @@ class TestJSON:
         with pytest.raises(ValidationError, match="histograms"):
             load_dataset(q, FORMAT_JSON, "positive").histograms
 
+    @pytest.mark.parametrize("histograms", [
+        [["0.5", "0.5"], [0.25, 0.75]],
+        [[True, 1], [0.5, 0.5]],
+        [[False, 1.0]],
+        [[None, 1.0]],
+        [[10**400, 1.0]],
+    ], ids=["string", "true", "false", "null", "overflow"])
+    def test_non_number_bins_rejected(self, tmp_path, histograms):
+        p = write(tmp_path, "d.json", json.dumps({"histograms": histograms}))
+        with pytest.raises(ValidationError, match="histograms must be numeric rows"):
+            load_dataset(p, FORMAT_JSON, "positive")
+
+    @pytest.mark.parametrize("weights", [["1", 1], [True, 1], [None, 1], "1", [[1], [1]]])
+    def test_non_number_weights_rejected(self, tmp_path, weights):
+        payload = {"histograms": [[1, 2], [3, 4]], "weights": weights}
+        p = write(tmp_path, "d.json", json.dumps(payload))
+        with pytest.raises(ValidationError, match="weights must be finite and strictly positive"):
+            load_dataset(p, FORMAT_JSON, "positive")
+
     def test_non_positive_weight(self, tmp_path):
         payload = {"weights": [0.0, 1.0], "histograms": [[1, 2], [3, 4]]}
         p = write(tmp_path, "d.json", json.dumps(payload))
         with pytest.raises(ValidationError, match="weights"):
             load_dataset(p, FORMAT_JSON, "positive").histograms
+
+
+def both_parsers(path):
+    """What the one-call CSV parser and the per-cell one make of ``path``."""
+    outcomes = []
+    for parse in (_parse_csv, _parse_csv_cells):
+        try:
+            rows, weights = parse(path)
+        except Exception as exc:  # the type and message must match too
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((rows.shape, rows.tobytes(), None if weights is None else weights.tobytes()))
+    return outcomes
+
+
+@st.composite
+def csv_files(draw):
+    """Well-formed CSV text: repr floats, optional weights, blank lines, padding, any newline."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1])
+    rows = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=n, max_size=n))
+    weights = draw(st.none() | st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = []
+    for j, row in enumerate(rows):
+        texts = [repr(v) for v in row]
+        if weights is not None:
+            texts.insert(0, f"weight:{weights[j]!r}")
+        lines.append(",".join(draw(pad) + t + draw(pad) for t in texts))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestCSVFastPath:
+    """The one-call CSV parse gives what the per-cell parser gives, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_files())
+    def test_well_formed_files(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path.write_bytes(text.encode())
+        fast, cells = both_parsers(path)
+        assert fast == cells
+        assert isinstance(fast[0], tuple)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="0123456789.,-+e \t\r\n\"#_nafiweight:", max_size=40))
+    def test_any_text(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path.write_bytes(text.encode())
+        fast, cells = both_parsers(path)
+        assert fast == cells
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n1,zap\n", "1,2,3\n1,2\n", "1#,2\n", '"1",2\n', '1,"2\n3",4\n', "1_0,2\n",
+        "", "\n \n\t\n", "1,,2\n", "1,2,\n", ",,\n1,2\n", "weight:0.5\n", "weight:0.5,\n",
+        "weight:1,1\n2,3\n", "1,2\nweight:1,3\n", "weight:x,1\n", "weight:1_0,1\n",
+        "\xa01,2\n", "\u0661,2\n", "1e400,-inf\n", "1\n2\n", "1,2\r\n3,4",
+    ])
+    def test_malformed_and_edge_files(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        fast, cells = both_parsers(path)
+        assert fast == cells
 
 
 class TestPGM:
