@@ -24,12 +24,13 @@ solution ``lam = -KL(c : g) <= 0``.
 The multiplier solvers are written once, for ``T`` problems at a time:
 :func:`batch_frequency_bisection`, :func:`batch_frequency_newton` and
 :func:`batch_frequency_fixedpoint` take ``(T, d)`` normalized means, one
-problem per row.  The bisection always makes 55 ``W0`` passes; the
-safeguarded Newton on ``log s(lam) = 0`` keeps the same bracket and the
-same final checks and needs about seven.  The scalar solvers run them at
-``T = 1``; k-means runs Newton (``frequency_exact``) on every cluster at
-once, the fixed point's rescue runs Newton, and the trial harness runs
-the bisection and the fixed point on every trial at once.
+problem per row.  The bisection always makes 54 ``W0`` passes; the
+safeguarded Newton on ``log s(lam) = 0`` keeps the same bracket and needs
+about seven.  Their accuracy is fixed: every solution ends in one check of
+its simplex defect against :data:`SIMPLEX_TOL`.  The scalar solvers run
+them at ``T = 1``; k-means runs Newton (``frequency_exact``) on every
+cluster at once, the fixed point's rescue runs Newton, and the trial
+harness runs the bisection and the fixed point on every trial at once.
 
 :data:`MODES` names every centroid mode once: the scalar solvers here,
 the k-means relocations of :mod:`jeffreys.clustering`, and the CLI's
@@ -38,7 +39,6 @@ the k-means relocations of :mod:`jeffreys.clustering`, and the CLI's
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .divergences import jeffreys_to_set
-from .errors import NumericError, ValidationError
+from .errors import NumericError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
 from .lambertw import lambert_w0_values
 
@@ -59,24 +59,23 @@ class Mode(NamedTuple):
     :mod:`jeffreys.clustering`; either is ``None`` where the mode has no
     such form.  Names are looked up on their module at call time, so a
     patched attribute is the one that runs.  ``frequency`` marks a mode
-    that only accepts frequency sets, ``tol`` a solver that takes ``tol``.
+    that only accepts frequency sets.
     """
 
     solver: str | None
     builder: str | None
     frequency: bool
-    tol: bool
 
 
 #: Every centroid mode, by the name that results, reports and the CLI use.
 MODES = {
-    "positive": Mode("positive_centroid", "_positive_candidates", False, False),
-    "normalized": Mode("normalized_positive_centroid", "_normalized_candidates", True, False),
-    "veldhuis": Mode("veldhuis_centroid", None, True, False),
-    "bisection": Mode("frequency_centroid_bisection", None, True, True),
-    "fixedpoint": Mode("frequency_centroid_fixedpoint", None, True, True),
-    "frequency_fixedpoint_1step": Mode(None, "_fixedpoint_1step_candidates", True, False),
-    "frequency_exact": Mode(None, "_exact_candidates", True, False),
+    "positive": Mode("positive_centroid", "_positive_candidates", False),
+    "normalized": Mode("normalized_positive_centroid", "_normalized_candidates", True),
+    "veldhuis": Mode("veldhuis_centroid", None, True),
+    "bisection": Mode("frequency_centroid_bisection", None, True),
+    "fixedpoint": Mode("frequency_centroid_fixedpoint", None, True),
+    "frequency_fixedpoint_1step": Mode(None, "_fixedpoint_1step_candidates", True),
+    "frequency_exact": Mode(None, "_exact_candidates", True),
 }
 
 #: Number of interval halvings that resolves the multiplier bracket to the
@@ -85,14 +84,12 @@ MODES = {
 BISECTION_HALVINGS = 52
 
 #: Stop the fixed-point iteration once |lam_l - lam_{l-1}| falls below this.
-DEFAULT_FIXEDPOINT_TOL = 1e-14
-#: Required simplex defect |s(lam) - 1| at the bisection and Newton solutions.
-DEFAULT_BISECTION_TOL = 1e-12
+FIXEDPOINT_TOL = 1e-14
+#: Largest simplex defect |s(lam) - 1| a solver may return; a larger one raises.
+SIMPLEX_TOL = 1e-12
 #: ``1 - s(0)`` at or below which the bisection and Newton take ``lam = 0``
 #: without a step (identical members); the rounding floor of ``s``.
 DEGENERACY_TOL = 1e-13
-#: ``s(lower)`` below ``1 - BRACKET_SLACK`` means the bracket misses the root.
-BRACKET_SLACK = 1e-9
 #: Fixed-point steps after which the solver falls back to Newton.
 _FIXEDPOINT_CAP = 100
 #: Newton steps after which a row still running raises.
@@ -187,19 +184,17 @@ def _kl_multiplier(x: np.ndarray, log_g: np.ndarray) -> np.ndarray:
     return -(x * (np.log(x) - log_g)).sum(axis=-1)
 
 
-def _on_simplex(a: np.ndarray, ratio: np.ndarray, lam: np.ndarray, limit, mode: str):
+def _on_simplex(a: np.ndarray, ratio: np.ndarray, lam: np.ndarray, mode: str):
     """``c(lam)`` divided by its row sums, and each row's defect ``|sum - 1|``.
 
-    A defect above ``limit`` (a bound for all rows, or one per row) raises
-    :class:`NumericError`.
+    The one final check of every multiplier solver: a defect above
+    :data:`SIMPLEX_TOL` raises :class:`NumericError`.
     """
     coords = _coordinates(a, ratio, lam)
     mass = coords.sum(axis=1)
     defect = np.abs(mass - 1.0)
-    if np.any(defect > limit):
-        raise NumericError(
-            f"{mode} stopped with simplex defect {defect.max():.3e} > tol {np.min(limit):.3e}"
-        )
+    if np.any(defect > SIMPLEX_TOL):
+        raise NumericError(f"{mode}: simplex defect {defect.max():.3e} > {SIMPLEX_TOL}")
     return coords / mass[:, None], defect
 
 
@@ -261,23 +256,23 @@ def veldhuis_centroid(s: WeightedHistogramSet) -> CentroidResult:
     )
 
 
-def _bracket(a: np.ndarray, g: np.ndarray, ratio: np.ndarray, tol: float):
-    """Each row's degeneracy, the lower end of its bracket, and its defect bound.
+def _bracket(a: np.ndarray, g: np.ndarray, ratio: np.ndarray):
+    """Each row's degeneracy and the lower end of its bracket.
 
     ``s(0) <= 1`` up to rounding, and ``s(0) == 1`` means ``a == g`` and
-    ``lam* = 0``.  A row with ``1 - s(0) <= min(tol, DEGENERACY_TOL)``, a
-    threshold at the rounding floor of ``s`` so that merely similar inputs
-    are still solved, is degenerate: its bracket is ``[0, 0]`` and its
-    final defect is held to ``max(tol, DEGENERACY_TOL)``.  Every other row
-    has the bracket ``[max_i(a_i + log g_i) - 1, 0]`` and the bound ``tol``.
+    ``lam* = 0``.  A row with ``1 - s(0) <= DEGENERACY_TOL``, a threshold at
+    the rounding floor of ``s`` so that merely similar inputs are still
+    solved, is degenerate: its bracket is ``[0, 0]``.  Every other row has
+    the bracket ``[max_i(a_i + log g_i) - 1, 0]``; ``s(lower) >= 1`` holds
+    analytically there, since the coordinate that attains the max is 1.
     """
-    degenerate = 1.0 - _coordinates(a, ratio).sum(axis=1) <= min(tol, DEGENERACY_TOL)
+    degenerate = 1.0 - _coordinates(a, ratio).sum(axis=1) <= DEGENERACY_TOL
     lo = np.where(degenerate, 0.0, (a + np.log(g)).max(axis=1) - 1.0)
-    return degenerate, lo, np.where(degenerate, max(tol, DEGENERACY_TOL), tol)
+    return degenerate, lo
 
 
 def batch_frequency_bisection(
-    a: np.ndarray, g: np.ndarray, tol: float = DEFAULT_BISECTION_TOL
+    a: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Multiplier bisection for ``T`` frequency problems at once.
 
@@ -287,24 +282,18 @@ def batch_frequency_bisection(
     the halvings and the simplex defects before renormalization, per row.
     The bracket ``[max_i(a_i + log g_i) - 1, 0]`` is halved
     exactly :data:`BISECTION_HALVINGS` times, which resolves the multiplier
-    to the 52-bit significand of a double, and ``tol`` is then checked
-    against each row's simplex defect (stopping on the defect alone could
-    leave the coordinates under-resolved where ``s`` is flat).  A row with
-    ``1 - s(0) <= min(tol, DEGENERACY_TOL)`` (identical members) keeps
-    ``lam = 0`` and 0 halvings, its defect held to ``max(tol,
-    DEGENERACY_TOL)``.  A bracket with ``s(lower)`` below one or a defect
-    above its bound raises :class:`NumericError`.  Every row shares the 55
-    ``W0`` evaluations, and no row's result depends on the other rows.
+    to the 52-bit significand of a double, and each row's simplex defect is
+    then checked against :data:`SIMPLEX_TOL` (stopping on the defect alone
+    could leave the coordinates under-resolved where ``s`` is flat).  A row
+    with ``1 - s(0) <= DEGENERACY_TOL`` (identical members) keeps ``lam =
+    0`` and 0 halvings.  A root outside the bracket (an inaccurate ``W0``)
+    drives the halvings to the bracket's end, where the defect check
+    raises :class:`NumericError`.  Every row shares the 54 ``W0``
+    evaluations, and no row's result depends on the other rows.
     """
     ratio = a / g
-    degenerate, lo, limit = _bracket(a, g, ratio, tol)
+    degenerate, lo = _bracket(a, g, ratio)
     hi = np.zeros(a.shape[0])
-    s_lo = _coordinates(a, ratio, lo).sum(axis=1)
-    if np.any(s_lo < 1.0 - BRACKET_SLACK):
-        raise NumericError(
-            f"bisection bracket violated: s(lower) = {float(s_lo.min())!r} < 1 "
-            "(means computed inconsistently)"
-        )
     # With every row degenerate, lo = hi = 0 and halving changes nothing.
     for _ in range(0 if degenerate.all() else BISECTION_HALVINGS):
         mid = 0.5 * (lo + hi)
@@ -312,7 +301,7 @@ def batch_frequency_bisection(
         lo = np.where(ge, mid, lo)
         hi = np.where(ge, hi, mid)
     lam = 0.5 * (lo + hi)
-    coords, defect = _on_simplex(a, ratio, lam, limit, "bisection")
+    coords, defect = _on_simplex(a, ratio, lam, "bisection")
     return lam, coords, np.where(degenerate, 0, BISECTION_HALVINGS), defect
 
 
@@ -334,16 +323,13 @@ def batch_frequency_newton(
     steps would turn into midpoints.
 
     Degenerate rows keep ``lam = 0`` and 0 steps, and the final defect is
-    checked as in the bisection at :data:`DEFAULT_BISECTION_TOL`.  The bisection's ``s(lower)`` pass is left
-    out: ``s(lower) >= 1`` holds analytically, since the coordinate that
-    attains the bracket's max is exactly 1 there.  A root outside the
-    bracket (an inaccurate ``W0``) drives the midpoints to its end, where
-    the raw step never shrinks, so a row still running after
-    ``_NEWTON_CAP`` steps raises :class:`NumericError`.  No row's result
-    depends on the other rows.
+    checked as in the bisection.  A root outside the bracket (an inaccurate
+    ``W0``) drives the midpoints to its end, where the raw step never
+    shrinks, so a row still running after ``_NEWTON_CAP`` steps raises
+    :class:`NumericError`.  No row's result depends on the other rows.
     """
     ratio = a / g
-    degenerate, lo, limit = _bracket(a, g, ratio, DEFAULT_BISECTION_TOL)
+    degenerate, lo = _bracket(a, g, ratio)
     hi = np.zeros(a.shape[0])
     lam = np.clip(_kl_multiplier(a, np.log(g)), lo, hi)
     steps = np.zeros(a.shape[0], dtype=np.int64)
@@ -369,15 +355,12 @@ def batch_frequency_newton(
             f"Newton on the multiplier did not converge within {_NEWTON_CAP} steps; "
             f"s(lam) = {float(mass[active].min())!r} on the last pass"
         )
-    coords, defect = _on_simplex(a, ratio, lam, limit, "newton")
+    coords, defect = _on_simplex(a, ratio, lam, "newton")
     return lam, coords, steps, defect
 
 
 def batch_frequency_fixedpoint(
-    a: np.ndarray,
-    g: np.ndarray,
-    tol: float = DEFAULT_FIXEDPOINT_TOL,
-    cap: int = _FIXEDPOINT_CAP,
+    a: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multiplier fixed point for ``T`` frequency problems at once.
 
@@ -388,30 +371,25 @@ def batch_frequency_fixedpoint(
         c_l = normalize(a / W0(a * exp(lam_{l-1} + 1) / g))
         lam_l = -KL(c_l : g)
 
-    until ``|lam_l - lam_{l-1}| <= tol``; a converged row keeps its
-    multiplier and its count while the others go on, for at most ``cap``
-    steps.  Returns ``(lam, iterations, converged)`` per row; a row that
-    reaches ``cap`` without meeting ``tol`` has ``converged`` False.
+    until ``|lam_l - lam_{l-1}| <= FIXEDPOINT_TOL``; a converged row keeps
+    its multiplier and its count while the others go on, for at most
+    ``_FIXEDPOINT_CAP`` steps.  Returns ``(lam, iterations, converged)`` per
+    row; a row that reaches the cap unconverged has ``converged`` False.
     """
     ratio = a / g
     log_g = np.log(g)
     lam = _kl_multiplier(a, log_g)
     iterations = np.zeros(a.shape[0], dtype=np.int64)
     active = np.ones(a.shape[0], dtype=bool)
-    for _ in range(cap):
+    for _ in range(_FIXEDPOINT_CAP):
         lam_next = _kl_multiplier(_simplex_coordinates(a, ratio, lam), log_g)
         delta = np.abs(lam_next - lam)
         iterations += active
         lam = np.where(active, lam_next, lam)
-        active &= ~(delta <= tol)
+        active &= ~(delta <= FIXEDPOINT_TOL)
         if not active.any():
             break
     return lam, iterations, ~active
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _frequency_problem(sf: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
@@ -440,58 +418,49 @@ def _finish_frequency(
     )
 
 
-def frequency_centroid_bisection(
-    s: WeightedHistogramSet, tol: float = DEFAULT_BISECTION_TOL
-) -> CentroidResult:
+def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:
     """Exact Jeffreys frequency centroid via bisection on the multiplier.
 
     Runs :func:`batch_frequency_bisection` on the set's one problem: unless
     the members are identical (``lam = 0``, 0 iterations), the multiplier
-    bracket is halved :data:`BISECTION_HALVINGS` times and ``tol`` is
-    verified against the final simplex defect.
+    bracket is halved :data:`BISECTION_HALVINGS` times and the final simplex
+    defect is checked against :data:`SIMPLEX_TOL`.
     """
-    _check_tol(tol)
     sf = s.as_frequency()
     if sf.n == 1:
         return _singleton_result(sf, "bisection")
     a, g = _frequency_problem(sf)
-    lam, coords, halvings, defect = batch_frequency_bisection(a, g, tol)
+    lam, coords, halvings, defect = batch_frequency_bisection(a, g)
     return _finish_frequency(sf, "bisection", lam, coords, int(halvings[0]), defect)
 
 
-def frequency_centroid_fixedpoint(
-    s: WeightedHistogramSet,
-    tol: float = DEFAULT_FIXEDPOINT_TOL,
-    max_iterations: int = _FIXEDPOINT_CAP,
-) -> CentroidResult:
+def frequency_centroid_fixedpoint(s: WeightedHistogramSet) -> CentroidResult:
     """Exact Jeffreys frequency centroid via fixed-point iteration on the multiplier.
 
     Runs :func:`batch_frequency_fixedpoint` on the set's one problem.
     Keeping the iterate on the simplex makes the map nearly flat at its
     fixed point, so convergence typically takes about five to seven
-    iterations.  No contraction guarantee exists, so if ``max_iterations``
-    steps do not meet ``tol`` the solver finishes with
+    iterations.  No contraction guarantee exists, so if ``_FIXEDPOINT_CAP``
+    steps do not meet :data:`FIXEDPOINT_TOL` the solver finishes with
     :func:`batch_frequency_newton` on the same means and flags the result
     as a ``fallback`` instead of looping forever.
     """
-    _check_tol(tol)
-    if max_iterations < 1:
-        raise ValidationError(f"max_iterations must be at least 1, got {max_iterations!r}")
     sf = s.as_frequency()
     if sf.n == 1:
         return _singleton_result(sf, "fixedpoint")
     a, g = _frequency_problem(sf)
-    lam, iterations, converged = batch_frequency_fixedpoint(a, g, tol, max_iterations)
+    lam, iterations, converged = batch_frequency_fixedpoint(a, g)
+    steps = int(iterations[0])
     if converged[0]:
-        coords, defect = _on_simplex(a, a / g, lam, max(tol * 10.0, 1e-12), "fixedpoint")
-        return _finish_frequency(sf, "fixedpoint", lam, coords, int(iterations[0]), defect)
+        coords, defect = _on_simplex(a, a / g, lam, "fixedpoint")
+        return _finish_frequency(sf, "fixedpoint", lam, coords, steps, defect)
 
     warnings.warn(
-        f"fixed-point iteration did not contract within {max_iterations} steps; "
+        f"fixed-point iteration did not contract within {steps} steps; "
         "finishing with the safeguarded Newton solver",
         RuntimeWarning,
         stacklevel=2,
     )
     lam, coords, _, defect = batch_frequency_newton(a, g)
-    rescue = _finish_frequency(sf, "fixedpoint", lam, coords, max_iterations, defect)
+    rescue = _finish_frequency(sf, "fixedpoint", lam, coords, steps, defect)
     return replace(rescue, fallback=True)

@@ -55,9 +55,6 @@ def build_parser() -> _Parser:
     centroid.add_argument(
         "--mode", required=True, choices=[name for name, m in MODES.items() if m.solver]
     )
-    centroid.add_argument(
-        "--tol", type=float, default=None, help="solver tolerance (bisection and fixedpoint)"
-    )
     centroid.add_argument("--output", choices=("json", "csv"), default="json")
     centroid.add_argument(
         "--compare-exact",
@@ -93,8 +90,6 @@ def _check_kind(flag: str, mode: str, kind: str) -> None:
 def _run_centroid(args) -> int:
     # Every argument is checked before the data is read or a solver runs.
     _check_kind("--mode", args.mode, args.kind)
-    if args.tol is not None and not MODES[args.mode].tol:
-        raise ValidationError(f"--tol does not apply to --mode {args.mode}")
     if args.compare_exact and args.kind != KIND_FREQUENCY:
         raise ValidationError("--compare-exact requires --kind frequency")
     dataset = load_dataset(args.input, _CLI_FORMATS[args.format], args.kind)
@@ -104,18 +99,13 @@ def _run_centroid(args) -> int:
     solver = getattr(centroids, MODES[args.mode].solver)
 
     start = time.perf_counter()
-    # The solvers validate tol themselves.
-    result = solver(histograms) if args.tol is None else solver(histograms, args.tol)
+    result = solver(histograms)
 
     alpha = None
     if args.compare_exact:
-        # A default-tolerance bisection is its own exact reference.  A
-        # smaller --tol can classify a near-degenerate set differently, so
-        # any --tol gets a separate default solve.
-        if args.mode == "bisection" and args.tol is None:
-            exact = result
-        else:
-            exact = centroids.frequency_centroid_bisection(histograms)
+        # A bisection is its own exact reference.
+        bisection = centroids.frequency_centroid_bisection
+        exact = result if args.mode == "bisection" else bisection(histograms)
         alpha = result.objective / exact.objective if exact.objective > 0.0 else 1.0
     elapsed = time.perf_counter() - start
 

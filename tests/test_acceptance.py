@@ -233,8 +233,8 @@ def test_criterion_7_solver_agreement():
         n = int(rng.integers(2, 9))
         d = int(rng.integers(2, 65))
         s = random_frequency_set(rng, n=n, d=d)
-        b = frequency_centroid_bisection(s, tol=1e-12)
-        f = frequency_centroid_fixedpoint(s, tol=1e-14)
+        b = frequency_centroid_bisection(s)
+        f = frequency_centroid_fixedpoint(s)
         max_diff = max(max_diff, float(np.abs(b.centroid.bins - f.centroid.bins).max()))
         halvings_ok = halvings_ok and b.iterations == BISECTION_HALVINGS
         fp_iters.append(f.iterations)

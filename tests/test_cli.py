@@ -61,7 +61,7 @@ class TestCentroidCommand:
     def test_bisection_reports_52_iterations(self, pair_csv):
         code, out, _ = run_cli(
             ["centroid", "--input", pair_csv, "--format", "csv",
-             "--kind", "frequency", "--mode", "bisection", "--tol", "1e-12"]
+             "--kind", "frequency", "--mode", "bisection"]
         )
         assert code == EXIT_OK
         report = json.loads(out)
@@ -88,11 +88,7 @@ class TestCentroidCommand:
 
     def test_fixedpoint_rescue_is_reported(self, pair_csv, monkeypatch):
         # A one-step cap forces the rescue; the report carries its flag.
-        real = centroids.frequency_centroid_fixedpoint
-        monkeypatch.setattr(
-            centroids, "frequency_centroid_fixedpoint",
-            lambda s, *args: real(s, *args, max_iterations=1),
-        )
+        monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", 1)
         with pytest.warns(RuntimeWarning, match="Newton"):
             code, out, _ = run_cli(
                 ["centroid", "--input", pair_csv, "--format", "csv",
@@ -159,40 +155,26 @@ class TestCentroidCommand:
         assert code == EXIT_VALIDATION
         assert "frequency" in err
 
-    def test_bad_tol_is_validation_error(self, pair_csv):
-        for mode in ("bisection", "fixedpoint"):
-            for tol in ("-1", "nan", "inf"):
-                code, out, err = run_cli(
-                    ["centroid", "--input", pair_csv, "--format", "csv",
-                     "--kind", "frequency", "--mode", mode, "--tol", tol]
-                )
-                assert code == EXIT_VALIDATION
-                assert out == ""
-                assert "tol" in err
-
-    @pytest.mark.parametrize("mode", [n for n, m in MODES.items() if m.solver and not m.tol])
-    def test_tol_with_a_mode_that_ignores_it_is_validation_error(self, pair_csv, mode):
+    def test_tol_flag_is_gone(self, pair_csv):
         code, out, err = run_cli(
             ["centroid", "--input", pair_csv, "--format", "csv",
-             "--kind", "frequency", "--mode", mode, "--tol", "1e-12"]
+             "--kind", "frequency", "--mode", "bisection", "--tol", "1e-12"]
         )
-        assert code == EXIT_VALIDATION
+        assert code == EXIT_USAGE
         assert out == ""
         assert "--tol" in err
 
-    def test_tol_reaches_fixedpoint(self, pair_csv):
-        argv = ["centroid", "--input", pair_csv, "--format", "csv",
-                "--kind", "frequency", "--mode", "fixedpoint"]
-        coarse = json.loads(run_cli(argv + ["--tol", "1e-2"])[1])
-        fine = json.loads(run_cli(argv)[1])
-        assert coarse["iterations"] < fine["iterations"]
-
-    def test_unachievable_tol_is_numeric_failure(self, pair_csv):
-        code, _, _ = run_cli(
+    def test_solver_failure_is_numeric_failure(self, pair_csv, monkeypatch):
+        # W0 scaled by 4 moves the root out of the bracket: the final check raises.
+        real = centroids.lambert_w0_values
+        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x: 4.0 * real(x))
+        code, out, err = run_cli(
             ["centroid", "--input", pair_csv, "--format", "csv",
-             "--kind", "frequency", "--mode", "bisection", "--tol", "1e-18"]
+             "--kind", "frequency", "--mode", "bisection"]
         )
         assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "simplex defect" in err
 
     def test_missing_file_is_validation_error(self):
         code, _, err = run_cli(
@@ -238,11 +220,7 @@ class TestCentroidCommand:
         assert out == ""
         assert "--compare-exact" in err
 
-    @pytest.mark.parametrize("tol, solves", [(None, 1), ("1e-12", 2)])
-    def test_compare_exact_with_bisection_solves_once_without_tol(
-        self, pair_csv, monkeypatch, tol, solves
-    ):
-        # Only a --tol can make the mode's solve differ from the reference.
+    def test_compare_exact_with_bisection_solves_once(self, pair_csv, monkeypatch):
         calls = []
         real = centroids.frequency_centroid_bisection
 
@@ -253,9 +231,9 @@ class TestCentroidCommand:
         monkeypatch.setattr(centroids, "frequency_centroid_bisection", counting)
         argv = ["centroid", "--input", pair_csv, "--format", "csv",
                 "--kind", "frequency", "--mode", "bisection", "--compare-exact"]
-        code, out, _ = run_cli(argv + ([] if tol is None else ["--tol", tol]))
+        code, out, _ = run_cli(argv)
         assert code == EXIT_OK
-        assert len(calls) == solves
+        assert len(calls) == 1
         assert json.loads(out)["alpha_vs_exact"] == 1.0
 
 

@@ -26,6 +26,7 @@ from jeffreys.clustering import (
     _pairwise_jeffreys,
     _relocate,
 )
+from jeffreys.histograms import smooth_bins
 from jeffreys.lambertw import lambert_w0_values
 from conftest import planted_blobs, random_frequency_set
 
@@ -395,6 +396,46 @@ class TestRoundCost:
         direct = elementwise_costs(s.matrix, final)[rows, res.assignments]
         assert direct[donor] == 0.0
         assert trace[-1] == float(s.weights @ direct)
+
+
+@st.composite
+def duplicated_sets(draw):
+    """A frequency set of ``n`` rows drawn from ``u`` distinct ones, and a ``k`` up to ``n``.
+
+    Half the draws have fewer distinct rows than ``k``, so seeding falls
+    back to uniform picks, centres coincide and ties empty clusters.
+    """
+    n, d = draw(st.integers(2, 16)), draw(st.integers(2, 8))
+    k = draw(st.integers(1, n))
+    u = draw(st.integers(1, max(1, k - 1))) if draw(st.booleans()) else draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.dirichlet(np.full(d, draw(st.sampled_from([0.1, 1.0, 10.0]))), size=u)
+    picks = np.concatenate([np.arange(u), rng.integers(u, size=n - u)])
+    rows = smooth_bins(distinct[rng.permutation(picks)])
+    return WeightedHistogramSet(rows, frequency=True), k
+
+
+class TestHeavyDuplication:
+    """The tie policy of seeding, assignment and empty-cluster repair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=duplicated_sets(), seed=st.integers(0, 2**16))
+    def test_every_mode_keeps_k_clusters_and_a_true_trace(self, problem, seed):
+        s, k = problem
+        for mode in KMEANS_MODES:
+            cfg = ClusteringConfig(k=k, centroid_mode=mode, seed=seed)
+            res = kmeans(s, cfg)
+            assert np.bincount(res.assignments, minlength=k).min() >= 1
+            trace = res.objective_trace
+            assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
+            centers = np.vstack([c.bins for c in res.centroids])
+            direct = elementwise_costs(s.matrix, centers)[np.arange(s.n), res.assignments]
+            assert trace[-1] == float(s.weights @ direct)
+            again = kmeans(s, cfg)
+            assert np.array_equal(again.assignments, res.assignments)
+            assert again.objective_trace == trace
+            for x, y in zip(again.centroids, res.centroids):
+                assert np.array_equal(x.bins, y.bins)
 
 
 @st.composite

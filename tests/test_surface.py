@@ -30,8 +30,8 @@ def test_public_names():
 
 #: Every option string of each CLI subcommand, ``-h``/``--help`` included.
 EXPECTED_OPTIONS = {
-    "centroid": {"-h", "--help", "--input", "--format", "--kind", "--mode", "--tol",
-                 "--output", "--compare-exact"},
+    "centroid": {"-h", "--help", "--input", "--format", "--kind", "--mode", "--output",
+                 "--compare-exact"},
     "kmeans": {"-h", "--help", "--input", "--format", "--kind", "--k", "--seed",
                "--centroid-mode", "--max-iters"},
     "bench": {"-h", "--help", "--trials", "--dims", "--seed", "--threads"},
