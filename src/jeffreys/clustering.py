@@ -13,13 +13,14 @@ exact or approximate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means
 from .centroids import _simplex_coordinates, batch_frequency_newton
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
 
 
@@ -143,6 +144,8 @@ def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
     The first member is uniform; each later one is drawn with probability
     proportional to its Jeffreys divergence to the nearest member already
     chosen.  ``k == n`` returns every index.  Deterministic given ``seed``.
+    Divergences too large for a double leave no weights to draw by, and
+    raise :class:`NumericError`.
     """
     if k > s.n:
         raise ValidationError(f"k={k} exceeds the number of histograms n={s.n}")
@@ -156,6 +159,8 @@ def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
         dist = _pairwise_jeffreys(s, s.matrix[chosen[-1]][None, :])[1]
         nearest = np.minimum(nearest, dist)
         total = float(nearest.sum())
+        if not math.isfinite(total):
+            raise NumericError("k-means seeding: divergence weights are not finite")
         if total > 0.0:
             idx = int(rng.choice(s.n, p=nearest / total))
         else:

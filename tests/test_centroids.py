@@ -25,6 +25,7 @@ from jeffreys import (
 )
 from jeffreys.centroids import _means, _normalized_means, batch_frequency_bisection
 from jeffreys.centroids import batch_frequency_fixedpoint, batch_frequency_newton
+from jeffreys.centroids import _simplex_coordinates
 from jeffreys.histograms import smooth_bins
 from jeffreys.lambertw import lambert_w0_values
 from conftest import random_frequency_set, random_positive_set
@@ -414,7 +415,7 @@ class TestFixedPoint:
             assert r.lambda_star <= 0.0
             assert abs(r.lambda_star + kl(r.centroid, geom)) <= 1e-8
 
-    def test_cap_falls_back_to_bisection(self, rng, monkeypatch):
+    def test_cap_falls_back_to_newton(self, rng, monkeypatch):
         import jeffreys.centroids as centroids
 
         s = random_frequency_set(rng)
@@ -458,6 +459,25 @@ class TestBatchFixedPoint:
         # the identical-member row converges at once, the random ones need more
         assert converged[-1] and not converged[:-1].any()
 
+    def test_iterations_count_w0_passes(self, monkeypatch):
+        # Sparse rows take Aitken jumps, which reuse the last pass's values:
+        # every map evaluation is one W0 pass and nothing else calls W0.
+        import jeffreys.centroids as centroids
+
+        problems = [sparse_problem(seed, 0.01, 64, 5) for seed in (1, 2)]
+        a = np.vstack([arith for arith, _ in problems])
+        g = np.vstack([geom for _, geom in problems])
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape)
+            return lambert_w0_values(x)
+
+        monkeypatch.setattr(centroids, "lambert_w0_values", counting)
+        _, iterations, converged = batch_frequency_fixedpoint(a, g)
+        assert converged.all() and iterations.min() > 7
+        assert len(calls) == iterations.max()
+
 
 class TestFixedAccuracy:
     # Worst cases over 1,500 random and 3,600 corner sets (alpha 1e-3 / 1e-2 / 1,
@@ -491,6 +511,28 @@ class TestFixedAccuracy:
             assert simplex_defect <= 1e-12
             assert lam_star <= 0.0
             assert abs(lam_star + kl(c, geom.bins)) <= 2e-12
+
+    # Over 4,000 random sets of this domain the accelerated fixed point took
+    # at most 46 map evaluations (mean 17.6) and its multiplier was within
+    # 4.7e-15 * max(1, |lam|) of Newton's and the bisection's.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_alpha=st.floats(-3.0, 0.0),
+        d=st.integers(2, 512),
+        n=st.integers(2, 11),
+    )
+    def test_fixedpoint_converges_without_rescue(self, seed, log_alpha, d, n):
+        a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
+        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
+        assert converged[0] and iterations[0] <= 60
+        lam_b, coords_b, _, _ = batch_frequency_bisection(a, g)
+        lam_n = batch_frequency_newton(a, g)[0]
+        scale = max(1.0, abs(float(lam[0])))
+        assert abs(lam[0] - lam_n[0]) <= 5e-14 * scale
+        assert abs(lam[0] - lam_b[0]) <= 5e-14 * scale
+        coords = _simplex_coordinates(a, a / g, lam)
+        assert relative_gap(coords, coords_b) <= 1e-12
 
 
 class TestSandwich:

@@ -38,6 +38,16 @@ def identical_csv(tmp_path):
     return str(path)
 
 
+HUGE_ROWS = [[1e307, 1.7e308], [1.7e308, 1e307]]
+
+
+@pytest.fixture
+def huge_json(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"histograms": HUGE_ROWS}))
+    return str(path)
+
+
 @pytest.fixture
 def blobs_csv(tmp_path):
     rng = np.random.default_rng(123)
@@ -176,6 +186,19 @@ class TestCentroidCommand:
         assert out == ""
         assert "simplex defect" in err
 
+    # Finite members whose divergences exceed the double range: the centroid
+    # is finite, its objective overflows (numpy warns on the sum).
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_non_finite_objective_is_numeric_failure(self, huge_json, output):
+        code, out, err = run_cli(
+            ["centroid", "--input", huge_json, "--format", "json",
+             "--kind", "positive", "--mode", "positive", "--output", output]
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "objective is not finite" in err
+
     def test_missing_file_is_validation_error(self):
         code, _, err = run_cli(
             ["centroid", "--input", "/nonexistent.csv", "--format", "csv",
@@ -274,6 +297,18 @@ class TestKMeansCommand:
         )
         assert code == EXIT_VALIDATION
         assert "exceeds" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_seeding_weights_are_numeric_failure(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"histograms": [HUGE_ROWS[0], HUGE_ROWS[1], [1e307, 1.6e308]]}))
+        code, out, err = run_cli(
+            ["kmeans", "--input", str(path), "--format", "json", "--kind", "positive",
+             "--k", "2"]
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "seeding" in err
 
     def test_frequency_mode_on_positive_kind_is_rejected_before_solving(
         self, pair_csv, monkeypatch

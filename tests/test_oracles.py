@@ -126,6 +126,11 @@ class TestTrialHarness:
             expected = np.concatenate([getattr(first, f.name), getattr(second, f.name)])
             assert np.array_equal(getattr(data, f.name), expected)
 
+    @pytest.mark.parametrize("dims, mean", [(2, 3.7608642578125), (16, 5.8795166015625)])
+    def test_fixedpoint_iterations_golden(self, dims, mean):
+        # Dense trials never take an Aitken jump: the plain iteration's counts.
+        assert alpha_trial_harness(8192, dims, seed=0).mean_fixedpoint_iterations == mean
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             run_alpha_trials(0, 2)
