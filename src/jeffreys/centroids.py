@@ -24,11 +24,12 @@ solution ``lam = -KL(c : g) <= 0``.
 The multiplier solvers are written once, for ``T`` problems at a time:
 :func:`batch_frequency_bisection`, :func:`batch_frequency_newton` and
 :func:`batch_frequency_fixedpoint` take ``(T, d)`` normalized means, one
-problem per row.  The bisection always makes 54 ``W0`` passes; the
-safeguarded Newton on ``log s(lam) = 0`` keeps the same bracket and needs
-about seven.  Their accuracy is fixed: every solution ends in one check of
-its simplex defect against :data:`SIMPLEX_TOL`.  The scalar solvers run
-them at ``T = 1``; k-means runs Newton (``frequency_exact``) on every
+problem per row.  The bisection always makes 54 ``W0`` passes and starts
+each halving but the first from the previous pass's ``W``; the safeguarded
+Newton on ``log s(lam) = 0`` keeps the same bracket and needs about seven.
+Their accuracy is fixed: every solution ends in one check of its simplex
+defect against :data:`SIMPLEX_TOL`.  The scalar solvers run them at
+``T = 1``; k-means runs Newton (``frequency_exact``) on every
 cluster at once, the fixed point's rescue runs Newton, and the trial
 harness runs the bisection and the fixed point on every trial at once.
 
@@ -138,6 +139,17 @@ def _singleton_result(s: WeightedHistogramSet, mode: str) -> CentroidResult:
     )
 
 
+def _objective(c: Histogram, s: WeightedHistogramSet, mode: str) -> float:
+    """``jeffreys_to_set(c, s)``; a non-finite value raises :class:`NumericError`.
+
+    Finite members can still overflow the weighted sum of divergences.
+    """
+    objective = jeffreys_to_set(c, s)
+    if not np.isfinite(objective):
+        raise NumericError(f"{mode}: objective is not finite: {objective!r}")
+    return objective
+
+
 def _means(s: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
     a = s.weights @ s.matrix
     g = np.exp(s.weights @ s.log_matrix)
@@ -212,7 +224,7 @@ def positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
     return CentroidResult(
         centroid=c,
         mode="positive",
-        objective=jeffreys_to_set(c, s),
+        objective=_objective(c, s, "positive"),
         iterations=int(np.max(steps)),
         w_c=c.total,
     )
@@ -234,7 +246,7 @@ def normalized_positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
     return CentroidResult(
         centroid=c,
         mode="normalized",
-        objective=jeffreys_to_set(c, sf),
+        objective=_objective(c, sf, "normalized"),
         iterations=pos.iterations,
         w_c=w_c,
         bound_factor=1.0 / w_c,
@@ -251,7 +263,7 @@ def veldhuis_centroid(s: WeightedHistogramSet) -> CentroidResult:
     return CentroidResult(
         centroid=c,
         mode="veldhuis",
-        objective=jeffreys_to_set(c, sf),
+        objective=_objective(c, sf, "veldhuis"),
         iterations=0,
     )
 
@@ -288,18 +300,32 @@ def batch_frequency_bisection(
     with ``1 - s(0) <= DEGENERACY_TOL`` (identical members) keeps ``lam =
     0`` and 0 halvings.  A root outside the bracket (an inaccurate ``W0``)
     drives the halvings to the bracket's end, where the defect check
-    raises :class:`NumericError`.  Every row shares the 54 ``W0``
-    evaluations, and no row's result depends on the other rows.
+    raises :class:`NumericError`.  Every row shares the 54 ``W0`` passes
+    (one for the bracket, one per halving, one for the result), and no
+    row's result depends on the other rows.
+
+    Each halving after the first starts Halley from the previous pass's
+    ``W``.  ``W`` is convex in ``t = log x`` with ``dW/dt = W / (1 + W)``,
+    and consecutive midpoints move ``t`` by ``mid - prev``, so the tangent
+    ``W + (mid - prev) * W / (1 + W)`` is a lower bound on the new root,
+    off by ``O((mid - prev)**2)``; late halvings converge in one step.  The
+    bracket and the final coordinates keep the cold start, so the returned
+    centroid's ``W0`` values are those of :func:`_coordinates`.
     """
     ratio = a / g
     degenerate, lo = _bracket(a, g, ratio)
     hi = np.zeros(a.shape[0])
+    w = guess = prev = None
     # With every row degenerate, lo = hi = 0 and halving changes nothing.
     for _ in range(0 if degenerate.all() else BISECTION_HALVINGS):
         mid = 0.5 * (lo + hi)
-        ge = _coordinates(a, ratio, mid).sum(axis=1) >= 1.0
+        if w is not None:
+            guess = w + (mid - prev)[:, None] * w / (1.0 + w)
+        w = lambert_w0_values(ratio * np.exp(mid + 1.0)[:, None], guess=guess)
+        ge = (a / w).sum(axis=1) >= 1.0
         lo = np.where(ge, mid, lo)
         hi = np.where(ge, hi, mid)
+        prev = mid
     lam = 0.5 * (lo + hi)
     coords, defect = _on_simplex(a, ratio, lam, "bisection")
     return lam, coords, np.where(degenerate, 0, BISECTION_HALVINGS), defect
@@ -428,7 +454,7 @@ def _finish_frequency(
     return CentroidResult(
         centroid=c,
         mode=mode,
-        objective=jeffreys_to_set(c, sf),
+        objective=_objective(c, sf, mode),
         iterations=iterations,
         lambda_star=min(float(lam[0]), 0.0),
         simplex_defect=float(defect[0]),

@@ -81,9 +81,11 @@ def jeffreys_to_set(x, s: WeightedHistogramSet) -> float:
     if xb.shape != (m.shape[1],):
         raise ValidationError(f"dimension mismatch: {xb.shape} vs d={m.shape[1]}")
     # Members are strictly positive, so no term needs the 0*log(0) guard.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A zero bin in x or finite terms whose sum exceeds the double range give
+    # inf; the centroid solvers turn that into a NumericError.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = (m - xb) * (s.log_matrix - np.log(xb))
-    return float(s.weights @ terms.sum(axis=1))
+        return float(s.weights @ terms.sum(axis=1))
 
 
 def kl_to_set(x, s: WeightedHistogramSet) -> float:

@@ -20,6 +20,14 @@ stays finite for every finite double input, including ``x ~ 1e300`` where
 The array path runs each Halley step on every lane and freezes a
 converged lane with ``np.where``, so no lane is gathered or scattered and
 each lane's value and step count equal those of the scalar path.
+
+The array path can also start from a caller's ``guess`` per lane, as the
+multiplier bisection does with its tangent extrapolation of the previous
+pass's values.  A guess near the root converges in one or two steps
+instead of four.  The value is then within about two ulp of ``W0(x)``
+(1.96 at worst in 3 * 10**6 random lanes, for ``x`` near 1e-16, where one
+step from a guess far below already passes the absolute step test).  A
+lane whose guess is not finite or not positive takes the cold start above.
 """
 
 from __future__ import annotations
@@ -61,6 +69,13 @@ def _initial_guess(x: np.float64) -> np.float64:
     return lx - np.log(lx)
 
 
+def _cold_start(arr: np.ndarray) -> np.ndarray:
+    """:func:`_initial_guess` on every lane of a non-negative array."""
+    # log(max(x, e)) >= 1, so neither log warns on the lanes log1p serves.
+    lx = np.log(np.maximum(arr, math.e))
+    return np.where(arr >= math.e, lx - np.log(lx), np.log1p(arr))
+
+
 def lambert_w0(x: float) -> LambertEval:
     """Evaluate ``W0(x)`` for a scalar ``x >= 0``.
 
@@ -96,7 +111,7 @@ def lambert_w0(x: float) -> LambertEval:
     return LambertEval(value=w, iterations=steps, residual=residual)
 
 
-def lambert_w0_values(x, return_iterations: bool = False):
+def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
     """Evaluate ``W0`` elementwise over an array of non-negative values.
 
     The vectorized twin of :func:`lambert_w0`, step for step the same
@@ -104,6 +119,14 @@ def lambert_w0_values(x, return_iterations: bool = False):
     frozen by ``np.where`` (it keeps its value and its step count) while
     the rest keep iterating.  With ``return_iterations=True`` also returns
     the per-element Halley step counts.
+
+    ``guess``, broadcastable to ``x``, starts Halley from the caller's
+    values instead of the cold initial guesses.  A lane whose guess is not
+    finite or not ``> 0``, or whose ``x`` is 0, takes the cold start, which
+    is only computed when some lane needs it.  A guess close to the root
+    saves steps; the value is then within about two ulp of ``W0(x)``, see
+    the module docstring.  Without ``guess`` the result is bitwise that of
+    :func:`lambert_w0`.
     """
     arr = np.asarray(x, dtype=np.float64)
     squeeze = arr.ndim == 0
@@ -114,9 +137,13 @@ def lambert_w0_values(x, return_iterations: bool = False):
     if np.any(arr < 0.0):
         raise ValidationError("lambert_w0 is only defined for x >= 0")
 
-    # log(max(x, e)) >= 1, so neither log warns on the lanes log1p serves.
-    lx = np.log(np.maximum(arr, math.e))
-    w = np.where(arr >= math.e, lx - np.log(lx), np.log1p(arr))
+    if guess is None:
+        w = _cold_start(arr)
+    else:
+        w = np.broadcast_to(np.asarray(guess, dtype=np.float64), arr.shape)
+        cold = ~(np.isfinite(w) & (w > 0.0) & (arr > 0.0))
+        if cold.any():
+            w = np.where(cold, _cold_start(arr), w)
 
     iterations = np.zeros(arr.shape, dtype=np.int64)
     active = arr > 0.0

@@ -276,8 +276,10 @@ def run_alpha_trials(
         sq, size = args
         return _run_chunk(sq, size, histograms_per_trial, d)
 
+    # One thread maps inline: the pool starts no thread until a submit, and a
+    # pool thread's malloc arena would add to the peak memory.
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(job, zip(seeds, sizes)))
+        chunks = list((map if threads == 1 else pool.map)(job, zip(seeds, sizes)))
     return TrialData(**{
         f.name: np.concatenate([getattr(c, f.name) for c in chunks])
         for f in fields(TrialData)

@@ -1,4 +1,6 @@
-"""Shared generators for randomized tests."""
+"""Shared generators and references for randomized tests."""
+
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -47,6 +49,23 @@ def planted_blobs(rng, n=200, d=16, noise=0.05):
         noisy = bases[labels[j]] * np.exp(rng.normal(0.0, noise, size=d))
         rows[j] = noisy / noisy.sum()
     return rows, labels
+
+
+def w0_reference(x, w):
+    """``W0(x)`` to 60 digits: two Newton steps on ``w + ln w = ln x`` from ``w``.
+
+    Started from a double within a few ulps of ``W0(x)``, each step squares
+    the relative error, so two steps reach the 60-digit working precision.
+    The caller sets the decimal context.
+    """
+    ln_x = Decimal(x).ln()
+    r = Decimal(w)
+    ln_r = r.ln()
+    for _ in range(2):
+        nxt = r * (1 + ln_x - ln_r) / (1 + r)
+        ln_r += (nxt / r).ln()  # the log of a ratio near 1 is cheap
+        r = nxt
+    return r
 
 
 @pytest.fixture

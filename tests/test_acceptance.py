@@ -33,7 +33,7 @@ from jeffreys import (
 from jeffreys.cli import main as cli_main
 from jeffreys.centroids import MODES, _means
 from jeffreys.oracles import batch_jeffreys_to_set, batch_kl_to_set, random_frequency_rows
-from conftest import planted_blobs, random_frequency_set
+from conftest import planted_blobs, random_frequency_set, w0_reference
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -52,23 +52,6 @@ def report(criterion, ok, detail):
 def grouped_trials(seed=2026):
     for idx, (n, d, trials) in enumerate(SET_GROUPS):
         yield run_alpha_trials(trials, d, seed=seed + idx, histograms_per_trial=n)
-
-
-def w0_reference(x, w):
-    """``W0(x)`` to 60 digits: two Newton steps on ``w + ln w = ln x`` from ``w``.
-
-    Started from a double within a few ulps of ``W0(x)``, each step squares
-    the relative error, so two steps reach the 60-digit working precision.
-    The caller sets the decimal context.
-    """
-    ln_x = Decimal(x).ln()
-    r = Decimal(w)
-    ln_r = r.ln()
-    for _ in range(2):
-        nxt = r * (1 + ln_x - ln_r) / (1 + r)
-        ln_r += (nxt / r).ln()  # the log of a ratio near 1 is cheap
-        r = nxt
-    return r
 
 
 def test_criterion_1_lambert_round_trip():

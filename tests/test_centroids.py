@@ -28,6 +28,7 @@ from jeffreys.centroids import batch_frequency_fixedpoint, batch_frequency_newto
 from jeffreys.centroids import _simplex_coordinates
 from jeffreys.histograms import smooth_bins
 from jeffreys.lambertw import lambert_w0_values
+from jeffreys.oracles import random_frequency_rows
 from conftest import random_frequency_set, random_positive_set
 
 CANONICAL = [[0.5, 0.5], [0.9, 0.1]]
@@ -92,6 +93,31 @@ class TestPositiveCentroid:
                     bumped = c.copy()
                     bumped[i] += sign * 1e-4 * c[i]
                     assert jeffreys_to_set(bumped, s) >= base - 1e-15
+
+
+class TestExtremeBins:
+    # Finite members at the ends of the double range (ROADMAP direction 3).
+    def test_overflowing_objective_is_numeric_error(self):
+        # Defect B: the centroid is finite, but the weighted sum of the
+        # divergences exceeds the double range.  No bare numpy warning.
+        s = WeightedHistogramSet([[1e307, 1.7e308], [1.7e308, 1e307]])
+        with pytest.raises(NumericError, match="positive: objective is not finite"):
+            positive_centroid(s)
+
+    def test_empty_bin_centre_is_infinitely_far(self):
+        s = WeightedHistogramSet([[0.5, 0.5], [0.9, 0.1]], frequency=True)
+        assert jeffreys_to_set([1.0, 0.0], s) == math.inf
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=(ValidationError, RuntimeWarning),
+        reason="defect A: a / g overflows before W0 (ROADMAP direction 3)",
+    )
+    def test_overflowing_ratio_has_finite_centroid(self):
+        # mpmath: a = 3.33e299, g = 1e-100 in the first bin, so a / g = 3.3e399.
+        s = WeightedHistogramSet([[1e300, 1.0], [1e-300, 1.0], [1e-300, 1.0]])
+        c = positive_centroid(s).centroid.bins
+        assert c == pytest.approx([3.6465e296, 1.0], rel=1e-4)
 
 
 class TestNormalizedPositiveCentroid:
@@ -261,7 +287,9 @@ class TestBatchBisection:
         import jeffreys.centroids as centroids
 
         arith, geom = normalized_means(canonical_set())
-        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x: 4.0 * lambert_w0_values(x))
+        monkeypatch.setattr(
+            centroids, "lambert_w0_values", lambda x, **kw: 4.0 * lambert_w0_values(x, **kw)
+        )
         with pytest.raises(NumericError, match="simplex defect"):
             batch_frequency_bisection(arith.bins[None, :], geom.bins[None, :])
 
@@ -273,15 +301,75 @@ class TestBatchBisection:
         arith, geom = normalized_means(canonical_set())
         calls = []
 
-        def off_on_last_pass(x):
+        def off_on_last_pass(x, **kw):
             calls.append(1)
-            w = lambert_w0_values(x)
+            w = lambert_w0_values(x, **kw)
             return w * (1.0 + 1e-6) if len(calls) == 1 + BISECTION_HALVINGS + 1 else w
 
         monkeypatch.setattr(centroids, "lambert_w0_values", off_on_last_pass)
         with pytest.raises(NumericError, match="simplex defect"):
             batch_frequency_bisection(arith.bins[None, :], geom.bins[None, :])
         assert len(calls) == 1 + BISECTION_HALVINGS + 1
+
+
+class TestWarmBisection:
+    @staticmethod
+    def uniform_problems(d, trials=2000):
+        """The trial harness's problems: pairs of uniform(0.01, 1) rows."""
+        rows = random_frequency_rows(np.random.default_rng(d), trials, 2, d)
+        a = rows.mean(axis=1)
+        return _normalized_means(a, np.exp(np.log(rows).mean(axis=1)))
+
+    @staticmethod
+    def sparse_problems():
+        problems = [sparse_problem(seed, 0.01, 64, 2 + seed % 10) for seed in range(40)]
+        return np.vstack([a for a, _ in problems]), np.vstack([g for _, g in problems])
+
+    @pytest.mark.parametrize("d", [2, 16, "sparse"])
+    def test_matches_cold_start(self, monkeypatch, d):
+        # Measured on these inputs: |lam_warm - lam_cold| at most 3.4 eps,
+        # coordinates 0.5 eps apart, 1.69 to 1.76 Halley steps per pass
+        # (2.39 to 2.48 when the guess is the previous W without the tangent).
+        import jeffreys.centroids as centroids
+
+        a, g = self.sparse_problems() if d == "sparse" else self.uniform_problems(d)
+        a, g = np.vstack([a, a[:1]]), np.vstack([g, a[:1]])  # one degenerate row
+        steps = []
+
+        def counting(x, **kw):
+            w, n = lambert_w0_values(x, return_iterations=True, **kw)
+            steps.append(int(n.max()))
+            return w
+
+        monkeypatch.setattr(centroids, "lambert_w0_values", counting)
+        lam, coords, halvings, _ = batch_frequency_bisection(a, g)
+        # The cold reference drops every guess.
+        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x, **kw: lambert_w0_values(x))
+        cold_lam, cold_coords, cold_halvings, _ = batch_frequency_bisection(a, g)
+
+        eps = np.finfo(np.float64).eps
+        assert np.abs(lam - cold_lam).max() <= 8.0 * eps
+        assert np.abs(coords - cold_coords).max() <= 8.0 * eps
+        assert np.array_equal(halvings, cold_halvings)
+        # At d = 2 a few trials are degenerate too, as in the harness.
+        assert set(halvings) == {0, BISECTION_HALVINGS} and halvings[-1] == 0
+        assert len(steps) == 1 + BISECTION_HALVINGS + 1
+        assert np.mean(steps) <= 2.0
+
+    def test_first_halving_and_result_start_cold(self, monkeypatch):
+        import jeffreys.centroids as centroids
+
+        a, g = self.uniform_problems(2, trials=50)
+        guesses = []
+
+        def recording(x, **kw):
+            guesses.append(kw.get("guess"))
+            return lambert_w0_values(x, **kw)
+
+        monkeypatch.setattr(centroids, "lambert_w0_values", recording)
+        batch_frequency_bisection(a, g)
+        cold = [i for i, guess in enumerate(guesses) if guess is None]
+        assert cold == [0, 1, 1 + BISECTION_HALVINGS]
 
 
 def sparse_problem(seed, alpha, d, n):

@@ -177,7 +177,7 @@ class TestCentroidCommand:
     def test_solver_failure_is_numeric_failure(self, pair_csv, monkeypatch):
         # W0 scaled by 4 moves the root out of the bracket: the final check raises.
         real = centroids.lambert_w0_values
-        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x: 4.0 * real(x))
+        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x, **kw: 4.0 * real(x, **kw))
         code, out, err = run_cli(
             ["centroid", "--input", pair_csv, "--format", "csv",
              "--kind", "frequency", "--mode", "bisection"]
@@ -187,8 +187,7 @@ class TestCentroidCommand:
         assert "simplex defect" in err
 
     # Finite members whose divergences exceed the double range: the centroid
-    # is finite, its objective overflows (numpy warns on the sum).
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # is finite, its objective overflows, and the solver raises NumericError.
     @pytest.mark.parametrize("output", ["json", "csv"])
     def test_non_finite_objective_is_numeric_failure(self, huge_json, output):
         code, out, err = run_cli(

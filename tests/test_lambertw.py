@@ -1,11 +1,16 @@
 """Tests of the Lambert W evaluation against an independent bisection oracle."""
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jeffreys import NumericError, ValidationError, lambert_w0, lambert_w0_values
+from jeffreys.lambertw import _MAX_STEPS
+from conftest import w0_reference
 
 EPS = np.finfo(np.float64).eps
 
@@ -134,3 +139,69 @@ class TestContract:
         for _ in range(200):
             x = float(np.exp(rng.uniform(-5.0, 12.0)))
             assert lambert_w0(x).value == pytest.approx(w_bisection_oracle(x), abs=1e-12)
+
+
+def ulps_from_reference(xs, ws):
+    """Largest distance of each ``ws`` from the 60-digit ``W0(xs)``, in ulps of ``ws``."""
+    with localcontext(Context(prec=60)):
+        return max(
+            float(abs(Decimal(w) - w0_reference(x, w)) / Decimal(math.ulp(w)))
+            for x, w in zip(map(float, xs), map(float, ws))
+        )
+
+
+class TestWarmStart:
+    # The multiplier bisection's warm start: the root at x, then x moved by
+    # e^delta and the tangent guess w + delta * w / (1 + w).  |delta| up to
+    # 1 + ln 4096 covers the first warm halving at d = 4096.
+    SPAN = 1.0 + math.log(4096.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(st.floats(math.log(1e-300), math.log(1e300)), st.floats(-SPAN, SPAN)),
+            min_size=1,
+            max_size=32,
+        )
+    )
+    def test_tangent_guess_converges_near_reference(self, lanes):
+        # Over 3 * 10**6 random lanes of this domain (2 * 10**6 with x < 1e-8):
+        # at most 7 steps, and at most 1.96 ulp warm, near x = 1e-16, where one
+        # step from a guess far below already passes the absolute step test.
+        # The cold start reads up to 1.29 ulp off criterion 1's grid, where
+        # criterion 1 bounds it by 1.
+        log_x, delta = np.array(lanes).T
+        x = np.exp(log_x)
+        w = lambert_w0_values(x)
+        moved = x * np.exp(delta)
+        warm, steps = lambert_w0_values(
+            moved, return_iterations=True, guess=w + delta * w / (1.0 + w)
+        )
+        assert steps.max() <= _MAX_STEPS
+        assert ulps_from_reference(moved, warm) <= 2.5
+
+    def test_late_halving_takes_one_step(self):
+        x = np.logspace(-300.0, 300.0, 601)
+        w = lambert_w0_values(x)
+        delta = 1e-12
+        warm, steps = lambert_w0_values(
+            x * np.exp(delta), return_iterations=True, guess=w + delta * w / (1.0 + w)
+        )
+        assert steps.max() == 1
+        assert ulps_from_reference(x * np.exp(delta), warm) <= 2.5
+
+    def test_unusable_guesses_take_the_cold_start(self):
+        x = np.array([0.0, 0.5, 3.0, 1e10, 1e300, 0.0])
+        guess = np.array([1.0, np.nan, np.inf, 0.0, -2.0, 0.0])
+        cold, cold_steps = lambert_w0_values(x, return_iterations=True)
+        warm, warm_steps = lambert_w0_values(x, return_iterations=True, guess=guess)
+        # x == 0 returns 0 whatever its guess; the other lanes match bitwise.
+        assert np.array_equal(warm, cold) and np.array_equal(warm_steps, cold_steps)
+        assert warm[0] == 0.0 and warm_steps[0] == 0
+
+    def test_guess_broadcasts_and_squeezes(self):
+        x = np.array([[0.5, 2.0], [30.0, 1e5]])
+        scalar, full = lambert_w0_values(x, guess=1.0), lambert_w0_values(x, guess=np.ones((2, 2)))
+        assert np.array_equal(scalar, full)
+        value, steps = lambert_w0_values(1.0, return_iterations=True, guess=0.5671432904097838)
+        assert value == pytest.approx(0.5671432904097838, rel=2 * EPS) and steps == 1

@@ -1,6 +1,7 @@
 """Brute-force oracles and the randomized trial harness."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ class TestTrialHarness:
         b = run_alpha_trials(trials, 2, seed=5, threads=4)
         assert np.array_equal(a.alpha_normalized, b.alpha_normalized)
         assert np.array_equal(a.w_c, b.w_c)
+
+    @pytest.mark.parametrize("threads, pooled", [(1, False), (2, True)])
+    def test_one_thread_maps_inline(self, monkeypatch, threads, pooled):
+        # A pool thread would add its malloc arena to the peak memory.
+        run_chunk, seen = oracles._run_chunk, []
+
+        def recording(*args):
+            seen.append(threading.current_thread() is not threading.main_thread())
+            return run_chunk(*args)
+
+        monkeypatch.setattr(oracles, "_run_chunk", recording)
+        run_alpha_trials(oracles._CHUNK_SIZE + 10, 2, seed=5, threads=threads)
+        assert seen == [pooled, pooled]
 
     def test_chunks_in_stream_order(self):
         # Every field is the chunks' arrays, one chunk per spawned stream, in order.
