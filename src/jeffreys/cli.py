@@ -147,7 +147,11 @@ def _run_kmeans(args) -> int:
         "centroid_mode": cfg.centroid_mode,
         "seed": cfg.seed,
     }
-    sys.stdout.write(json.dumps(payload) + "\n")
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"k-means output is not finite: {exc}") from exc
+    sys.stdout.write(text + "\n")
     sys.stderr.write(f"kmeans finished in {elapsed:.3f}s, {result.iterations} rounds\n")
     return EXIT_OK
 

@@ -75,9 +75,11 @@ def _row_costs(
     """``J(h_j, c_assign[j])`` of every row, summed elementwise over the bins.
 
     An integer ``assign`` names one centre for every row, which is
-    broadcast instead of gathered ``n`` times.
+    broadcast instead of gathered ``n`` times.  A cost beyond the double
+    range is ``inf``, without a warning; the callers decide what it means.
     """
-    return ((matrix - centers[assign]) * (log_matrix - np.log(centers)[assign])).sum(axis=1)
+    with np.errstate(over="ignore"):
+        return ((matrix - centers[assign]) * (log_matrix - np.log(centers)[assign])).sum(axis=1)
 
 
 def _expanded_costs(
@@ -170,6 +172,18 @@ def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
             idx = int(rng.choice(remaining))
         chosen.append(idx)
     return np.array(chosen)
+
+
+def _trace_entry(weights: np.ndarray, costs: np.ndarray) -> float:
+    """The weighted objective of the rows' ``costs``; a non-finite one raises.
+
+    Finite members can have divergences beyond the double range; the
+    trace then refuses the round with :class:`NumericError`.
+    """
+    objective = float(weights @ costs)
+    if not math.isfinite(objective):
+        raise NumericError(f"k-means: objective is not finite: {objective!r}")
+    return objective
 
 
 def _repair_empty(assign: np.ndarray, costs: np.ndarray, k: int) -> np.ndarray:
@@ -277,7 +291,8 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     the relocation guard and the trace entry read those costs or the
     candidates' own.  Stops when assignments repeat, when the trace did not
     decrease, or after ``max_iterations`` rounds.  The trace records the
-    weighted objective after each relocation and never increases.
+    weighted objective after each relocation and never increases; an
+    objective beyond the double range raises :class:`NumericError`.
     """
     frequency = MODES[cfg.centroid_mode].frequency
     if frequency:
@@ -303,7 +318,7 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
             matrix, log_matrix, s.weights, assignments, centers, costs, cfg.centroid_mode
         )
         rounds += 1
-        trace.append(float(s.weights @ kept_costs))
+        trace.append(_trace_entry(s.weights, kept_costs))
         if len(trace) >= 2 and trace[-1] >= trace[-2]:
             # Refresh assignments against the final centroids.  A cluster
             # the refresh empties is repaired and takes its donor as its
@@ -315,7 +330,7 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
             refreshed_costs[donors] = 0.0
             if not np.array_equal(refreshed, assignments):
                 assignments = refreshed
-                trace.append(float(s.weights @ refreshed_costs))
+                trace.append(_trace_entry(s.weights, refreshed_costs))
             break
 
     assignments = np.asarray(assignments, dtype=np.int64)

@@ -1,9 +1,8 @@
 """Principal branch of the Lambert W function on the non-negative reals.
 
 ``W0(x)`` is the unique ``w >= 0`` with ``w * exp(w) = x`` for ``x >= 0``.
-It is evaluated with Halley's root-finding iteration, which converges to
-within one ulp of ``W0(x)`` in at most five steps from the initial guesses
-used here:
+It is evaluated with Halley's root-finding iteration, which converges in
+at most five steps from the initial guesses used here:
 
 * ``w0 = log1p(x)`` for ``x < e`` (an upper bound on ``W0``),
 * ``w0 = log(x) - log(log(x))`` for ``x >= e`` (a lower bound on ``W0``).
@@ -17,8 +16,15 @@ so no intermediate ever computes ``exp(w)`` on its own; the scaled residual
 stays finite for every finite double input, including ``x ~ 1e300`` where
 ``w > 680``.  The denominator is bounded away from zero on ``w >= 0``.
 
-The array path runs each Halley step on every lane and freezes a
-converged lane with ``np.where``, so no lane is gathered or scattered and
+The result is within one ulp of ``W0(x)`` on criterion 1's grid of 10**4
+points over ``[1e-300, 1e300]``, but not everywhere.  Off that grid about
+one ``x`` in 400 of ``[1e-10, 0.1]`` lands more than one ulp away (515 of
+2 * 10**5 log-uniform samples, at most 1.41 ulp), and 2 * 10**5 samples
+of ``[1e-3, 1e-2]`` reached 1.45 ulp, at ``x = 3.8e-3``.
+
+The array path runs each Halley step on every lane, into a few buffers
+allocated once per call, and freezes a converged lane with
+``np.copyto(..., where=active)``, so no lane is gathered or scattered and
 each lane's value and step count equal those of the scalar path.
 
 The array path can also start from a caller's ``guess`` per lane, as the
@@ -115,10 +121,11 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
     """Evaluate ``W0`` elementwise over an array of non-negative values.
 
     The vectorized twin of :func:`lambert_w0`, step for step the same
-    arithmetic.  Every Halley step runs on every lane; a converged lane is
-    frozen by ``np.where`` (it keeps its value and its step count) while
-    the rest keep iterating.  With ``return_iterations=True`` also returns
-    the per-element Halley step counts.
+    arithmetic.  Every Halley step runs on every lane, writing into
+    buffers of its own; a converged lane is frozen (it keeps its value and
+    its step count) while the rest keep iterating.  ``x`` and ``guess`` are
+    never written.  With ``return_iterations=True`` also returns the
+    per-element Halley step counts, which are only counted then.
 
     ``guess``, broadcastable to ``x``, starts Halley from the caller's
     values instead of the cold initial guesses.  A lane whose guess is not
@@ -142,26 +149,49 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
     else:
         w = np.broadcast_to(np.asarray(guess, dtype=np.float64), arr.shape)
         cold = ~(np.isfinite(w) & (w > 0.0) & (arr > 0.0))
-        if cold.any():
-            w = np.where(cold, _cold_start(arr), w)
+        # A fresh array either way: the steps write into w, never into guess.
+        w = np.where(cold, _cold_start(arr), w) if cold.any() else w.copy()
 
-    iterations = np.zeros(arr.shape, dtype=np.int64)
     active = arr > 0.0
+    iterations = np.zeros(arr.shape, dtype=np.int64) if return_iterations else None
+    # Every step reuses these: the residual, the step, one scratch buffer
+    # (which also holds the stepped value) and the convergence test.
+    r, step, tmp = (np.empty_like(w) for _ in range(3))
+    done = np.empty(arr.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
         if not active.any():
             break
-        r = w - arr * np.exp(-w)
-        step = r / ((1.0 + w) - r * (2.0 + w) / (2.0 + 2.0 * w))
-        stepped = w - step
-        w = np.where(active, stepped, w)
-        iterations += active
-        active &= ~(np.abs(step) <= _EPS * (1.0 + np.abs(stepped)))
+        # r = w - arr * exp(-w)
+        np.negative(w, out=tmp)
+        np.exp(tmp, out=tmp)
+        np.multiply(arr, tmp, out=tmp)
+        np.subtract(w, tmp, out=r)
+        # step = r / ((1 + w) - r * (2 + w) / (2 + 2 w))
+        np.add(w, 2.0, out=tmp)
+        np.multiply(r, tmp, out=tmp)
+        np.multiply(w, 2.0, out=step)
+        np.add(step, 2.0, out=step)
+        np.divide(tmp, step, out=tmp)
+        np.add(w, 1.0, out=step)
+        np.subtract(step, tmp, out=step)
+        np.divide(r, step, out=step)
+        np.subtract(w, step, out=tmp)
+        np.copyto(w, tmp, where=active)
+        if return_iterations:
+            iterations += active
+        # active &= ~(|step| <= eps * (1 + |w - step|)): a NaN step stays active.
+        np.abs(tmp, out=tmp)
+        np.add(tmp, 1.0, out=tmp)
+        np.multiply(tmp, _EPS, out=tmp)
+        np.abs(step, out=r)
+        np.less_equal(r, tmp, out=done)
+        np.logical_not(done, out=done)
+        np.logical_and(active, done, out=active)
     if np.any(active):
         raise NumericError("Halley iteration did not converge for some entries")
 
     if squeeze:
         w = w[0]
-        iterations = int(iterations[0])
     if return_iterations:
-        return w, iterations
+        return w, int(iterations[0]) if squeeze else iterations
     return w

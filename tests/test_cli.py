@@ -7,7 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from jeffreys import MODES, ValidationError, WeightedHistogramSet, centroids, clustering
+from jeffreys import (
+    MODES,
+    FrequencyHistogram,
+    ValidationError,
+    WeightedHistogramSet,
+    centroids,
+    clustering,
+)
 from jeffreys.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from jeffreys.reports import RunReport
 from conftest import planted_blobs
@@ -297,7 +304,6 @@ class TestKMeansCommand:
         assert code == EXIT_VALIDATION
         assert "exceeds" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_seeding_weights_are_numeric_failure(self, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"histograms": [HUGE_ROWS[0], HUGE_ROWS[1], [1e307, 1.6e308]]}))
@@ -308,6 +314,37 @@ class TestKMeansCommand:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "seeding" in err
+
+    def test_overflowing_objective_is_numeric_failure(self, tmp_path):
+        path = tmp_path / "huge.json"
+        rows = [*HUGE_ROWS, [1e307, 1.6e308], [1e307, 1.6e308]]
+        path.write_text(json.dumps({"histograms": rows}))
+        code, out, err = run_cli(
+            ["kmeans", "--input", str(path), "--format", "json", "--kind", "positive",
+             "--k", "1"]
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "objective is not finite" in err
+
+    def test_non_finite_output_is_numeric_failure(self, pair_csv, monkeypatch):
+        # The payload itself refuses a non-finite number, whatever produced it.
+        def infinite(s, cfg):
+            return clustering.ClusteringResult(
+                assignments=np.zeros(s.n, dtype=np.int64),
+                centroids=(FrequencyHistogram(s.matrix[0]),),
+                objective_trace=(float("inf"),),
+                iterations=1,
+            )
+
+        monkeypatch.setattr("jeffreys.cli.kmeans", infinite)
+        code, out, err = run_cli(
+            ["kmeans", "--input", pair_csv, "--format", "csv", "--kind", "frequency",
+             "--k", "1"]
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "not finite" in err
 
     def test_frequency_mode_on_positive_kind_is_rejected_before_solving(
         self, pair_csv, monkeypatch

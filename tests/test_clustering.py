@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jeffreys import (
     ClusteringConfig,
+    NumericError,
     ValidationError,
     WeightedHistogramSet,
     frequency_centroid_bisection,
@@ -100,6 +101,14 @@ class TestKMeans:
         res = kmeans(s, ClusteringConfig(k=6, seed=0))
         assert res.objective_trace[-1] == pytest.approx(0.0, abs=1e-12)
         assert sorted(res.assignments) == list(range(6))
+
+    def test_overflowing_objective_is_numeric_error(self):
+        # Finite members whose divergences to their centroid exceed the double
+        # range: the round's objective is inf, which raises with no numpy warning.
+        s = WeightedHistogramSet([[1e307, 1.7e308], [1.7e308, 1e307], [1e307, 1.6e308],
+                                  [1e307, 1.6e308]])
+        with pytest.raises(NumericError, match="objective is not finite"):
+            kmeans(s, ClusteringConfig(k=1, seed=0))
 
     def test_k_one_positive_mode(self, rng):
         s = small_frequency_set(rng)
@@ -336,8 +345,9 @@ class TestRoundCost:
             assert entry == float(s.weights @ costs)
 
     def test_stalled_trace_refreshes_from_one_matrix(self, rng, monkeypatch):
-        # A stall is rare on real data, so round 2's trace entry is forced
-        # up; the refresh then reads its new entry from one final assignment.
+        # A stall is rare on real data, so round 2's trace entry is forced up
+        # (finite: an infinite one raises); the refresh then reads its new
+        # entry from one final assignment.
         s = small_frequency_set(rng, n=40, d=8)
         cfg = ClusteringConfig(k=4, seed=3)
         assert kmeans(s, cfg).iterations >= 3
@@ -347,7 +357,7 @@ class TestRoundCost:
             kept, costs = _relocate(*args)
             rounds.append((args[3].copy(), kept))
             if len(rounds) == 2:
-                costs = np.full_like(costs, np.inf)
+                costs = np.full_like(costs, 1e300)
             return kept, costs
 
         monkeypatch.setattr(clustering, "_relocate", stalling)

@@ -140,6 +140,26 @@ class TestTrialHarness:
             expected = np.concatenate([getattr(first, f.name), getattr(second, f.name)])
             assert np.array_equal(getattr(data, f.name), expected)
 
+    @pytest.mark.parametrize(
+        "d, n, trials, block",
+        [
+            (16, 2, 2500, None),  # 1024-row blocks, the last one partial
+            (300, 11, 200, None),  # 54-row blocks: BLAS rounds a row by its place
+            (2, 2, 2500, 2048),  # 1024-row blocks; the real ones hold a whole chunk
+            (oracles._BLOCK_ELEMENTS + 1, 2, 3, None),  # one row per block
+        ],
+    )
+    def test_blocks_equal_one_shot(self, monkeypatch, d, n, trials, block):
+        sq = np.random.SeedSequence(17)
+        if block is not None:
+            monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", block)
+        assert trials > max(1, oracles._BLOCK_ELEMENTS // d)  # at least two blocks
+        blocked = oracles._run_chunk(sq, trials, n, d)
+        monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", trials * d)
+        one_shot = oracles._run_chunk(sq, trials, n, d)
+        for f in dataclasses.fields(oracles.TrialData):
+            assert np.array_equal(getattr(blocked, f.name), getattr(one_shot, f.name)), f.name
+
     @pytest.mark.parametrize("dims, mean", [(2, 3.7608642578125), (16, 5.8795166015625)])
     def test_fixedpoint_iterations_golden(self, dims, mean):
         # Dense trials never take an Aitken jump: the plain iteration's counts.
