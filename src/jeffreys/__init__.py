@@ -21,26 +21,11 @@ from .centroids import (
 )
 from .clustering import ClusteringConfig, ClusteringResult, kmeans, seed_centroids
 from .datasets import DatasetFile, load_dataset, read_pgm, write_dataset
-from .divergences import (
-    cross_entropy,
-    entropy,
-    extended_kl,
-    jeffreys,
-    jeffreys_to_set,
-    kl,
-    kl_to_set,
-)
+from .divergences import jeffreys, jeffreys_to_set
 from .errors import NumericError, ValidationError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet, smooth_bins
-from .lambertw import LambertEval, lambert_w0, lambert_w0_values
-from .oracles import (
-    AlphaTrialStats,
-    OracleSolution,
-    alpha_trial_harness,
-    oracle_frequency_centroid,
-    oracle_positive_centroid,
-    run_alpha_trials,
-)
+from .lambertw import lambert_w0_values
+from .oracles import AlphaTrialStats, alpha_trial_harness, run_alpha_trials
 from .reports import RunReport
 
 __version__ = "0.1.0"
@@ -54,31 +39,21 @@ __all__ = [
     "DatasetFile",
     "FrequencyHistogram",
     "Histogram",
-    "LambertEval",
     "MODES",
     "NumericError",
-    "OracleSolution",
     "RunReport",
     "ValidationError",
     "WeightedHistogramSet",
     "alpha_trial_harness",
-    "cross_entropy",
-    "entropy",
-    "extended_kl",
     "frequency_centroid_bisection",
     "frequency_centroid_fixedpoint",
     "jeffreys",
     "jeffreys_to_set",
-    "kl",
-    "kl_to_set",
     "kmeans",
-    "lambert_w0",
     "lambert_w0_values",
     "load_dataset",
     "normalized_means",
     "normalized_positive_centroid",
-    "oracle_frequency_centroid",
-    "oracle_positive_centroid",
     "positive_centroid",
     "read_pgm",
     "run_alpha_trials",

@@ -20,6 +20,7 @@ import numpy as np
 
 from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means
 from .centroids import _simplex_coordinates, batch_frequency_newton
+from .divergences import jeffreys_rows
 from .errors import NumericError, ValidationError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
 
@@ -69,19 +70,6 @@ class ClusteringResult:
         }
 
 
-def _row_costs(
-    matrix: np.ndarray, log_matrix: np.ndarray, centers: np.ndarray, assign: np.ndarray | int
-) -> np.ndarray:
-    """``J(h_j, c_assign[j])`` of every row, summed elementwise over the bins.
-
-    An integer ``assign`` names one centre for every row, which is
-    broadcast instead of gathered ``n`` times.  A cost beyond the double
-    range is ``inf``, without a warning; the callers decide what it means.
-    """
-    with np.errstate(over="ignore"):
-        return ((matrix - centers[assign]) * (log_matrix - np.log(centers)[assign])).sum(axis=1)
-
-
 def _expanded_costs(
     s: WeightedHistogramSet, centers: np.ndarray, log_centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -92,21 +80,23 @@ def _expanded_costs(
     by at most its slack, ``2 (d + 4) eps (h.|log h| + c.|log c| +
     h.|log c| + c.|log h|)``: twice the two sums' worst-case rounding
     error, so the slack also covers the rounding of the comparisons that
-    read it.
+    read it.  Near the top of the double range an entry can overflow to
+    ``inf`` or ``nan``, without a warning; its row is then unsure.
     """
     abs_log, abs_log_centers = np.abs(s.log_matrix), np.abs(log_centers)
-    costs = (
-        s.row_xlogx[:, None]
-        + (centers * log_centers).sum(axis=1)
-        - s.matrix @ log_centers.T
-        - s.log_matrix @ centers.T
-    )
-    slack = (2 * (s.d + 4) * np.finfo(np.float64).eps) * (
-        (s.matrix * abs_log).sum(axis=1)[:, None]
-        + (centers * abs_log_centers).sum(axis=1)
-        + s.matrix @ abs_log_centers.T
-        + abs_log @ centers.T
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = (
+            s.row_xlogx[:, None]
+            + (centers * log_centers).sum(axis=1)
+            - s.matrix @ log_centers.T
+            - s.log_matrix @ centers.T
+        )
+        slack = (2 * (s.d + 4) * np.finfo(np.float64).eps) * (
+            (s.matrix * abs_log).sum(axis=1)[:, None]
+            + (centers * abs_log_centers).sum(axis=1)
+            + s.matrix @ abs_log_centers.T
+            + abs_log @ centers.T
+        )
     return costs, slack
 
 
@@ -124,20 +114,23 @@ def _pairwise_jeffreys(
     """
     matrix, log_matrix = s.matrix, s.log_matrix
     k = centers.shape[0]
-    if k == 1:
-        return np.zeros(s.n, dtype=np.intp), _row_costs(matrix, log_matrix, centers, 0)
     log_centers = np.log(centers)
+    if k == 1:
+        return np.zeros(s.n, dtype=np.intp), jeffreys_rows(
+            matrix, log_matrix, centers[0], log_centers[0]
+        )
     costs, slack = _expanded_costs(s, centers, log_centers)
     assign = costs.argmin(axis=1)
     rows = np.arange(s.n)
-    top = costs[rows, assign] + slack[rows, assign]
     # NaN compares False, so a row with one is unsure as well.
-    unsure = np.flatnonzero((~(costs - slack > top[:, None])).sum(axis=1) > 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = costs[rows, assign] + slack[rows, assign]
+        unsure = np.flatnonzero((~(costs - slack > top[:, None])).sum(axis=1) > 1)
     if unsure.size:
         h, log_h = matrix[unsure], log_matrix[unsure]
-        exact = np.stack([_row_costs(h, log_h, centers, m) for m in range(k)], axis=1)
-        assign[unsure] = exact.argmin(axis=1)
-    return assign, _row_costs(matrix, log_matrix, centers, assign)
+        exact = [jeffreys_rows(h, log_h, centers[m], log_centers[m]) for m in range(k)]
+        assign[unsure] = np.stack(exact, axis=1).argmin(axis=1)
+    return assign, jeffreys_rows(matrix, log_matrix, centers[assign], log_centers[assign])
 
 
 def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
@@ -160,7 +153,8 @@ def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
     while len(chosen) < k:
         dist = _pairwise_jeffreys(s, s.matrix[chosen[-1]][None, :])[1]
         nearest = np.minimum(nearest, dist)
-        total = float(nearest.sum())
+        with np.errstate(over="ignore"):
+            total = float(nearest.sum())
         if not math.isfinite(total):
             raise NumericError("k-means seeding: divergence weights are not finite")
         if total > 0.0:
@@ -273,7 +267,7 @@ def _relocate(
     # Keep the previous centroid when the update does not improve the
     # within-cluster objective; this pins down monotone convergence for
     # the approximate modes.
-    new_costs = _row_costs(matrix, log_matrix, candidates, assign)
+    new_costs = jeffreys_rows(matrix, log_matrix, candidates[assign], np.log(candidates)[assign])
     new_objectives = np.bincount(assign, weights=row_weights * new_costs, minlength=k)
     old_objectives = np.bincount(assign, weights=row_weights * costs, minlength=k)
     better = new_objectives <= old_objectives
@@ -308,9 +302,8 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     while rounds < cfg.max_iterations:
         new_assign, costs = _pairwise_jeffreys(s, centers)
         donors = _repair_empty(new_assign, costs, cfg.k)
-        costs[donors] = _row_costs(
-            matrix[donors], log_matrix[donors], centers, new_assign[donors]
-        )
+        c = centers[new_assign[donors]]
+        costs[donors] = jeffreys_rows(matrix[donors], log_matrix[donors], c, np.log(c))
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign

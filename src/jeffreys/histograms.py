@@ -177,8 +177,13 @@ class WeightedHistogramSet:
 
     @cached_property
     def row_xlogx(self) -> np.ndarray:
-        """``sum_i h_i log h_i`` of every row, computed once per set."""
-        out = (self.matrix * self.log_matrix).sum(axis=1)
+        """``sum_i h_i log h_i`` of every row, computed once per set.
+
+        A row near the top of the double range sums to ``inf``, without a
+        warning; k-means recomputes such rows elementwise.
+        """
+        with np.errstate(over="ignore"):
+            out = (self.matrix * self.log_matrix).sum(axis=1)
         out.flags.writeable = False
         return out
 

@@ -22,14 +22,16 @@ one ``x`` in 400 of ``[1e-10, 0.1]`` lands more than one ulp away (515 of
 2 * 10**5 log-uniform samples, at most 1.41 ulp), and 2 * 10**5 samples
 of ``[1e-3, 1e-2]`` reached 1.45 ulp, at ``x = 3.8e-3``.
 
-The array path runs each Halley step on every lane, into a few buffers
+:func:`lambert_w0_values` is the one evaluation, for scalars and arrays
+alike.  It runs each Halley step on every lane, into a few buffers
 allocated once per call, and freezes a converged lane with
 ``np.copyto(..., where=active)``, so no lane is gathered or scattered and
-each lane's value and step count equal those of the scalar path.
+a lane's value and step count do not depend on its neighbours: a 0-d call
+returns the same double as that lane inside any array.
 
-The array path can also start from a caller's ``guess`` per lane, as the
-multiplier bisection does with its tangent extrapolation of the previous
-pass's values.  A guess near the root converges in one or two steps
+It can also start from a caller's ``guess`` per lane, as the multiplier
+bisection does with its tangent extrapolation of the previous pass's
+values.  A guess near the root converges in one or two steps
 instead of four.  The value is then within about two ulp of ``W0(x)``
 (1.96 at worst in 3 * 10**6 random lanes, for ``x`` near 1e-16, where one
 step from a guess far below already passes the absolute step test).  A
@@ -39,7 +41,6 @@ lane whose guess is not finite or not positive takes the cold start above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,78 +53,21 @@ _EPS = float(np.finfo(np.float64).eps)
 _MAX_STEPS = 10
 
 
-@dataclass(frozen=True)
-class LambertEval:
-    """A converged ``W0`` evaluation with convergence diagnostics.
-
-    ``residual`` is ``|value * exp(value) - x| / x`` (zero when ``x == 0``).
-    The round trip amplifies the rounding of ``value`` by ``(1 + W) / W``,
-    so for large ``W`` the residual cannot go below about
-    ``ulp(W) / 2 * (1 + W) / W`` even for the correctly rounded double; a
-    reading of about 257 eps at ``x = 1e300`` (``W ~ 684``) is expected.
-    """
-
-    value: float
-    iterations: int
-    residual: float
-
-
-def _initial_guess(x: np.float64) -> np.float64:
-    if x < math.e:
-        return np.log1p(x)
-    lx = np.log(x)
-    return lx - np.log(lx)
-
-
 def _cold_start(arr: np.ndarray) -> np.ndarray:
-    """:func:`_initial_guess` on every lane of a non-negative array."""
+    """The initial guess of the module docstring on every lane of a non-negative array."""
     # log(max(x, e)) >= 1, so neither log warns on the lanes log1p serves.
     lx = np.log(np.maximum(arr, math.e))
     return np.where(arr >= math.e, lx - np.log(lx), np.log1p(arr))
 
 
-def lambert_w0(x: float) -> LambertEval:
-    """Evaluate ``W0(x)`` for a scalar ``x >= 0``.
-
-    Returns the value together with the number of Halley steps taken and
-    the relative defining-equation residual.  Raises ``ValidationError``
-    for negative or non-finite arguments.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError(f"lambert_w0 requires a finite argument, got {x!r}")
-    if x < 0.0:
-        raise ValidationError(f"lambert_w0 is only defined for x >= 0, got {x!r}")
-    if x == 0.0:
-        return LambertEval(value=0.0, iterations=0, residual=0.0)
-
-    # numpy ufuncs on np.float64, not math.*, so that every step rounds
-    # exactly as in lambert_w0_values and both paths return the same double.
-    # A loop of its own because a one-element lambert_w0_values call costs
-    # about ten times as much.
-    xf = np.float64(x)
-    w = _initial_guess(xf)
-    for steps in range(1, _MAX_STEPS + 1):
-        r = w - xf * np.exp(-w)
-        step = r / ((1.0 + w) - r * (2.0 + w) / (2.0 + 2.0 * w))
-        w -= step
-        if abs(step) <= _EPS * (1.0 + abs(w)):
-            break
-    else:
-        raise NumericError(f"Halley iteration did not converge for x={x!r}")
-
-    w = float(w)
-    residual = abs(w * math.exp(w) - x) / x
-    return LambertEval(value=w, iterations=steps, residual=residual)
-
-
 def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
-    """Evaluate ``W0`` elementwise over an array of non-negative values.
+    """Evaluate ``W0`` elementwise over non-negative values.
 
-    The vectorized twin of :func:`lambert_w0`, step for step the same
-    arithmetic.  Every Halley step runs on every lane, writing into
-    buffers of its own; a converged lane is frozen (it keeps its value and
-    its step count) while the rest keep iterating.  ``x`` and ``guess`` are
+    A 0-d ``x`` (a Python or numpy scalar) gives a numpy scalar, and its
+    step count as an ``int``.  Raises ``ValidationError`` for negative or
+    non-finite arguments.  Every Halley step runs on every lane, writing
+    into buffers of its own; a converged lane is frozen (it keeps its value
+    and its step count) while the rest keep iterating.  ``x`` and ``guess`` are
     never written.  With ``return_iterations=True`` also returns the
     per-element Halley step counts, which are only counted then.
 
@@ -132,8 +76,7 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
     finite or not ``> 0``, or whose ``x`` is 0, takes the cold start, which
     is only computed when some lane needs it.  A guess close to the root
     saves steps; the value is then within about two ulp of ``W0(x)``, see
-    the module docstring.  Without ``guess`` the result is bitwise that of
-    :func:`lambert_w0`.
+    the module docstring.
     """
     arr = np.asarray(x, dtype=np.float64)
     squeeze = arr.ndim == 0

@@ -1,5 +1,6 @@
 """Shared generators and references for randomized tests."""
 
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -66,6 +67,18 @@ def w0_reference(x, w):
         ln_r += (nxt / r).ln()  # the log of a ratio near 1 is cheap
         r = nxt
     return r
+
+
+def w0_residual(x, w):
+    """Relative round-trip residual ``|w e^w - x| / x`` of ``w ~ W0(x)``; 0 at ``x == 0``.
+
+    The round trip amplifies the rounding of ``w`` by ``(1 + w) / w``, so
+    for large ``w`` it cannot go below about ``ulp(w) / 2 * (1 + w) / w``
+    even for the correctly rounded double; a reading of about 257 eps at
+    ``x = 1e300`` (``w ~ 684``) is expected.
+    """
+    x, w = float(x), float(w)
+    return abs(w * math.exp(w) - x) / x if x else 0.0
 
 
 @pytest.fixture

@@ -327,6 +327,21 @@ class TestKMeansCommand:
         assert out == ""
         assert "objective is not finite" in err
 
+    def test_huge_members_cluster_without_warnings(self, tmp_path):
+        # The rows of the test above at k = n: the costs overflow while
+        # assigning, the elementwise recompute decides, and nothing warns.
+        path = tmp_path / "huge.json"
+        rows = [*HUGE_ROWS, [1e307, 1.6e308], [1e307, 1.6e308]]
+        path.write_text(json.dumps({"histograms": rows}))
+        code, out, _ = run_cli(
+            ["kmeans", "--input", str(path), "--format", "json", "--kind", "positive",
+             "--k", "4"]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["assignments"] == [0, 1, 3, 2]
+        assert payload["objective_trace"] == [0.0]
+
     def test_non_finite_output_is_numeric_failure(self, pair_csv, monkeypatch):
         # The payload itself refuses a non-finite number, whatever produced it.
         def infinite(s, cfg):

@@ -84,6 +84,13 @@ class TestSeeding:
         with pytest.raises(ValidationError):
             seed_centroids(s, 4, seed=0)
 
+    def test_overflowing_weight_sum_is_numeric_error(self):
+        # Every divergence is finite but their sum is not: a NumericError,
+        # with no numpy warning before it.
+        s = WeightedHistogramSet([[1.0, 1.0], [1e305, 1.0], [1.0, 1e305], [1e305, 1e305]])
+        with pytest.raises(NumericError, match="seeding"):
+            seed_centroids(s, 2, seed=0)
+
 
 class TestConfigValidation:
     def test_bad_values(self):
@@ -109,6 +116,21 @@ class TestKMeans:
                                   [1e307, 1.6e308]])
         with pytest.raises(NumericError, match="objective is not finite"):
             kmeans(s, ClusteringConfig(k=1, seed=0))
+
+    @pytest.mark.parametrize(
+        "rows, assignments",
+        [
+            ([[1e307, 1.7e308], [1.7e308, 1e307], [1e307, 1.6e308], [1e307, 1.6e308]],
+             [0, 1, 3, 2]),
+            ([[1.7e308, 1.0], [1.0, 1.0]], [0, 1]),
+        ],
+    )
+    def test_huge_members_assign_without_warnings(self, rows, assignments):
+        # h.log h and the expanded costs overflow to inf or nan; those rows are
+        # unsure and recomputed elementwise, with no numpy warning.
+        res = kmeans(WeightedHistogramSet(rows), ClusteringConfig(k=len(rows), seed=0))
+        assert res.assignments.tolist() == assignments
+        assert res.objective_trace == (0.0,)
 
     def test_k_one_positive_mode(self, rng):
         s = small_frequency_set(rng)

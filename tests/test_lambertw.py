@@ -1,6 +1,7 @@
 """Tests of the Lambert W evaluation against an independent bisection oracle."""
 
 import math
+import sys
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jeffreys import NumericError, ValidationError, lambert_w0, lambert_w0_values
+from jeffreys import ValidationError, lambert_w0_values
 from jeffreys.lambertw import _MAX_STEPS
-from conftest import w0_reference
+from conftest import w0_reference, w0_residual
 
 EPS = np.finfo(np.float64).eps
 
@@ -30,27 +31,33 @@ def w_bisection_oracle(x, tol=1e-15):
     return 0.5 * (lo + hi)
 
 
+def w0(x):
+    """``(W0(x), Halley steps)`` from a 0-d call of :func:`lambert_w0_values`."""
+    value, steps = lambert_w0_values(x, return_iterations=True)
+    return float(value), steps
+
+
 class TestKnownValues:
     def test_zero(self):
-        ev = lambert_w0(0.0)
-        assert ev.value == 0.0
-        assert ev.iterations == 0
-        assert ev.residual == 0.0
+        value, steps = w0(0.0)
+        assert value == 0.0
+        assert steps == 0
+        assert w0_residual(0.0, value) == 0.0
 
     def test_at_e(self):
         # 1 * e^1 = e
-        assert lambert_w0(math.e).value == pytest.approx(1.0, abs=1e-15)
+        assert w0(math.e)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_omega_constant(self):
         oracle = w_bisection_oracle(1.0)
         assert oracle == pytest.approx(0.56714329040978, abs=1e-13)
-        assert lambert_w0(1.0).value == pytest.approx(oracle, abs=1e-13)
-        assert lambert_w0(1.0).value == pytest.approx(0.5671432904097838, abs=2e-16)
+        assert w0(1.0)[0] == pytest.approx(oracle, abs=1e-13)
+        assert w0(1.0)[0] == pytest.approx(0.5671432904097838, abs=2e-16)
 
     def test_two_e_over_sqrt3(self):
         x = 2.0 * math.e / math.sqrt(3.0)
         oracle = w_bisection_oracle(x)
-        value = lambert_w0(x).value
+        value = w0(x)[0]
         assert value == pytest.approx(oracle, abs=1e-13)
         assert value == pytest.approx(1.0731980311854256, abs=5e-15)
 
@@ -58,11 +65,11 @@ class TestKnownValues:
 class TestContract:
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
-            lambert_w0(-1.0)
+            lambert_w0_values(-1.0)
         with pytest.raises(ValidationError):
-            lambert_w0(float("nan"))
+            lambert_w0_values(float("nan"))
         with pytest.raises(ValidationError):
-            lambert_w0(float("inf"))
+            lambert_w0_values(float("inf"))
         with pytest.raises(ValidationError):
             lambert_w0_values(np.array([1.0, -2.0]))
 
@@ -70,8 +77,7 @@ class TestContract:
         # Where W(x) <= 7 the round trip is exact to a few epsilons.
         xs = np.logspace(-300, math.log10(7000.0), 4001)
         for x in xs:
-            ev = lambert_w0(float(x))
-            assert ev.residual <= 4.0 * EPS
+            assert w0_residual(x, w0(x)[0]) <= 4.0 * EPS
 
     def test_round_trip_conditioning_bound(self):
         # The representable limit: |w e^w - x| / x cannot beat
@@ -80,23 +86,21 @@ class TestContract:
         # multiple of it across the full double range.
         xs = np.logspace(-300, 300, 4001)
         for x in xs:
-            ev = lambert_w0(float(x))
-            assert ev.residual <= (2.0 + ev.value) * EPS
+            value = w0(x)[0]
+            assert w0_residual(x, value) <= (2.0 + value) * EPS
 
     def test_iteration_budget(self):
         xs = np.logspace(-300, 300, 10001)
         for x in xs:
-            assert lambert_w0(float(x)).iterations <= 5
+            assert w0(x)[1] <= 5
 
     def test_extremes_of_double_range(self):
-        import sys
-
         for x in (sys.float_info.max, sys.float_info.min, 5e-324, 2.0 ** 1023):
-            ev = lambert_w0(x)
-            assert ev.iterations <= 5
-            assert math.isfinite(ev.value)
-            assert ev.residual <= (2.0 + ev.value) * EPS
-        assert lambert_w0(5e-324).value == 5e-324
+            value, steps = w0(x)
+            assert steps <= 5
+            assert math.isfinite(value)
+            assert w0_residual(x, value) <= (2.0 + value) * EPS
+        assert w0(5e-324)[0] == 5e-324
 
     def test_monotone(self):
         xs = np.logspace(-300, 300, 10001)
@@ -105,40 +109,39 @@ class TestContract:
 
     def test_w_at_least_one_beyond_e(self):
         for x in (math.e, 3.0, 10.0, 1e5, 1e80):
-            assert lambert_w0(x).value >= 1.0
+            assert w0(x)[0] >= 1.0
 
-    def test_scalar_and_array_paths_agree(self):
-        xs = np.logspace(-20, 20, 997)
-        w_arr, its = lambert_w0_values(xs, return_iterations=True)
-        for x, w, it in zip(xs, w_arr, its):
-            ev = lambert_w0(float(x))
-            assert ev.value == pytest.approx(w, rel=4 * EPS)
-            assert it <= 5
-        assert lambert_w0_values(np.float64(1.0)) == pytest.approx(0.5671432904097838)
-
-    def test_scalar_and_array_paths_agree_bitwise(self, rng):
-        # Criterion 1's grid, random arguments over the double range, and
-        # the edge lanes: zero, subnormals, both sides of the guess switch
-        # at e, and the top of the range.
-        edges = [0.0, 5e-324, 1e-310, math.e, np.nextafter(math.e, 0.0), 1.0, 1e300]
-        xs = np.concatenate([np.logspace(-300.0, 300.0, 10**4),
-                             np.exp(rng.uniform(-700.0, 700.0, 2000)), edges])
-        evals = [lambert_w0(float(x)) for x in xs]
+    def test_lanes_are_independent(self, rng):
+        # A lane's value and step count do not depend on its neighbours: a 0-d
+        # call, a one-element call, the lane inside the whole array and the
+        # lane inside a 2-D reshape of it agree bitwise.  The array is
+        # criterion 1's grid, random arguments over the double range, and the
+        # edge lanes: zero, subnormals, both sides of the guess switch at e,
+        # and the top of the range.
+        grid = np.logspace(-300.0, 300.0, 10**4)
+        edges = [0.0, 5e-324, 1e-310, math.e, np.nextafter(math.e, 0.0), 1.0, 1e300,
+                 sys.float_info.max]
+        xs = np.concatenate([grid, np.exp(rng.uniform(-700.0, 700.0, 2000)), edges])
         values, steps = lambert_w0_values(xs, return_iterations=True)
-        assert np.array_equal([e.value for e in evals], values)
-        assert np.array_equal([e.iterations for e in evals], steps)
-
-        # A lane's value and step count do not depend on its neighbours.
-        mixed = rng.permutation(np.concatenate([rng.choice(xs, 301), edges])).reshape(-1, 7)
-        values, steps = lambert_w0_values(mixed, return_iterations=True)
-        for x, w, n in zip(mixed.flat, values.flat, steps.flat):
-            alone, alone_steps = lambert_w0_values(np.float64(x), return_iterations=True)
-            assert alone == w and alone_steps == n
+        values_2d, steps_2d = lambert_w0_values(xs.reshape(-1, 8), return_iterations=True)
+        assert np.array_equal(values_2d.ravel(), values)
+        assert np.array_equal(steps_2d.ravel(), steps)
+        picks = np.concatenate([
+            rng.choice(grid.size, 300, replace=False),
+            grid.size + rng.choice(2000, 50, replace=False),
+            np.arange(xs.size - len(edges), xs.size),
+        ])
+        for i in picks:
+            alone, alone_steps = lambert_w0_values(xs[i], return_iterations=True)
+            one, one_steps = lambert_w0_values(xs[i : i + 1], return_iterations=True)
+            assert alone.shape == () and isinstance(alone_steps, int)
+            assert alone == one[0] == values[i] and alone_steps == one_steps[0] == steps[i]
+        assert lambert_w0_values(np.float64(1.0)) == pytest.approx(0.5671432904097838)
 
     def test_random_round_trip_against_oracle(self, rng):
         for _ in range(200):
             x = float(np.exp(rng.uniform(-5.0, 12.0)))
-            assert lambert_w0(x).value == pytest.approx(w_bisection_oracle(x), abs=1e-12)
+            assert w0(x)[0] == pytest.approx(w_bisection_oracle(x), abs=1e-12)
 
 
 def ulps_from_reference(xs, ws):

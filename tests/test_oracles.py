@@ -1,4 +1,4 @@
-"""Brute-force oracles and the randomized trial harness."""
+"""The brute-force oracles of ``references`` and the randomized trial harness."""
 
 import dataclasses
 import threading
@@ -11,14 +11,13 @@ from jeffreys import (
     WeightedHistogramSet,
     alpha_trial_harness,
     frequency_centroid_bisection,
-    oracle_frequency_centroid,
-    oracle_positive_centroid,
     positive_centroid,
     run_alpha_trials,
     veldhuis_centroid,
 )
 from jeffreys import oracles
 from conftest import random_frequency_set, random_positive_set
+from references import oracle_frequency_centroid, oracle_positive_centroid
 
 
 class TestPositiveOracle:

@@ -9,15 +9,12 @@ from jeffreys import cli
 
 EXPECTED_ALL = {
     "AlphaTrialStats", "BISECTION_HALVINGS", "CentroidResult", "ClusteringConfig",
-    "ClusteringResult", "DatasetFile", "FrequencyHistogram", "Histogram", "LambertEval",
-    "MODES", "NumericError", "OracleSolution", "RunReport", "ValidationError",
-    "WeightedHistogramSet", "alpha_trial_harness", "cross_entropy", "entropy",
-    "extended_kl", "frequency_centroid_bisection", "frequency_centroid_fixedpoint",
-    "jeffreys", "jeffreys_to_set", "kl", "kl_to_set", "kmeans", "lambert_w0",
-    "lambert_w0_values", "load_dataset", "normalized_means", "normalized_positive_centroid",
-    "oracle_frequency_centroid", "oracle_positive_centroid", "positive_centroid",
-    "read_pgm", "run_alpha_trials", "seed_centroids", "smooth_bins", "veldhuis_centroid",
-    "write_dataset",
+    "ClusteringResult", "DatasetFile", "FrequencyHistogram", "Histogram", "MODES",
+    "NumericError", "RunReport", "ValidationError", "WeightedHistogramSet",
+    "alpha_trial_harness", "frequency_centroid_bisection", "frequency_centroid_fixedpoint",
+    "jeffreys", "jeffreys_to_set", "kmeans", "lambert_w0_values", "load_dataset",
+    "normalized_means", "normalized_positive_centroid", "positive_centroid", "read_pgm",
+    "run_alpha_trials", "seed_centroids", "smooth_bins", "veldhuis_centroid", "write_dataset",
 }
 
 
