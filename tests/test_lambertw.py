@@ -111,6 +111,28 @@ class TestContract:
         for x in (math.e, 3.0, 10.0, 1e5, 1e80):
             assert w0(x)[0] >= 1.0
 
+    def test_scalar_and_array_paths_agree(self):
+        xs = np.logspace(-20, 20, 997)
+        w_arr, its = lambert_w0_values(xs, return_iterations=True)
+        for x, w, it in zip(xs, w_arr, its):
+            assert w0(float(x))[0] == pytest.approx(w, rel=4 * EPS)
+            assert it <= 5
+        assert lambert_w0_values(np.float64(1.0)) == pytest.approx(0.5671432904097838)
+
+    def test_scalar_and_array_paths_agree_bitwise(self, rng):
+        # Every lane of criterion 1's grid, of random arguments over the
+        # double range and of the edge lanes (zero, subnormals, both sides of
+        # the guess switch at e, the top of the range) gives bitwise the same
+        # value and step count from a 0-d call of a Python float as inside
+        # the array call.
+        edges = [0.0, 5e-324, 1e-310, math.e, np.nextafter(math.e, 0.0), 1.0, 1e300]
+        xs = np.concatenate([np.logspace(-300.0, 300.0, 10**4),
+                             np.exp(rng.uniform(-700.0, 700.0, 2000)), edges])
+        scalars = [w0(float(x)) for x in xs]
+        values, steps = lambert_w0_values(xs, return_iterations=True)
+        assert np.array_equal([value for value, _ in scalars], values)
+        assert np.array_equal([n for _, n in scalars], steps)
+
     def test_lanes_are_independent(self, rng):
         # A lane's value and step count do not depend on its neighbours: a 0-d
         # call, a one-element call, the lane inside the whole array and the
