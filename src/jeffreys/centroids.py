@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergences import jeffreys_to_set
+from .divergences import _row_sums, jeffreys_to_set
 from .errors import NumericError
 from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
 from .lambertw import lambert_w0_values
@@ -158,7 +158,7 @@ def _means(s: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
 
 def _normalized_means(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Arithmetic and geometric means divided by their sums along the last axis."""
-    return a / a.sum(axis=-1, keepdims=True), g / g.sum(axis=-1, keepdims=True)
+    return a / _row_sums(a)[..., None], g / _row_sums(g)[..., None]
 
 
 def normalized_means(s: WeightedHistogramSet) -> tuple[FrequencyHistogram, FrequencyHistogram]:
@@ -188,12 +188,12 @@ def _coordinates(a: np.ndarray, ratio: np.ndarray, lam=0.0, return_iterations: b
 def _simplex_coordinates(a: np.ndarray, ratio: np.ndarray, lam) -> np.ndarray:
     """``c(lam)`` divided by its row sums: the fixed point's iterate."""
     coords = _coordinates(a, ratio, lam)
-    return coords / coords.sum(axis=-1, keepdims=True)
+    return coords / _row_sums(coords)[..., None]
 
 
 def _kl_multiplier(x: np.ndarray, log_g: np.ndarray) -> np.ndarray:
     """``-KL(x : g)`` per row, the multiplier the fixed point takes from ``x``."""
-    return -(x * (np.log(x) - log_g)).sum(axis=-1)
+    return -_row_sums(x * (np.log(x) - log_g))
 
 
 def _on_simplex(a: np.ndarray, ratio: np.ndarray, lam: np.ndarray, mode: str):
@@ -203,7 +203,7 @@ def _on_simplex(a: np.ndarray, ratio: np.ndarray, lam: np.ndarray, mode: str):
     :data:`SIMPLEX_TOL` raises :class:`NumericError`.
     """
     coords = _coordinates(a, ratio, lam)
-    mass = coords.sum(axis=1)
+    mass = _row_sums(coords)
     defect = np.abs(mass - 1.0)
     if np.any(defect > SIMPLEX_TOL):
         raise NumericError(f"{mode}: simplex defect {defect.max():.3e} > {SIMPLEX_TOL}")
@@ -278,7 +278,7 @@ def _bracket(a: np.ndarray, g: np.ndarray, ratio: np.ndarray):
     the bracket ``[max_i(a_i + log g_i) - 1, 0]``; ``s(lower) >= 1`` holds
     analytically there, since the coordinate that attains the max is 1.
     """
-    degenerate = 1.0 - _coordinates(a, ratio).sum(axis=1) <= DEGENERACY_TOL
+    degenerate = 1.0 - _row_sums(_coordinates(a, ratio)) <= DEGENERACY_TOL
     lo = np.where(degenerate, 0.0, (a + np.log(g)).max(axis=1) - 1.0)
     return degenerate, lo
 
@@ -322,7 +322,7 @@ def batch_frequency_bisection(
         if w is not None:
             guess = w + (mid - prev)[:, None] * w / (1.0 + w)
         w = lambert_w0_values(ratio * np.exp(mid + 1.0)[:, None], guess=guess)
-        ge = (a / w).sum(axis=1) >= 1.0
+        ge = _row_sums(a / w) >= 1.0
         lo = np.where(ge, mid, lo)
         hi = np.where(ge, hi, mid)
         prev = mid
@@ -365,8 +365,8 @@ def batch_frequency_newton(
             break
         w = lambert_w0_values(ratio * np.exp(lam + 1.0)[:, None])
         c = a / w
-        mass = c.sum(axis=1)
-        raw = np.log(mass) * mass / (c / (1.0 + w)).sum(axis=1)
+        mass = _row_sums(c)
+        raw = np.log(mass) * mass / _row_sums(c / (1.0 + w))
         done = np.abs(raw) <= _NEWTON_STEP * np.maximum(1.0, np.abs(lam))
         above = mass >= 1.0
         lo = np.where(active & above, lam, lo)
@@ -397,10 +397,12 @@ def batch_frequency_fixedpoint(
         c_l = normalize(a / W0(a * exp(lam_{l-1} + 1) / g))
         lam_l = -KL(c_l : g)
 
-    until ``|lam_l - lam_{l-1}| <= FIXEDPOINT_TOL``; a converged row keeps
-    its multiplier and its count while the others go on, for at most
-    ``_FIXEDPOINT_CAP`` steps.  Returns ``(lam, iterations, converged)`` per
-    row; a row that reaches the cap unconverged has ``converged`` False.
+    until ``|lam_l - lam_{l-1}| <= FIXEDPOINT_TOL``, for at most
+    ``_FIXEDPOINT_CAP`` steps.  A converged row retires: it keeps its
+    multiplier and its count, and later passes evaluate only the rows still
+    running, so a pass costs ``W0`` lanes for those rows alone.  Returns
+    ``(lam, iterations, converged)`` per row; a row that reaches the cap
+    unconverged has ``converged`` False.
 
     On sparse sets the steps ``d_l = lam_l - lam_{l-1}`` alternate in sign
     and shrink slowly.  A row whose step is not converged, alternates with
@@ -414,25 +416,41 @@ def batch_frequency_fixedpoint(
     ratio = a / g
     log_g = np.log(g)
     lam = _kl_multiplier(a, log_g)
-    iterations = np.zeros(a.shape[0], dtype=np.int64)
-    active = np.ones(a.shape[0], dtype=bool)
+    # Each row's results, written when it retires or reaches the cap.
+    lam_out = np.empty(a.shape[0])
+    iterations = np.full(a.shape[0], _FIXEDPOINT_CAP, dtype=np.int64)
+    converged_out = np.zeros(a.shape[0], dtype=bool)
+    # The running rows' indices into the results; a, ratio, log_g, lam and
+    # prev hold those rows only.
+    rows = np.arange(a.shape[0])
     # The previous plain step per row; 0 where there is none, or a jump reset it.
     prev = np.zeros(a.shape[0])
-    for _ in range(_FIXEDPOINT_CAP):
+    for step in range(1, _FIXEDPOINT_CAP + 1):
+        if not rows.size:
+            break
         lam_next = _kl_multiplier(_simplex_coordinates(a, ratio, lam), log_g)
         delta = lam_next - lam
-        iterations += active
         converged = np.abs(delta) <= FIXEDPOINT_TOL
         alternating = (delta * prev < 0.0) & (np.abs(delta) > 0.5 * np.abs(prev)) & ~converged
         # Opposite signs keep the denominator away from zero on alternating rows.
         aitken = lam_next - delta**2 / np.where(alternating, delta - prev, 1.0)
         jump = alternating & (aitken <= 0.0)
-        lam = np.where(active, np.where(jump, aitken, lam_next), lam)
+        lam = np.where(jump, aitken, lam_next)
         prev = np.where(jump, 0.0, delta)
-        active &= ~converged
-        if not active.any():
-            break
-    return lam, iterations, ~active
+        if converged.any():
+            retired = np.flatnonzero(converged)
+            done = rows[retired]
+            lam_out[done] = lam[retired]
+            iterations[done] = step
+            converged_out[done] = True
+            # Rebinding frees the arrays that hold retired rows.  take() on
+            # row indices copies far faster than a boolean mask on (T, d).
+            keep = np.flatnonzero(~converged)
+            rows, a, ratio, log_g, lam, prev = (
+                x.take(keep, axis=0) for x in (rows, a, ratio, log_g, lam, prev)
+            )
+    lam_out[rows] = lam
+    return lam_out, iterations, converged_out
 
 
 def _frequency_problem(sf: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:

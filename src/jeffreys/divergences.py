@@ -4,7 +4,9 @@ All values are in nats.  The Jeffreys divergence is the symmetrized
 Kullback-Leibler sum ``KL(p:q) + KL(q:p) = sum (p - q) * log(p/q)`` and
 holds for arbitrary positive histograms.  :func:`jeffreys_rows` is the one
 kernel of that sum over many rows; the set objective, k-means and the trial
-harness all call it.
+harness all call it.  Its last-axis sum, like every row sum of the batched
+solvers and the trial harness, goes through :func:`_row_sums`, which is
+bitwise ``x.sum(axis=-1)`` and much faster on narrow rows.
 """
 
 from __future__ import annotations
@@ -28,18 +30,38 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return pb, qb
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)``, bitwise, without numpy's per-row loop on narrow rows.
+
+    numpy reduces each row of the last axis with its own inner-loop call,
+    which dominates the sum when rows are short: on ``(8192, 2)`` it is
+    about ten times slower than adding the columns.  Below 8 bins numpy
+    adds a row left to right from ``+0.0``, so adding one column at a time
+    from ``+0.0`` gives the same bits, signed zeros, overflow and NaNs
+    included; from 8 bins on numpy sums pairwise, and this calls it.
+    """
+    d = x.shape[-1]
+    if not 0 < d < 8:
+        return x.sum(axis=-1)
+    total = x[..., 0] + 0.0
+    for i in range(1, d):
+        total += x[..., i]
+    return total
+
+
 def jeffreys_rows(h, log_h, c, log_c) -> np.ndarray:
     """``sum (h - c) * (log h - log c)`` over the last axis of broadcastable arrays.
 
     Callers pass the logarithms they already hold.  Finite terms whose sum
-    exceeds the double range give ``inf``, without a warning.
+    exceeds the double range give ``inf``, without a warning.  The sum is
+    :func:`_row_sums`, so it is bitwise ``terms.sum(axis=-1)`` at any width.
     """
     with np.errstate(over="ignore"):
         # Rebinding c frees a gather made only for this call (on CPython 3.11+)
         # before the next temporary: k-means keeps three row-sized arrays live.
         c = h - c
         c *= log_h - log_c
-        return c.sum(axis=-1)
+        return _row_sums(c)
 
 
 def jeffreys(p, q) -> float:

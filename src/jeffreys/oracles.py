@@ -24,7 +24,7 @@ from .centroids import _coordinates
 # Imported under these names, through which the benchmark's tracer times them.
 from .centroids import batch_frequency_bisection as _batch_bisection
 from .centroids import batch_frequency_fixedpoint as _batch_fixedpoint
-from .divergences import jeffreys_rows
+from .divergences import _row_sums, jeffreys_rows
 from .errors import ValidationError
 
 #: Trials per chunk of :func:`run_alpha_trials`, each with its own RNG stream.
@@ -41,7 +41,7 @@ def random_frequency_rows(rng: np.random.Generator, trials: int, n: int, d: int)
     assumption of the centroid formulas.
     """
     raw = rng.uniform(0.01, 1.0, size=(trials, n, d))
-    return raw / raw.sum(axis=2, keepdims=True)
+    return raw / _row_sums(raw)[..., None]
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,12 @@ def _solve_block(members: np.ndarray) -> TrialData:
         return jeffreys_rows(members, log_members, c[:, None, :], np.log(c)[:, None, :])
 
     a = members.mean(axis=1)
-    a = a / a.sum(axis=1, keepdims=True)
+    a = a / _row_sums(a)[:, None]
     g_raw = np.exp(log_members.mean(axis=1))
-    g = g_raw / g_raw.sum(axis=1, keepdims=True)
+    g = g_raw / _row_sums(g_raw)[:, None]
 
     c_pos = _coordinates(a, a / g_raw)
-    w_c = c_pos.sum(axis=1)
+    w_c = _row_sums(c_pos)
     c_norm = c_pos / w_c[:, None]
     c_veld = 0.5 * (a + g)
     lam, c_exact, halvings, _ = _batch_bisection(a, g)

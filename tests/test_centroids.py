@@ -24,7 +24,7 @@ from jeffreys import (
 )
 from jeffreys.centroids import _means, _normalized_means, batch_frequency_bisection
 from jeffreys.centroids import batch_frequency_fixedpoint, batch_frequency_newton
-from jeffreys.centroids import _simplex_coordinates
+from jeffreys.centroids import FIXEDPOINT_TOL, _kl_multiplier, _simplex_coordinates
 from jeffreys.histograms import smooth_bins
 from jeffreys.lambertw import lambert_w0_values
 from jeffreys.oracles import random_frequency_rows
@@ -546,6 +546,83 @@ class TestBatchFixedPoint:
         assert np.array_equal(converged, free <= cap)
         # the identical-member row converges at once, the random ones need more
         assert converged[-1] and not converged[:-1].any()
+
+    @staticmethod
+    def mixed_stack(d):
+        """Rows that retire at different passes: dense, sparse, near-degenerate, degenerate.
+
+        Returns the ``(T, d)`` means and the index of the first sparse row.
+        """
+        problems = [sparse_problem(seed, 1.0, d, n) for seed, n in enumerate((2, 3, 5, 4))]
+        sparse = len(problems)
+        problems += [sparse_problem(seed, 0.01, d, 5) for seed in (1, 2)]
+        near = np.full((2, d), 1.0 / d)
+        near[0, 0] += 1e-3
+        near[1, 1] += 1e-3
+        near /= near.sum(axis=1, keepdims=True)
+        problems.append(_normalized_means(near.mean(axis=0)[None], np.exp(np.log(near).mean(axis=0))[None]))
+        problems.append((np.full((1, d), 1.0 / d), np.full((1, d), 1.0 / d)))
+        a = np.vstack([arith for arith, _ in problems])
+        g = np.vstack([geom for _, geom in problems])
+        return a, g, sparse
+
+    @staticmethod
+    def plain_passes(a, g):
+        """Map evaluations of the paper's iteration without Aitken jumps, for one row."""
+        log_g = np.log(g)
+        lam = _kl_multiplier(a, log_g)
+        for passes in range(1, 1000):
+            lam_next = _kl_multiplier(_simplex_coordinates(a, a / g, lam), log_g)
+            if abs(lam_next[0] - lam[0]) <= FIXEDPOINT_TOL:
+                return passes
+            lam = lam_next
+        raise AssertionError("the plain iteration did not converge")
+
+    @pytest.mark.parametrize("d", [5, 64])
+    def test_retired_rows_match_single_solves(self, d):
+        a, g, sparse = self.mixed_stack(d)
+        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
+        assert converged.all()
+        # Rows retire at several passes: the degenerate row at the first, the
+        # near-degenerate one at the second, the sparse ones last.
+        assert iterations[-1] == 1 and iterations[-2] == 2
+        assert iterations[sparse:-2].min() > iterations[:sparse].max()
+        # The sparse rows jump: the plain iteration needs more passes.
+        for i in range(sparse, a.shape[0] - 2):
+            assert self.plain_passes(a[i:i + 1], g[i:i + 1]) > iterations[i]
+        for i in range(a.shape[0]):
+            lam_i, iterations_i, converged_i = batch_frequency_fixedpoint(a[i:i + 1], g[i:i + 1])
+            assert lam_i[0].tobytes() == lam[i].tobytes()
+            assert iterations_i[0] == iterations[i] and converged_i[0]
+
+    @pytest.mark.parametrize("d", [5, 64])
+    def test_passes_evaluate_only_running_rows(self, d, monkeypatch):
+        import jeffreys.centroids as centroids
+
+        a, g, _ = self.mixed_stack(d)
+        lanes = []
+
+        def counting(x):
+            lanes.append(x.size)
+            return lambert_w0_values(x)
+
+        monkeypatch.setattr(centroids, "lambert_w0_values", counting)
+        _, iterations, _ = batch_frequency_fixedpoint(a, g)
+        running = [int((iterations >= p).sum()) * d for p in range(1, iterations.max() + 1)]
+        assert lanes == running
+
+    @pytest.mark.parametrize("d", [5, 64])
+    def test_cap_on_mixed_stack(self, d, monkeypatch):
+        import jeffreys.centroids as centroids
+
+        a, g, _ = self.mixed_stack(d)
+        free_lam, free, _ = batch_frequency_fixedpoint(a, g)
+        monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", 2)
+        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
+        assert np.array_equal(iterations, np.minimum(free, 2))
+        assert np.array_equal(converged, free <= 2)
+        assert converged.sum() == 2 and not converged[:-2].any()
+        assert lam[converged].tobytes() == free_lam[converged].tobytes()
 
     def test_iterations_count_w0_passes(self, monkeypatch):
         # Sparse rows take Aitken jumps, which reuse the last pass's values:

@@ -117,6 +117,19 @@ class TestKMeans:
         with pytest.raises(NumericError, match="objective is not finite"):
             kmeans(s, ClusteringConfig(k=1, seed=0))
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=(ValidationError, RuntimeWarning),
+        reason="defect A in relocation: _positive_candidates forms a / g, which overflows "
+        "before W0 (ROADMAP direction 3)",
+    )
+    def test_overflowing_ratio_relocates_to_finite_centroid(self):
+        # The set of TestExtremeBins::test_overflowing_ratio_has_finite_centroid;
+        # with k = 1 the relocated centre is its positive centroid (mpmath).
+        s = WeightedHistogramSet([[1e300, 1.0], [1e-300, 1.0], [1e-300, 1.0]])
+        res = kmeans(s, ClusteringConfig(k=1, centroid_mode="positive"))
+        assert res.centroids[0].bins == pytest.approx([3.6465e296, 1.0], rel=1e-4)
+
     @pytest.mark.parametrize(
         "rows, assignments",
         [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jeffreys import ValidationError, WeightedHistogramSet, jeffreys, jeffreys_to_set
+from jeffreys.divergences import _row_sums
 from conftest import random_frequency_set, random_positive_set
 from references import cross_entropy, entropy, extended_kl, kl, kl_to_set
 
@@ -117,6 +118,55 @@ class TestJeffreys:
         assert extended_kl([0.0, 1.0], [0.5, 0.5]) == pytest.approx(
             1.0 * math.log(2.0) + 0.5 + 0.5 - 1.0, abs=1e-14
         )
+
+
+class TestRowSums:
+    """``_row_sums`` must give ``x.sum(axis=-1)`` bit for bit.
+
+    Below 8 bins it adds columns in numpy's order; if a numpy release sums
+    short rows in another order, these fail instead of results moving.
+    """
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 5e-324])
+    HUGE = np.array([1.7e308, -1.7e308, 1e308, 1.0])
+
+    @staticmethod
+    def views(x):
+        """``x`` and strided views of the same values."""
+        wide = np.repeat(x, 2, axis=-1)
+        return [x, np.asfortranarray(x), x[..., ::-1], wide[..., ::2], wide[..., : x.shape[-1]]]
+
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_bitwise_equal_to_numpy_sum(self, d, rng):
+        for shape in [(0, d), (1, d), (33, d), (4, 3, d)]:
+            values = [
+                rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape),
+                rng.choice(self.SPECIAL, size=shape),
+                rng.choice(np.array([0.0, -0.0]), size=shape),
+                rng.choice(self.HUGE, size=shape),
+            ]
+            for x in values:
+                for view in self.views(x):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got, want = _row_sums(view), view.sum(axis=-1)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (d, shape, view.strides)
+
+    def test_edge_rows(self):
+        rows = np.array([
+            [-0.0, -0.0, -0.0],
+            [-0.0, 0.0, -0.0],
+            [1.7e308, 1.7e308, -1.7e308],
+            [np.inf, -np.inf, 1.0],
+            [np.nan, 1.0, np.inf],
+            [1.0, 1e-16, 1e-16],
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _row_sums(rows), rows.sum(axis=-1)
+        assert got.tobytes() == want.tobytes()
+        assert math.copysign(1.0, got[0]) == 1.0  # numpy starts from +0.0
+        assert got[2] == math.inf  # left to right: the first two overflow
+        assert got[5] == 1.0  # left to right: each 1e-16 rounds away
 
 
 class TestSetAverages:
