@@ -23,7 +23,7 @@ from .clustering import ClusteringConfig, ClusteringResult, kmeans, seed_centroi
 from .datasets import DatasetFile, load_dataset, read_pgm, write_dataset
 from .divergences import jeffreys, jeffreys_to_set
 from .errors import NumericError, ValidationError
-from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet, smooth_bins
+from .histograms import WeightedHistogramSet, smooth_bins
 from .lambertw import lambert_w0_values
 from .oracles import AlphaTrialStats, alpha_trial_harness, run_alpha_trials
 from .reports import RunReport
@@ -37,8 +37,6 @@ __all__ = [
     "ClusteringConfig",
     "ClusteringResult",
     "DatasetFile",
-    "FrequencyHistogram",
-    "Histogram",
     "MODES",
     "NumericError",
     "RunReport",

@@ -48,7 +48,7 @@ import numpy as np
 
 from .divergences import _row_sums, jeffreys_to_set
 from .errors import NumericError
-from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
+from .histograms import WeightedHistogramSet
 from .lambertw import lambert_w0_values
 
 
@@ -99,20 +99,22 @@ _NEWTON_CAP = 100
 _NEWTON_STEP = 4.0 * float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentroidResult:
     """A centroid plus solver diagnostics.
 
-    ``w_c`` is the mass of the positive centroid when one was computed,
-    ``bound_factor`` the ``1 / w_c`` approximation guarantee of the
-    normalized mode, ``lambda_star`` the converged simplex multiplier of
-    the frequency solvers, and ``simplex_defect`` the pre-renormalization
-    ``|sum - 1|`` of their output.  ``fallback`` marks a fixed-point run
-    that was finished by the Newton solver after failing to contract.
-    ``mode`` is the solver's name in :data:`MODES`.
+    ``centroid`` is a read-only ``(d,)`` float64 array, on the simplex for
+    every mode but ``positive``.  ``w_c`` is the mass of the positive
+    centroid when one was computed, ``bound_factor`` the ``1 / w_c``
+    approximation guarantee of the normalized mode, ``lambda_star`` the
+    converged simplex multiplier of the frequency solvers, and
+    ``simplex_defect`` the pre-renormalization ``|sum - 1|`` of their
+    output.  ``fallback`` marks a fixed-point run that was finished by the
+    Newton solver after failing to contract.  ``mode`` is the solver's name
+    in :data:`MODES`.
     """
 
-    centroid: Histogram
+    centroid: np.ndarray
     mode: str
     objective: float
     iterations: int
@@ -126,23 +128,25 @@ class CentroidResult:
 def _singleton_result(s: WeightedHistogramSet, mode: str) -> CentroidResult:
     # n == 1 is analytically exact; skip the solvers entirely.
     frequency = MODES[mode].frequency
-    member = (FrequencyHistogram if frequency else Histogram)(s.matrix[0])
+    member = s.matrix[0]  # a view of the read-only matrix
     return CentroidResult(
         centroid=member,
         mode=mode,
         objective=0.0,
         iterations=0,
-        w_c=member.total,
+        w_c=float(member.sum()),
         lambda_star=0.0 if frequency else None,
         bound_factor=1.0 if mode == "normalized" else None,
         simplex_defect=0.0 if frequency else None,
     )
 
 
-def _objective(c: Histogram, s: WeightedHistogramSet, mode: str) -> float:
+def _objective(c: np.ndarray, s: WeightedHistogramSet, mode: str) -> float:
     """``jeffreys_to_set(c, s)``; a non-finite value raises :class:`NumericError`.
 
-    Finite members can still overflow the weighted sum of divergences.
+    Finite members can still overflow the weighted sum of divergences.  A
+    finite objective also proves ``c`` finite and strictly positive: a NaN,
+    zero, negative or infinite bin makes its term NaN or infinite.
     """
     objective = jeffreys_to_set(c, s)
     if not np.isfinite(objective):
@@ -161,14 +165,15 @@ def _normalized_means(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndar
     return a / _row_sums(a)[..., None], g / _row_sums(g)[..., None]
 
 
-def normalized_means(s: WeightedHistogramSet) -> tuple[FrequencyHistogram, FrequencyHistogram]:
+def normalized_means(s: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
     """Normalized weighted arithmetic and geometric means of a frequency set.
 
     Both means are divided by their sums, exactly as the frequency solvers
-    normalize them.
+    normalize them, and returned as read-only ``(d,)`` arrays.
     """
     a, g = _normalized_means(*_means(s.as_frequency()))
-    return FrequencyHistogram(a), FrequencyHistogram(g)
+    a.flags.writeable = g.flags.writeable = False
+    return a, g
 
 
 def _coordinates(a: np.ndarray, ratio: np.ndarray, lam=0.0, return_iterations: bool = False):
@@ -200,12 +205,12 @@ def _on_simplex(a: np.ndarray, ratio: np.ndarray, lam: np.ndarray, mode: str):
     """``c(lam)`` divided by its row sums, and each row's defect ``|sum - 1|``.
 
     The one final check of every multiplier solver: a defect above
-    :data:`SIMPLEX_TOL` raises :class:`NumericError`.
+    :data:`SIMPLEX_TOL`, or a NaN one, raises :class:`NumericError`.
     """
     coords = _coordinates(a, ratio, lam)
     mass = _row_sums(coords)
     defect = np.abs(mass - 1.0)
-    if np.any(defect > SIMPLEX_TOL):
+    if not np.all(defect <= SIMPLEX_TOL):
         raise NumericError(f"{mode}: simplex defect {defect.max():.3e} > {SIMPLEX_TOL}")
     return coords / mass[:, None], defect
 
@@ -219,14 +224,14 @@ def positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
     if s.n == 1:
         return _singleton_result(s, "positive")
     a, g = _means(s)
-    coords, steps = _coordinates(a, a / g, return_iterations=True)
-    c = Histogram(coords)
+    c, steps = _coordinates(a, a / g, return_iterations=True)
+    c.flags.writeable = False
     return CentroidResult(
         centroid=c,
         mode="positive",
         objective=_objective(c, s, "positive"),
         iterations=int(np.max(steps)),
-        w_c=c.total,
+        w_c=float(c.sum()),
     )
 
 
@@ -242,7 +247,8 @@ def normalized_positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
         return _singleton_result(sf, "normalized")
     pos = positive_centroid(sf)
     w_c = pos.w_c
-    c = FrequencyHistogram(pos.centroid.bins / w_c)
+    c = pos.centroid / w_c
+    c.flags.writeable = False
     return CentroidResult(
         centroid=c,
         mode="normalized",
@@ -259,7 +265,8 @@ def veldhuis_centroid(s: WeightedHistogramSet) -> CentroidResult:
     if sf.n == 1:
         return _singleton_result(sf, "veldhuis")
     a, g = _normalized_means(*_means(sf))
-    c = FrequencyHistogram(0.5 * (a + g))
+    c = 0.5 * (a + g)
+    c.flags.writeable = False
     return CentroidResult(
         centroid=c,
         mode="veldhuis",
@@ -468,7 +475,8 @@ def _finish_frequency(
     defect: np.ndarray,
 ) -> CentroidResult:
     """The report of a batched solve of ``sf``'s one problem."""
-    c = FrequencyHistogram(coords[0])
+    c = coords[0]
+    c.flags.writeable = False
     return CentroidResult(
         centroid=c,
         mode=mode,

@@ -112,7 +112,7 @@ def _run_centroid(args) -> int:
     report = RunReport(
         mode=result.mode,
         kind=args.kind,
-        centroid=[float(v) for v in result.centroid.bins],
+        centroid=result.centroid.tolist(),
         iterations=result.iterations,
         objective=result.objective,
         wall_clock_seconds=elapsed,

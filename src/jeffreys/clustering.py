@@ -22,7 +22,7 @@ from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means
 from .centroids import _simplex_coordinates, batch_frequency_newton
 from .divergences import jeffreys_rows
 from .errors import NumericError, ValidationError
-from .histograms import FrequencyHistogram, Histogram, WeightedHistogramSet
+from .histograms import WeightedHistogramSet
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,23 @@ class ClusteringConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteringResult:
-    """Assignments, centroids, and the per-round objective trace."""
+    """Assignments, centroids, and the per-round objective trace.
+
+    ``assignments`` is a read-only ``(n,)`` int64 array and ``centroids`` a
+    read-only ``(k, d)`` float64 array, one centroid per row.
+    """
 
     assignments: np.ndarray
-    centroids: tuple[Histogram, ...]
+    centroids: np.ndarray
     objective_trace: tuple[float, ...]
     iterations: int
 
     def to_dict(self) -> dict:
         return {
             "assignments": [int(j) for j in self.assignments],
-            "centroids": [[float(v) for v in c.bins] for c in self.centroids],
+            "centroids": self.centroids.tolist(),
             "objective_trace": [float(v) for v in self.objective_trace],
             "iterations": self.iterations,
         }
@@ -288,8 +292,7 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     weighted objective after each relocation and never increases; an
     objective beyond the double range raises :class:`NumericError`.
     """
-    frequency = MODES[cfg.centroid_mode].frequency
-    if frequency:
+    if MODES[cfg.centroid_mode].frequency:
         s = s.as_frequency()
     matrix = s.matrix
     log_matrix = s.log_matrix
@@ -328,10 +331,10 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
 
     assignments = np.asarray(assignments, dtype=np.int64)
     assignments.flags.writeable = False
-    make = FrequencyHistogram if frequency else Histogram
+    centers.flags.writeable = False
     return ClusteringResult(
         assignments=assignments,
-        centroids=tuple(make(c) for c in centers),
+        centroids=centers,
         objective_trace=tuple(trace),
         iterations=rounds,
     )

@@ -14,17 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .histograms import Histogram, WeightedHistogramSet
-
-
-def _bins(h) -> np.ndarray:
-    if isinstance(h, Histogram):
-        return h.bins
-    return np.asarray(h, dtype=np.float64)
+from .histograms import WeightedHistogramSet
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    pb, qb = _bins(p), _bins(q)
+    pb, qb = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if pb.shape != qb.shape:
         raise ValidationError(f"dimension mismatch: {pb.shape} vs {qb.shape}")
     return pb, qb
@@ -78,7 +72,7 @@ def jeffreys(p, q) -> float:
 
 def jeffreys_to_set(x, s: WeightedHistogramSet) -> float:
     """Weighted average Jeffreys divergence from ``x`` to every member of ``s``."""
-    xb = _bins(x)
+    xb = np.asarray(x, dtype=np.float64)
     m = s.matrix
     if xb.shape != (m.shape[1],):
         raise ValidationError(f"dimension mismatch: {xb.shape} vs d={m.shape[1]}")

@@ -1,11 +1,12 @@
-"""Histogram data model: positive histograms, frequency histograms, weighted sets.
+"""Histogram data model: weighted sets of positive or frequency histograms.
 
 A histogram is a vector of strictly positive bin values; a frequency
 histogram additionally lives on the probability simplex (bins sum to one).
 A weighted set stores its ``n`` members as one read-only ``(n, d)`` matrix,
 validated as a whole, and caches the matrix's log and each row's
-``sum h log h``.  All types are immutable after construction and safe to
-share across threads.
+``sum h log h``.  A set is immutable after construction and safe to share
+across threads.  Results (centroids, means) are plain read-only float64
+arrays.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def smooth_bins(values, epsilon_scale: float = DEFAULT_EPSILON_SCALE) -> np.ndar
     return np.where(empty, arr + epsilon, arr)
 
 
-def _positive_bins(values, ndim: int) -> np.ndarray:
-    arr = _as_bins(values, ndim)
+def _positive_bins(values) -> np.ndarray:
+    arr = _as_bins(values, 2)
     if np.any(arr <= 0.0):
         raise ValidationError(
             "histogram bins must be strictly positive; smooth empty bins first "
@@ -91,53 +92,15 @@ def _positive_bins(values, ndim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Histogram:
-    """A positive histogram: ``d`` strictly positive bin values."""
-
-    bins: np.ndarray
-
-    def __post_init__(self):
-        arr = _positive_bins(self.bins, 1)
-        arr.flags.writeable = False
-        object.__setattr__(self, "bins", arr)
-
-    @property
-    def d(self) -> int:
-        return self.bins.size
-
-    @property
-    def total(self) -> float:
-        """Cumulative sum of the bin values."""
-        return float(self.bins.sum())
-
-    def normalized(self) -> "FrequencyHistogram":
-        return FrequencyHistogram(self.bins / self.bins.sum())
-
-
-class FrequencyHistogram(Histogram):
-    """A histogram on the probability simplex: bins sum to one.
-
-    Inputs whose sum deviates from one by at most ``RENORMALIZE_ATOL`` are
-    renormalized silently (serialization rounding); larger deviations are
-    rejected as genuinely unnormalized data.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        arr = _onto_simplex(self.bins)
-        arr.flags.writeable = False
-        object.__setattr__(self, "bins", arr)
-
-
-@dataclass(frozen=True, eq=False)
 class WeightedHistogramSet:
     """``n`` histograms of common dimension ``d`` with positive weights summing to one.
 
     ``matrix`` holds the members as rows: a 2-D array-like, finite and
     strictly positive, stored as a read-only ``(n, d)`` copy.
     ``weights=None`` assigns uniform weights ``1/n``.  With
-    ``frequency=True`` every row is validated as a simplex member under
-    the rule of :class:`FrequencyHistogram`.
+    ``frequency=True`` every row is validated as a simplex member: a row
+    whose sum is within ``SIMPLEX_ATOL`` of one is kept, one within
+    ``RENORMALIZE_ATOL`` is divided by its sum, and any other is rejected.
     """
 
     matrix: np.ndarray
@@ -145,7 +108,7 @@ class WeightedHistogramSet:
     frequency: bool = False
 
     def __post_init__(self):
-        m = _positive_bins(self.matrix, 2)
+        m = _positive_bins(self.matrix)
         if self.frequency:
             m = _onto_simplex(m)
         n = m.shape[0]

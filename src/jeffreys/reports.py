@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .errors import NumericError, ValidationError
 
@@ -35,12 +35,13 @@ class RunReport:
     fallback: bool = False
 
     def _fields(self) -> dict:
-        fields = asdict(self)
-        for name, value in fields.items():
+        # A shallow dict: dataclasses.asdict would deep-copy the centroid list.
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in values.items():
             for v in value if isinstance(value, list) else [value]:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise NumericError(f"report field {name} is not finite: {v!r}")
-        return fields
+        return values
 
     def to_json(self) -> str:
         return json.dumps(self._fields())

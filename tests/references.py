@@ -17,7 +17,7 @@ import numpy as np
 
 from jeffreys import ValidationError, WeightedHistogramSet, jeffreys_to_set, normalized_means
 from jeffreys.centroids import _means
-from jeffreys.divergences import _bins, _pair
+from jeffreys.divergences import _pair
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -100,8 +100,7 @@ def oracle_frequency_centroid(
     the cost explodes.
     """
     sf = s.as_frequency()
-    arith, geom = normalized_means(sf)
-    a, g = arith.bins, geom.bins
+    a, g = normalized_means(sf)
     if sf.d == 2:
         resolution = 1e-8 if resolution is None else resolution
         if resolution <= 0.0:
@@ -173,7 +172,7 @@ def kl(p, q) -> float:
 
 def entropy(p) -> float:
     """Shannon entropy ``sum p*log(1/p)`` of a frequency histogram."""
-    pb = _bins(p)
+    pb = np.asarray(p, dtype=np.float64)
     return -_xlog_ratio(pb, np.ones_like(pb))
 
 
@@ -187,7 +186,7 @@ def cross_entropy(p, q) -> float:
 
 def kl_to_set(x, s: WeightedHistogramSet) -> float:
     """Weighted average KL divergence ``sum_j pi_j KL(x : h_j)`` over a frequency set."""
-    xb = _bins(x)
+    xb = np.asarray(x, dtype=np.float64)
     m = s.matrix
     if xb.shape != (m.shape[1],):
         raise ValidationError(f"dimension mismatch: {xb.shape} vs d={m.shape[1]}")

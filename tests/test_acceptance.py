@@ -103,7 +103,7 @@ def test_criterion_2_closed_form_optimality():
         weights = rng.uniform(0.2, 1.0, size=n)
         weights /= weights.sum()
         s = WeightedHistogramSet(rows, weights)
-        closed = positive_centroid(s).centroid.bins
+        closed = positive_centroid(s).centroid
         oracle = oracle_positive_centroid(s, resolution=1e-8).argmin
         max_coord_err = max(max_coord_err, float(np.abs(closed - oracle).max()))
         a, g = _means(s)
@@ -206,7 +206,7 @@ def test_criterion_7_solver_agreement():
         s = random_frequency_set(rng, n=n, d=d)
         b = frequency_centroid_bisection(s)
         f = frequency_centroid_fixedpoint(s)
-        max_diff = max(max_diff, float(np.abs(b.centroid.bins - f.centroid.bins).max()))
+        max_diff = max(max_diff, float(np.abs(b.centroid - f.centroid).max()))
         halvings_ok = halvings_ok and b.iterations == BISECTION_HALVINGS
         fp_iters.append(f.iterations)
     mean_fp = float(np.mean(fp_iters))

@@ -9,7 +9,6 @@ import pytest
 
 from jeffreys import (
     MODES,
-    FrequencyHistogram,
     ValidationError,
     WeightedHistogramSet,
     centroids,
@@ -193,6 +192,24 @@ class TestCentroidCommand:
         assert out == ""
         assert "simplex defect" in err
 
+    def test_nan_w0_lane_is_numeric_failure(self, pair_csv, monkeypatch):
+        # A NaN centroid coordinate is a solver failure, not malformed input.
+        real = centroids.lambert_w0_values
+
+        def nan_lane(x, **kw):
+            w, steps = real(x, **kw)
+            w[..., -1] = np.nan
+            return w, steps
+
+        monkeypatch.setattr(centroids, "lambert_w0_values", nan_lane)
+        code, out, err = run_cli(
+            ["centroid", "--input", pair_csv, "--format", "csv",
+             "--kind", "frequency", "--mode", "positive"]
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "objective is not finite" in err
+
     # Finite members whose divergences exceed the double range: the centroid
     # is finite, its objective overflows, and the solver raises NumericError.
     @pytest.mark.parametrize("output", ["json", "csv"])
@@ -347,7 +364,7 @@ class TestKMeansCommand:
         def infinite(s, cfg):
             return clustering.ClusteringResult(
                 assignments=np.zeros(s.n, dtype=np.int64),
-                centroids=(FrequencyHistogram(s.matrix[0]),),
+                centroids=s.matrix[:1],
                 objective_trace=(float("inf"),),
                 iterations=1,
             )

@@ -128,7 +128,7 @@ class TestKMeans:
         # with k = 1 the relocated centre is its positive centroid (mpmath).
         s = WeightedHistogramSet([[1e300, 1.0], [1e-300, 1.0], [1e-300, 1.0]])
         res = kmeans(s, ClusteringConfig(k=1, centroid_mode="positive"))
-        assert res.centroids[0].bins == pytest.approx([3.6465e296, 1.0], rel=1e-4)
+        assert res.centroids[0] == pytest.approx([3.6465e296, 1.0], rel=1e-4)
 
     @pytest.mark.parametrize(
         "rows, assignments",
@@ -149,13 +149,13 @@ class TestKMeans:
         s = small_frequency_set(rng)
         res = kmeans(s, ClusteringConfig(k=1, seed=0))
         whole = positive_centroid(s)
-        assert np.abs(res.centroids[0].bins - whole.centroid.bins).max() <= 1e-12
+        assert np.abs(res.centroids[0] - whole.centroid).max() <= 1e-12
 
     def test_k_one_exact_mode(self, rng):
         s = small_frequency_set(rng)
         res = kmeans(s, ClusteringConfig(k=1, seed=0, centroid_mode="frequency_exact"))
         whole = frequency_centroid_bisection(s)
-        assert np.abs(res.centroids[0].bins - whole.centroid.bins).max() <= 1e-12
+        assert np.abs(res.centroids[0] - whole.centroid).max() <= 1e-12
 
     def test_k_too_large(self, rng):
         s = small_frequency_set(rng, n=4)
@@ -188,9 +188,9 @@ class TestKMeans:
         s = small_frequency_set(rng, n=30, d=5)
         res = kmeans(s, ClusteringConfig(k=3, seed=1))
         for j, h in enumerate(s.matrix):
-            own = jeffreys(h, res.centroids[res.assignments[j]].bins)
+            own = jeffreys(h, res.centroids[res.assignments[j]])
             for c in res.centroids:
-                assert own <= jeffreys(h, c.bins) + 1e-12
+                assert own <= jeffreys(h, c) + 1e-12
 
     def test_deterministic(self, rng):
         s = small_frequency_set(rng, n=25)
@@ -198,8 +198,7 @@ class TestKMeans:
         b = kmeans(s, ClusteringConfig(k=3, seed=42))
         assert np.array_equal(a.assignments, b.assignments)
         assert a.objective_trace == b.objective_trace
-        for x, y in zip(a.centroids, b.centroids):
-            assert np.array_equal(x.bins, y.bins)
+        assert np.array_equal(a.centroids, b.centroids)
 
     def test_trace_length_matches_iterations(self, rng):
         s = small_frequency_set(rng, n=30)
@@ -212,7 +211,7 @@ class TestKMeans:
         s = small_frequency_set(rng, n=10, d=4)
         res = kmeans(s, ClusteringConfig(k=2, seed=3))
         total = sum(
-            w * jeffreys(h, res.centroids[m].bins)
+            w * jeffreys(h, res.centroids[m])
             for w, h, m in zip(s.weights, s.matrix, res.assignments)
         )
         assert res.objective_trace[-1] == pytest.approx(total, rel=1e-10, abs=1e-14)
@@ -226,7 +225,7 @@ class TestOneStepUpdate:
         for _ in range(20):
             s = random_frequency_set(rng)
             arith, geom = normalized_means(s)
-            candidate = _one_step_frequency_update(arith.bins[None, :], geom.bins[None, :])[0]
+            candidate = _one_step_frequency_update(arith[None, :], geom[None, :])[0]
             arith = s.weights @ s.matrix
             assert jeffreys_to_set(candidate, s) <= jeffreys_to_set(arith / arith.sum(), s) + 1e-12
 
@@ -241,18 +240,17 @@ class TestOneStepUpdate:
 
 def one_step_reference(s):
     """The one-step update of a single cluster, written out per coordinate."""
-    arith, geom = normalized_means(s)
-    a, g = arith.bins, geom.bins
+    a, g = normalized_means(s)
     lam = -float(np.sum(a * (np.log(a) - np.log(g))))
     coords = a / lambert_w0_values((a / g) * np.exp(lam + 1.0))
     return coords / coords.sum()
 
 
 SCALAR_CANDIDATE = {
-    "positive": lambda s: positive_centroid(s).centroid.bins,
-    "normalized": lambda s: normalized_positive_centroid(s).centroid.bins,
+    "positive": lambda s: positive_centroid(s).centroid,
+    "normalized": lambda s: normalized_positive_centroid(s).centroid,
     "frequency_fixedpoint_1step": one_step_reference,
-    "frequency_exact": lambda s: frequency_centroid_bisection(s).centroid.bins,
+    "frequency_exact": lambda s: frequency_centroid_bisection(s).centroid,
 }
 
 
@@ -433,7 +431,7 @@ class TestRoundCost:
         assert res.iterations == 2 and len(trace) == 3
         assert np.isfinite(trace).all() and trace[1] >= trace[0] and trace[2] <= trace[1]
         assert (elementwise_costs(s.matrix, rounds[-1]).argmin(axis=1) != 0).all()
-        final = np.vstack([c.bins for c in res.centroids])
+        final = res.centroids
         (donor,) = np.flatnonzero(res.assignments == 0)
         assert np.array_equal(final[0], s.matrix[donor])
         assert np.array_equal(final[1:], rounds[-1][1:])
@@ -473,14 +471,13 @@ class TestHeavyDuplication:
             assert np.bincount(res.assignments, minlength=k).min() >= 1
             trace = res.objective_trace
             assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
-            centers = np.vstack([c.bins for c in res.centroids])
+            centers = res.centroids
             direct = elementwise_costs(s.matrix, centers)[np.arange(s.n), res.assignments]
             assert trace[-1] == float(s.weights @ direct)
             again = kmeans(s, cfg)
             assert np.array_equal(again.assignments, res.assignments)
             assert again.objective_trace == trace
-            for x, y in zip(again.centroids, res.centroids):
-                assert np.array_equal(x.bins, y.bins)
+            assert np.array_equal(again.centroids, res.centroids)
 
 
 @st.composite

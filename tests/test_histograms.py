@@ -7,69 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jeffreys import (
-    FrequencyHistogram,
-    Histogram,
+    MODES,
+    ClusteringConfig,
     ValidationError,
     WeightedHistogramSet,
+    kmeans,
     normalized_means,
     smooth_bins,
 )
+from jeffreys import centroids
 from jeffreys.centroids import _means
-
-
-class TestHistogramTypes:
-    def test_cumulative_sum(self):
-        assert Histogram(np.array([1.0, 2.0, 3.0])).total == 6.0
-        assert Histogram(np.array([0.2, 0.3])).total == pytest.approx(0.5)
-
-    def test_frequency_sum_is_one(self, rng):
-        for _ in range(20):
-            raw = rng.uniform(0.01, 1.0, size=8)
-            h = FrequencyHistogram(raw / raw.sum())
-            assert h.total == pytest.approx(1.0, abs=1e-12)
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ValidationError):
-            Histogram(np.array([1.0, 0.0]))
-        with pytest.raises(ValidationError):
-            Histogram(np.array([1.0, -2.0]))
-        with pytest.raises(ValidationError):
-            Histogram(np.array([]))
-
-    def test_frequency_renormalization_policy(self):
-        # within 1e-6: silently repaired; worse: rejected
-        h = FrequencyHistogram(np.array([0.5 + 2e-7, 0.5]))
-        assert h.bins.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValidationError):
-            FrequencyHistogram(np.array([0.6, 0.5]))
-
-    def test_immutability(self):
-        h = Histogram(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            h.bins[0] = 5.0
-
-    def test_smooth_bins(self):
-        arr = smooth_bins(np.array([0.0, 4.0]))
-        # epsilon = 1e-10 * max(1, w/d) = 2e-10 here
-        assert arr[0] == pytest.approx(2e-10)
-        assert arr[1] == pytest.approx(4.0 + 2e-10)
-        untouched = smooth_bins(np.array([1.0, 2.0]))
-        assert np.array_equal(untouched, [1.0, 2.0])
-        with pytest.raises(ValidationError):
-            smooth_bins(np.array([-1.0, 2.0]))
-
-
-class TestNormalize:
-    def test_examples(self):
-        assert np.allclose(Histogram(np.array([1.0, 1.0])).normalized().bins, [0.5, 0.5])
-        assert np.allclose(Histogram(np.array([2.0, 6.0])).normalized().bins, [0.25, 0.75])
-
-    def test_idempotent(self, rng):
-        raw = rng.uniform(0.01, 1.0, size=6)
-        once = Histogram(raw).normalized()
-        twice = once.normalized()
-        assert np.array_equal(once.bins, twice.bins)
-        assert once.total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWeightedSet:
@@ -129,17 +76,17 @@ class TestMeans:
         member = np.array([0.3, 0.7])
         s = WeightedHistogramSet([member, member], frequency=True)
         arith, geom = normalized_means(s)
-        assert np.allclose(arith.bins, member, atol=1e-14)
-        assert np.allclose(geom.bins, member, atol=1e-14)
+        assert np.allclose(arith, member, atol=1e-14)
+        assert np.allclose(geom, member, atol=1e-14)
 
         s2 = WeightedHistogramSet([[0.5, 0.5], [0.9, 0.1]], frequency=True)
         arith2, geom2 = normalized_means(s2)
-        assert np.allclose(arith2.bins, [0.7, 0.3], atol=1e-14)
+        assert np.allclose(arith2, [0.7, 0.3], atol=1e-14)
         # hand derivation: (sqrt(0.45), sqrt(0.05)) renormalized is (3/4, 1/4)
         hand = np.sqrt([0.45, 0.05])
         hand /= hand.sum()
-        assert np.allclose(geom2.bins, hand, atol=1e-14)
-        assert np.allclose(geom2.bins, [0.75, 0.25], atol=1e-12)
+        assert np.allclose(geom2, hand, atol=1e-14)
+        assert np.allclose(geom2, [0.75, 0.25], atol=1e-12)
 
     def test_arithmetic_mean_of_frequency_inputs_is_normalized(self, rng):
         from conftest import random_frequency_set
@@ -178,6 +125,17 @@ _WEIGHTS = st.none() | _NESTED | hnp.arrays(
 )
 
 
+def _simplex_rule(rows):
+    """The rule for frequency rows, written out, and each row's ``|sum - 1|``.
+
+    A row whose sum is within 1e-12 of one is kept, one within 1e-6 is
+    divided by its sum, and any other is rejected.
+    """
+    total = rows.sum(axis=1, keepdims=True)
+    defect = np.abs(total - 1.0)
+    return np.where(defect <= 1e-12, rows, rows / total), defect
+
+
 class TestSetConstructor:
     @settings(max_examples=300, deadline=None)
     @given(rows=_NESTED | _ARRAYS | _near_simplex(), weights=_WEIGHTS, frequency=st.booleans())
@@ -187,7 +145,13 @@ class TestSetConstructor:
     @settings(max_examples=100, deadline=None)
     @given(rows=_near_simplex())
     def test_near_simplex_rows(self, rows):
-        self.check(rows, None, True)
+        _, defect = _simplex_rule(rows)
+        if np.any(defect > 1e-6):
+            with pytest.raises(ValidationError, match="sum to 1"):
+                WeightedHistogramSet(rows, frequency=True)
+        else:
+            WeightedHistogramSet(rows, frequency=True)  # accepted: no ValidationError
+            self.check(rows, None, True)
 
     @staticmethod
     def check(rows, weights, frequency):
@@ -204,9 +168,9 @@ class TestSetConstructor:
         assert np.array_equal(s.log_matrix, np.log(m))
         assert s.frequency is frequency
         if frequency:
-            # the row-wise simplex rule is the one FrequencyHistogram applies
-            for row, member in zip(np.asarray(rows, dtype=np.float64), m):
-                assert np.array_equal(FrequencyHistogram(row).bins, member)
+            expected, defect = _simplex_rule(np.asarray(rows, dtype=np.float64))
+            assert np.all(defect <= 1e-6)
+            assert np.array_equal(m, expected)
             assert np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12)
         else:
             assert np.array_equal(m, np.asarray(rows, dtype=np.float64))
@@ -237,9 +201,47 @@ class TestSetConstructor:
         with pytest.raises(ValidationError, match="sum to 1"):
             WeightedHistogramSet([[0.5, 0.5], [0.6, 0.5]], frequency=True)
 
+    def test_smooth_bins(self):
+        arr = smooth_bins(np.array([0.0, 4.0]))
+        # epsilon = 1e-10 * max(1, w/d) = 2e-10 here
+        assert arr[0] == pytest.approx(2e-10)
+        assert arr[1] == pytest.approx(4.0 + 2e-10)
+        untouched = smooth_bins(np.array([1.0, 2.0]))
+        assert np.array_equal(untouched, [1.0, 2.0])
+        with pytest.raises(ValidationError):
+            smooth_bins(np.array([-1.0, 2.0]))
+
     def test_smooth_bins_along_the_last_axis(self):
         rows = np.array([[0.0, 4.0], [1.0, 2.0], [0.0, 0.0]])
         smoothed = smooth_bins(rows)
         for row, out in zip(rows, smoothed):
             assert np.array_equal(smooth_bins(row), out)
         assert np.array_equal(smoothed[1], rows[1])
+
+
+class TestResultArrays:
+    """Centroids and means come back as read-only float64 arrays."""
+
+    @staticmethod
+    def assert_read_only(arr, shape):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.shape == shape
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+    @pytest.mark.parametrize("mode", [name for name, m in MODES.items() if m.solver])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_scalar_mode(self, mode, n):
+        rows = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])[:n]
+        result = getattr(centroids, MODES[mode].solver)(WeightedHistogramSet(rows))
+        self.assert_read_only(result.centroid, (3,))
+
+    @pytest.mark.parametrize("mode", [name for name, m in MODES.items() if m.builder])
+    def test_kmeans_centroids(self, mode):
+        rows = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5], [0.7, 0.2, 0.1]])
+        res = kmeans(WeightedHistogramSet(rows), ClusteringConfig(k=2, centroid_mode=mode))
+        self.assert_read_only(res.centroids, (2, 3))
+        assert not res.assignments.flags.writeable
+
+    def test_normalized_means(self):
+        for mean in normalized_means(WeightedHistogramSet([[0.2, 0.8], [0.6, 0.4]])):
+            self.assert_read_only(mean, (2,))
