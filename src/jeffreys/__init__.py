@@ -25,13 +25,12 @@ from .divergences import jeffreys, jeffreys_to_set
 from .errors import NumericError, ValidationError
 from .histograms import WeightedHistogramSet, smooth_bins
 from .lambertw import lambert_w0_values
-from .oracles import AlphaTrialStats, alpha_trial_harness, run_alpha_trials
+from .oracles import run_alpha_trials
 from .reports import RunReport
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaTrialStats",
     "BISECTION_HALVINGS",
     "CentroidResult",
     "ClusteringConfig",
@@ -42,7 +41,6 @@ __all__ = [
     "RunReport",
     "ValidationError",
     "WeightedHistogramSet",
-    "alpha_trial_harness",
     "frequency_centroid_bisection",
     "frequency_centroid_fixedpoint",
     "jeffreys",

@@ -418,7 +418,9 @@ def batch_frequency_fixedpoint(
     d_{l-1})`` if that is ``<= 0``; its previous step is then forgotten, so
     the next one is plain.  The convergence test reads the plain step only.
     ``iterations`` counts map evaluations, one ``W0`` pass each; a jump
-    reuses values already computed.  Dense sets never jump.
+    reuses values already computed.  Dense sets never jump.  A multiplier
+    that is not finite (only a faulty ``W0`` result makes one) raises
+    :class:`NumericError`.
     """
     ratio = a / g
     log_g = np.log(g)
@@ -436,6 +438,8 @@ def batch_frequency_fixedpoint(
         if not rows.size:
             break
         lam_next = _kl_multiplier(_simplex_coordinates(a, ratio, lam), log_g)
+        if not np.all(np.isfinite(lam_next)):
+            raise NumericError(f"fixedpoint: multiplier is not finite at step {step}")
         delta = lam_next - lam
         converged = np.abs(delta) <= FIXEDPOINT_TOL
         alternating = (delta * prev < 0.0) & (np.abs(delta) > 0.5 * np.abs(prev)) & ~converged

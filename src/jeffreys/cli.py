@@ -13,16 +13,16 @@ Reports go to standard output, diagnostics to standard error.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
-from . import centroids
+from . import centroids, oracles
 from .centroids import MODES
 from .clustering import ClusteringConfig, kmeans
-from .datasets import FORMAT_CSV, FORMAT_JSON, FORMAT_PGM, KIND_FREQUENCY, KINDS, load_dataset
+from .datasets import FORMATS, KIND_FREQUENCY, KINDS, load_dataset
 from .errors import NumericError, ValidationError
-from .oracles import alpha_trial_harness
 from .reports import RunReport
 
 EXIT_OK = 0
@@ -30,7 +30,8 @@ EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 EXIT_USAGE = 64
 
-_CLI_FORMATS = {"csv": FORMAT_CSV, "json": FORMAT_JSON, "pgm-dir": FORMAT_PGM}
+#: The ``bench`` table's columns, each a :class:`~jeffreys.oracles.TrialData` array.
+_BENCH_COLUMNS = ("alpha_positive", "alpha_normalized", "w_c", "alpha_veldhuis")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +48,7 @@ def build_parser() -> _Parser:
 
     def add_io_flags(p):
         p.add_argument("--input", required=True, help="dataset path (file, or directory for pgm-dir)")
-        p.add_argument("--format", required=True, choices=sorted(_CLI_FORMATS))
+        p.add_argument("--format", required=True, choices=FORMATS)
         p.add_argument("--kind", required=True, choices=KINDS)
 
     centroid = sub.add_parser("centroid", help="compute a Jeffreys centroid")
@@ -92,7 +93,7 @@ def _run_centroid(args) -> int:
     _check_kind("--mode", args.mode, args.kind)
     if args.compare_exact and args.kind != KIND_FREQUENCY:
         raise ValidationError("--compare-exact requires --kind frequency")
-    dataset = load_dataset(args.input, _CLI_FORMATS[args.format], args.kind)
+    dataset = load_dataset(args.input, args.format, args.kind)
     histograms = dataset.histograms
     # Looked up at call time, so a patched attribute (a test double, a
     # tracer) is the one that runs.
@@ -130,7 +131,7 @@ def _run_centroid(args) -> int:
 
 def _run_kmeans(args) -> int:
     _check_kind("--centroid-mode", args.centroid_mode, args.kind)
-    dataset = load_dataset(args.input, _CLI_FORMATS[args.format], args.kind)
+    dataset = load_dataset(args.input, args.format, args.kind)
     cfg = ClusteringConfig(
         k=args.k,
         max_iterations=args.max_iters,
@@ -141,12 +142,7 @@ def _run_kmeans(args) -> int:
     result = kmeans(dataset.histograms, cfg)
     elapsed = time.perf_counter() - start
     payload = result.to_dict()
-    payload["config"] = {
-        "k": cfg.k,
-        "max_iterations": cfg.max_iterations,
-        "centroid_mode": cfg.centroid_mode,
-        "seed": cfg.seed,
-    }
+    payload["config"] = dataclasses.asdict(cfg)
     try:
         text = json.dumps(payload, allow_nan=False)
     except ValueError as exc:
@@ -159,18 +155,22 @@ def _run_kmeans(args) -> int:
 def _run_bench(args) -> int:
     if args.trials < 1:
         raise ValidationError(f"--trials must be at least 1, got {args.trials}")
-    stats = alpha_trial_harness(args.trials, args.dims, seed=args.seed, threads=args.threads)
+    # Looked up at call time, like the solvers in _run_centroid.
+    data = oracles.run_alpha_trials(args.trials, args.dims, seed=args.seed, threads=args.threads)
+    # (avg, min, max) of each column, one column's array alive at a time.
+    stats = [
+        (values.mean(), values.min(), values.max())
+        for values in (getattr(data, name) for name in _BENCH_COLUMNS)
+    ]
     out = sys.stdout
-    out.write("stat,alpha_positive,alpha_normalized,w_c,alpha_veldhuis\n")
-    for stat, idx in (("avg", 0), ("min", 1), ("max", 2)):
-        cells = [repr(stats.summary[col][idx]) for col in
-                 ("alpha_positive", "alpha_normalized", "w_c", "alpha_veldhuis")]
-        out.write(f"{stat}," + ",".join(cells) + "\n")
+    out.write(",".join(("stat", *_BENCH_COLUMNS)) + "\n")
+    for stat, row in zip(("avg", "min", "max"), zip(*stats)):
+        out.write(",".join((stat, *(repr(float(v)) for v in row))) + "\n")
     out.write("\nmetric,value\n")
-    out.write(f"trials,{stats.trials}\n")
-    out.write(f"dims,{stats.dims}\n")
-    out.write(f"mean_bisection_halvings,{stats.mean_bisection_halvings!r}\n")
-    out.write(f"mean_fixedpoint_iterations,{stats.mean_fixedpoint_iterations!r}\n")
+    out.write(f"trials,{args.trials}\n")
+    out.write(f"dims,{args.dims}\n")
+    out.write(f"mean_bisection_halvings,{float(data.bisection_halvings.mean())!r}\n")
+    out.write(f"mean_fixedpoint_iterations,{float(data.fixedpoint_iterations.mean())!r}\n")
     return EXIT_OK
 
 

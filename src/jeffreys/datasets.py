@@ -1,17 +1,19 @@
 """Dataset ingestion and serialization.
 
-Three on-disk formats map to a :class:`WeightedHistogramSet`:
+Three on-disk formats, named by :data:`FORMATS` as the CLI's ``--format``
+names them, map to a :class:`WeightedHistogramSet`:
 
-* CSV -- one histogram per row; an optional first column ``weight:<value>``
-  carries the row weight (all rows or none).  A file is read in one
-  vectorised parse; one that parse rejects is read again cell by cell,
-  which gives the same numbers and reports the first bad cell as
+* ``csv`` -- one histogram per row; an optional first column
+  ``weight:<value>`` carries the row weight (all rows or none).  A file is
+  read in one vectorised parse; one that parse rejects is read again cell
+  by cell, which gives the same numbers and reports the first bad cell as
   ``path:line:col``.
-* JSON -- ``{"histograms": [[...], ...], "weights": [...]}`` with the
+* ``json`` -- ``{"histograms": [[...], ...], "weights": [...]}`` with the
   weights key optional.
-* PGM -- binary 8-bit grayscale (P5); every image becomes one 256-bin
-  intensity histogram on the 0..255 scale, whatever its ``maxval``, and a
-  directory ingests every ``*.pgm`` inside.
+* ``pgm-dir`` -- binary 8-bit grayscale (P5); every image becomes one
+  256-bin intensity histogram on the 0..255 scale, whatever its
+  ``maxval``.  The path is a directory, which ingests every ``*.pgm``
+  inside, or a single image.
 
 Missing weights default to uniform; explicit weights are normalized to sum
 to one.  Empty bins are smoothed with a small epsilon, whose scale only
@@ -37,7 +39,7 @@ from .histograms import DEFAULT_EPSILON_SCALE, RENORMALIZE_ATOL, WeightedHistogr
 
 FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
-FORMAT_PGM = "pgm-image"
+FORMAT_PGM = "pgm-dir"
 FORMATS = (FORMAT_CSV, FORMAT_JSON, FORMAT_PGM)
 
 KIND_POSITIVE = "positive"
@@ -51,13 +53,10 @@ _WEIGHT_PREFIX = "weight:"
 
 @dataclass(frozen=True)
 class DatasetFile:
-    """A parsed dataset plus the ingestion settings that produced it."""
+    """A parsed dataset and the smoothing scale that its ingestion used."""
 
-    format: str
     histograms: WeightedHistogramSet
-    declared_kind: str
     epsilon_scale: float
-    path: str
 
 
 def epsilon_scale_from_env() -> float:
@@ -287,13 +286,7 @@ def load_dataset(path, format: str, kind: str) -> DatasetFile:
         weights = weights / weights.sum()
 
     histograms = WeightedHistogramSet(rows, weights, frequency=kind == KIND_FREQUENCY)
-    return DatasetFile(
-        format=format,
-        histograms=histograms,
-        declared_kind=kind,
-        epsilon_scale=eps,
-        path=str(path),
-    )
+    return DatasetFile(histograms=histograms, epsilon_scale=eps)
 
 
 def write_dataset(s: WeightedHistogramSet, path, format: str = FORMAT_JSON) -> None:

@@ -1,8 +1,9 @@
 """The randomized trial harness behind the benchmark table.
 
-The harness draws random frequency sets and measures the approximation
-factors of the closed-form constructions against the exact frequency
-centroid; the ``bench`` command reports its output.
+:func:`run_alpha_trials` draws random frequency sets and returns, as one
+:class:`TrialData` of per-trial arrays, the approximation factors of the
+closed-form constructions against the exact frequency centroid; the
+``bench`` command prints each factor's mean, minimum and maximum.
 
 It draws its trials in chunks of ``_CHUNK_SIZE``, one RNG stream each,
 and solves a chunk in row blocks of about ``_BLOCK_ELEMENTS`` lanes
@@ -68,22 +69,6 @@ class TrialData:
     @property
     def alpha_veldhuis(self) -> np.ndarray:
         return self.j_veldhuis / self.j_exact
-
-
-@dataclass(frozen=True)
-class AlphaTrialStats:
-    """Summary statistics of the approximation factors over random trials.
-
-    ``summary`` maps ``alpha_positive``, ``alpha_normalized``, ``w_c`` and
-    ``alpha_veldhuis`` to their (avg, min, max) triples, the rows of the
-    benchmark table.
-    """
-
-    trials: int
-    dims: int
-    mean_fixedpoint_iterations: float
-    mean_bisection_halvings: float
-    summary: dict[str, tuple[float, float, float]]
 
 
 #: The :class:`TrialData` fields that hold weighted Jeffreys objectives.
@@ -183,32 +168,3 @@ def run_alpha_trials(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         chunks = list((map if threads == 1 else pool.map)(job, zip(seeds, sizes)))
     return _concatenate(chunks)
-
-
-def alpha_trial_harness(
-    num_trials: int,
-    d: int,
-    seed: int = 0,
-    histograms_per_trial: int = 2,
-    threads: int = 1,
-) -> AlphaTrialStats:
-    """Summarize the approximation factors over random frequency sets."""
-    data = run_alpha_trials(
-        num_trials, d, seed=seed, histograms_per_trial=histograms_per_trial, threads=threads
-    )
-
-    def triple(values: np.ndarray) -> tuple[float, float, float]:
-        return float(values.mean()), float(values.min()), float(values.max())
-
-    return AlphaTrialStats(
-        trials=num_trials,
-        dims=d,
-        mean_fixedpoint_iterations=float(data.fixedpoint_iterations.mean()),
-        mean_bisection_halvings=float(data.bisection_halvings.mean()),
-        summary={
-            "alpha_positive": triple(data.alpha_positive),
-            "alpha_normalized": triple(data.alpha_normalized),
-            "w_c": triple(data.w_c),
-            "alpha_veldhuis": triple(data.alpha_veldhuis),
-        },
-    )

@@ -126,14 +126,20 @@ class TestCorruptedW0:
     The double corrupts the last lane of every ``W0`` call, so each
     centroid coordinate there is NaN, inf or 0.  The final simplex check or
     the objective check must turn that into :class:`NumericError`, not a
-    :class:`ValidationError`, which would blame the input.  (The fixed
-    point feeds a NaN iterate back into ``W0``, whose finite-argument check
-    still raises ``ValidationError``; see ROADMAP direction 3.)
+    :class:`ValidationError`, which would blame the input.  The fixed
+    point raises it on the first multiplier that is not finite, before it
+    would feed that back into ``W0``.
     """
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0, np.inf])
     @pytest.mark.parametrize(
-        "solver", [positive_centroid, normalized_positive_centroid, frequency_centroid_bisection]
+        "solver",
+        [
+            positive_centroid,
+            normalized_positive_centroid,
+            frequency_centroid_bisection,
+            frequency_centroid_fixedpoint,
+        ],
     )
     def test_is_numeric_error(self, monkeypatch, solver, bad):
         import jeffreys.centroids as centroids

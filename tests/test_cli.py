@@ -13,6 +13,7 @@ from jeffreys import (
     WeightedHistogramSet,
     centroids,
     clustering,
+    run_alpha_trials,
 )
 from jeffreys.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from jeffreys.reports import RunReport
@@ -197,18 +198,21 @@ class TestCentroidCommand:
         real = centroids.lambert_w0_values
 
         def nan_lane(x, **kw):
-            w, steps = real(x, **kw)
-            w[..., -1] = np.nan
-            return w, steps
+            # The fixed point asks for W alone, the positive solver for (W, steps).
+            out = real(x, **kw)
+            (out[0] if isinstance(out, tuple) else out)[..., -1] = np.nan
+            return out
 
         monkeypatch.setattr(centroids, "lambert_w0_values", nan_lane)
-        code, out, err = run_cli(
-            ["centroid", "--input", pair_csv, "--format", "csv",
-             "--kind", "frequency", "--mode", "positive"]
-        )
-        assert code == EXIT_NUMERIC
-        assert out == ""
-        assert "objective is not finite" in err
+        for mode, message in [("positive", "objective is not finite"),
+                              ("fixedpoint", "multiplier is not finite")]:
+            code, out, err = run_cli(
+                ["centroid", "--input", pair_csv, "--format", "csv",
+                 "--kind", "frequency", "--mode", mode]
+            )
+            assert code == EXIT_NUMERIC, mode
+            assert out == ""
+            assert message in err
 
     # Finite members whose divergences exceed the double range: the centroid
     # is finite, its objective overflows, and the solver raises NumericError.
@@ -448,6 +452,25 @@ class TestBenchCommand:
         assert table["max"][2] <= 1.0 + 1e-12
         assert "metric,value" in out
         assert "mean_fixedpoint_iterations" in out
+
+    def test_table_is_trial_data_reduced(self):
+        # Every cell is repr() of one TrialData array's mean, min or max.
+        code, out, err = run_cli(["bench", "--trials", "3000", "--dims", "3", "--seed", "4"])
+        data = run_alpha_trials(3000, 3, seed=4)
+        columns = [data.alpha_positive, data.alpha_normalized, data.w_c, data.alpha_veldhuis]
+        expected = ["stat,alpha_positive,alpha_normalized,w_c,alpha_veldhuis"]
+        for stat, reduce in [("avg", np.mean), ("min", np.min), ("max", np.max)]:
+            expected.append(",".join([stat] + [repr(float(reduce(c))) for c in columns]))
+        expected += [
+            "",
+            "metric,value",
+            "trials,3000",
+            "dims,3",
+            f"mean_bisection_halvings,{float(data.bisection_halvings.mean())!r}",
+            f"mean_fixedpoint_iterations,{float(data.fixedpoint_iterations.mean())!r}",
+        ]
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "\n".join(expected) + "\n"
 
     def test_zero_trials_validation(self):
         code, _, _ = run_cli(["bench", "--trials", "0"])

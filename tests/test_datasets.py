@@ -261,7 +261,6 @@ class TestEpsilonOverride:
         p = write(tmp_path, "z.csv", "1,4\n")
         ds = load_dataset(p, FORMAT_CSV, "positive")
         assert ds.epsilon_scale == pytest.approx(1e-10)
-        assert ds.declared_kind == "positive"
 
 
 class TestRoundTrip:

@@ -9,7 +9,6 @@ import pytest
 from jeffreys import (
     ValidationError,
     WeightedHistogramSet,
-    alpha_trial_harness,
     frequency_centroid_bisection,
     positive_centroid,
     run_alpha_trials,
@@ -83,20 +82,14 @@ class TestFrequencyOracle:
 
 class TestTrialHarness:
     def test_basic_bounds(self):
-        stats = alpha_trial_harness(2000, 2, seed=11)
-        mean_alpha, min_alpha, max_alpha = stats.summary["alpha_normalized"]
-        mean_w_c, min_w_c, _ = stats.summary["w_c"]
-        assert min_alpha >= 1.0 - 1e-12
-        assert mean_alpha >= 1.0 - 1e-12
-        assert max_alpha < 1.01
-        assert 0.0 < min_w_c <= mean_w_c <= 1.0 + 1e-12
-        assert stats.trials == 2000 and stats.dims == 2
-        assert set(stats.summary) == {
-            "alpha_positive",
-            "alpha_normalized",
-            "w_c",
-            "alpha_veldhuis",
-        }
+        data = run_alpha_trials(2000, 2, seed=11)
+        alpha, w_c = data.alpha_normalized, data.w_c
+        assert alpha.min() >= 1.0 - 1e-12
+        assert alpha.mean() >= 1.0 - 1e-12
+        assert alpha.max() < 1.01
+        assert 0.0 < w_c.min() <= w_c.mean() <= 1.0 + 1e-12
+        for f in dataclasses.fields(oracles.TrialData):
+            assert getattr(data, f.name).shape == (2000,), f.name
 
     def test_positive_centroid_dominates(self):
         data = run_alpha_trials(2000, 4, seed=3)
@@ -162,7 +155,7 @@ class TestTrialHarness:
     @pytest.mark.parametrize("dims, mean", [(2, 3.7608642578125), (16, 5.8795166015625)])
     def test_fixedpoint_iterations_golden(self, dims, mean):
         # Dense trials never take an Aitken jump: the plain iteration's counts.
-        assert alpha_trial_harness(8192, dims, seed=0).mean_fixedpoint_iterations == mean
+        assert run_alpha_trials(8192, dims, seed=0).fixedpoint_iterations.mean() == mean
 
     def test_validation(self):
         with pytest.raises(ValidationError):
