@@ -7,16 +7,25 @@ closed-form constructions against the exact frequency centroid; the
 
 It draws its trials in chunks of ``_CHUNK_SIZE``, one RNG stream each,
 and solves a chunk in row blocks of about ``_BLOCK_ELEMENTS`` lanes
-(trials times bins), so that the bisection's 54 ``W0`` passes work on
-data that stays in cache instead of streaming a whole chunk's arrays from
-memory on every pass.  No trial's result depends on the others', and the
-weighted objectives are one matrix-vector product per chunk, so the
-results are bitwise those of one block per chunk.
+(trials times bins), so that the solvers' ``W0`` passes work on data that
+stays in cache instead of streaming a whole chunk's arrays from memory on
+every pass.  No trial's result depends on the others', and the weighted
+objectives are one matrix-vector product per chunk, so the results are
+bitwise those of one block per chunk.  Blocks and chunks are copied into
+the result as they finish, so the peak memory holds the result and one
+chunk.
+
+Each block runs the fixed point first and passes its converged
+multipliers to the bisection as root estimates.  Every trial still makes
+the bisection's 52 halvings (``bisection_halvings``), but only about 10
+of them are decided by a ``W0`` pass (``bisection_evaluations``); the
+rest are certified from the estimate, see
+:func:`~jeffreys.centroids.batch_frequency_bisection`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -31,7 +40,7 @@ from .errors import ValidationError
 #: Trials per chunk of :func:`run_alpha_trials`, each with its own RNG stream.
 _CHUNK_SIZE = 8192
 #: Lanes (trials x bins) that a chunk solves at a time, so that each
-#: ``(rows, d)`` temporary of the bisection's 54 passes, 128 KiB, stays in cache.
+#: ``(rows, d)`` temporary of the solvers' passes, 128 KiB, stays in cache.
 _BLOCK_ELEMENTS = 16384
 
 
@@ -47,7 +56,12 @@ def random_frequency_rows(rng: np.random.Generator, trials: int, n: int, d: int)
 
 @dataclass(frozen=True)
 class TrialData:
-    """Per-trial arrays from a batch of random centroid problems."""
+    """Per-trial arrays from a batch of random centroid problems.
+
+    ``bisection_halvings`` counts the bisection's bracket halvings, 52 per
+    trial or 0 for a degenerate one, and ``bisection_evaluations`` the
+    halvings among them that a ``W0`` pass decided.
+    """
 
     j_positive: np.ndarray
     j_normalized: np.ndarray
@@ -57,6 +71,7 @@ class TrialData:
     lambda_star: np.ndarray
     fixedpoint_iterations: np.ndarray
     bisection_halvings: np.ndarray
+    bisection_evaluations: np.ndarray
 
     @property
     def alpha_positive(self) -> np.ndarray:
@@ -75,11 +90,24 @@ class TrialData:
 _OBJECTIVES = ("j_positive", "j_normalized", "j_veldhuis", "j_exact")
 
 
-def _concatenate(parts: list[TrialData]) -> TrialData:
-    """One :class:`TrialData` of ``parts``' arrays, field by field, in order."""
-    return TrialData(**{
-        f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(TrialData)
-    })
+def _concatenate(parts: Iterable[TrialData], trials: int) -> TrialData:
+    """One :class:`TrialData` of ``parts``' ``trials`` rows, field by field, in order.
+
+    Each part is copied into the result as it arrives and then dropped, so
+    that, given a generator, the peak holds the result and one part, not
+    every part and their concatenation.
+    """
+    out: dict[str, np.ndarray] = {}
+    start = 0
+    for part in parts:
+        stop = start + part.w_c.shape[0]
+        for f in fields(TrialData):
+            value = getattr(part, f.name)
+            if f.name not in out:
+                out[f.name] = np.empty((trials,) + value.shape[1:], dtype=value.dtype)
+            out[f.name][start:stop] = value
+        start = stop
+    return TrialData(**out)
 
 
 def _solve_block(members: np.ndarray) -> TrialData:
@@ -103,8 +131,10 @@ def _solve_block(members: np.ndarray) -> TrialData:
     w_c = _row_sums(c_pos)
     c_norm = c_pos / w_c[:, None]
     c_veld = 0.5 * (a + g)
-    lam, c_exact, halvings, _ = _batch_bisection(a, g)
-    _, fp_iters, _ = _batch_fixedpoint(a, g)
+    lam_fp, fp_iters, converged = _batch_fixedpoint(a, g)
+    lam, c_exact, halvings, _, evaluated = _batch_bisection(
+        a, g, estimate=np.where(converged, lam_fp, np.nan)
+    )
 
     return TrialData(
         j_positive=to_members(c_pos),
@@ -115,6 +145,7 @@ def _solve_block(members: np.ndarray) -> TrialData:
         lambda_star=lam,
         fixedpoint_iterations=fp_iters,
         bisection_halvings=halvings,
+        bisection_evaluations=evaluated,
     )
 
 
@@ -128,7 +159,8 @@ def _run_chunk(seed_seq: np.random.SeedSequence, trials: int, n: int, d: int) ->
     members = random_frequency_rows(rng, trials, n, d)
     weights = np.full(n, 1.0 / n)
     rows = max(1, _BLOCK_ELEMENTS // d)
-    data = _concatenate([_solve_block(members[i : i + rows]) for i in range(0, trials, rows)])
+    blocks = (_solve_block(members[i : i + rows]) for i in range(0, trials, rows))
+    data = _concatenate(blocks, trials)
     return replace(data, **{name: getattr(data, name) @ weights for name in _OBJECTIVES})
 
 
@@ -163,8 +195,11 @@ def run_alpha_trials(
         sq, size = args
         return _run_chunk(sq, size, histograms_per_trial, d)
 
-    # One thread maps inline: the pool starts no thread until a submit, and a
-    # pool thread's malloc arena would add to the peak memory.
+    # One thread maps inline: a pool thread's malloc arena would add to the
+    # peak memory, and importing the pool costs milliseconds of every start.
+    if threads == 1:
+        return _concatenate(map(job, zip(seeds, sizes)), num_trials)
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list((map if threads == 1 else pool.map)(job, zip(seeds, sizes)))
-    return _concatenate(chunks)
+        return _concatenate(pool.map(job, zip(seeds, sizes)), num_trials)

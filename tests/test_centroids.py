@@ -294,9 +294,9 @@ class TestBatchBisection:
 
     def test_rows_are_independent_bitwise(self, rng):
         _, a, g = self.stacked_problems(rng)
-        lam, coords, halvings, defect = batch_frequency_bisection(a, g)
+        lam, coords, halvings, defect, _ = batch_frequency_bisection(a, g)
         for i in range(a.shape[0]):
-            lam_i, coords_i, halvings_i, defect_i = batch_frequency_bisection(a[i:i + 1], g[i:i + 1])
+            lam_i, coords_i, halvings_i, defect_i, _ = batch_frequency_bisection(a[i:i + 1], g[i:i + 1])
             assert lam_i[0] == lam[i]
             assert np.array_equal(coords_i[0], coords[i])
             assert halvings_i[0] == halvings[i]
@@ -304,7 +304,7 @@ class TestBatchBisection:
 
     def test_matches_scalar_bisection(self, rng):
         sets, a, g = self.stacked_problems(rng)
-        lam, coords, halvings, defect = batch_frequency_bisection(a, g)
+        lam, coords, halvings, defect, _ = batch_frequency_bisection(a, g)
         for i, s in enumerate(sets):
             r = frequency_centroid_bisection(s)
             assert np.abs(coords[i] - r.centroid).max() <= 1e-12
@@ -395,10 +395,10 @@ class TestWarmBisection:
             return w
 
         monkeypatch.setattr(centroids, "lambert_w0_values", counting)
-        lam, coords, halvings, _ = batch_frequency_bisection(a, g)
+        lam, coords, halvings, _, _ = batch_frequency_bisection(a, g)
         # The cold reference drops every guess.
         monkeypatch.setattr(centroids, "lambert_w0_values", lambda x, **kw: lambert_w0_values(x))
-        cold_lam, cold_coords, cold_halvings, _ = batch_frequency_bisection(a, g)
+        cold_lam, cold_coords, cold_halvings, _, _ = batch_frequency_bisection(a, g)
 
         eps = np.finfo(np.float64).eps
         assert np.abs(lam - cold_lam).max() <= 8.0 * eps
@@ -423,6 +423,137 @@ class TestWarmBisection:
         batch_frequency_bisection(a, g)
         cold = [i for i, guess in enumerate(guesses) if guess is None]
         assert cold == [0, 1, 1 + BISECTION_HALVINGS]
+
+
+class TestCertifiedBisection:
+    """``batch_frequency_bisection(a, g, estimate=...)``: certified halvings."""
+
+    @staticmethod
+    def harness_problems(seed, trials, d, n=2):
+        """Normalized means of the trial harness's problems: ``n`` uniform(0.01, 1) rows each."""
+        rows = random_frequency_rows(np.random.default_rng(seed), trials, n, d)
+        return _normalized_means(rows.mean(axis=1), np.exp(np.log(rows).mean(axis=1)))
+
+    @staticmethod
+    def near_degenerate_problems(d):
+        """Members paired with copies perturbed by 1e-2 to 2e-3 relative.
+
+        Their ``1 - s(0)`` runs from about 1e-11 down to the degeneracy
+        threshold and below it.
+        """
+        rng = np.random.default_rng(d)
+        member = rng.uniform(0.1, 1.0, size=(4, d))
+        scale = np.array([1e-2, 4e-3, 2.5e-3, 2e-3])[:, None]
+        pairs = np.stack([member, member * (1.0 + scale * rng.standard_normal((4, d)))], axis=1)
+        pairs /= pairs.sum(axis=2)[..., None]
+        return _normalized_means(pairs.mean(axis=1), np.exp(np.log(pairs).mean(axis=1)))
+
+    @staticmethod
+    def fixedpoint_estimate(a, g):
+        lam, _, converged = batch_frequency_fixedpoint(a, g)
+        return np.where(converged, lam, np.nan)
+
+    @staticmethod
+    def exact_mass(a, g, lam):
+        """The 50-digit ``s(lam) = sum_i a_i / W0(a_i e^(lam + 1) / g_i)`` of one row."""
+        scale = mpmath.exp(mpmath.mpf(float(lam)) + 1)
+        return mpmath.fsum(
+            mpmath.mpf(v) / mpmath.lambertw(mpmath.mpf(v) / mpmath.mpf(w) * scale).real
+            for v, w in zip(a, g)
+        )
+
+    def test_band_holds_the_exact_root(self):
+        # The certified decisions rest on W0's measured 2-ulp bound; in 50
+        # digits, every certified band must hold the root with room to spare:
+        # s(band_lo) - 1 and 1 - s(band_hi) at least half the margin.
+        import jeffreys.centroids as centroids
+
+        problems = [self.harness_problems(d, t, d) for d, t in ((2, 60), (16, 20), (64, 6))]
+        for d in (3, 24):
+            sparse = [sparse_problem(seed, 0.01, d, 2 + seed % 5) for seed in range(8)]
+            problems.append([np.vstack(m) for m in zip(*sparse)])
+        problems += [self.near_degenerate_problems(d) for d in (2, 5, 16)]
+        # The flaky FOUND example: a = [2.1e-13, 1], g = [1.05e-20, 1], degenerate.
+        problems.append(sparse_problem(5685, 10.0**-1.59375, 2, 2))
+        for a, g in problems:
+            ratio = a / g
+            degenerate, lo = centroids._bracket(a, g, ratio)
+            estimate = self.fixedpoint_estimate(a, g)
+            certified, band_lo, band_hi, _, _ = centroids._certify(
+                a, ratio, estimate, lo, np.zeros(a.shape[0]), ~degenerate
+            )
+            margin = 4.0 * (a.shape[1] + 8) * np.finfo(np.float64).eps
+            # Every row but the degenerate ones is certified.
+            assert np.array_equal(certified, ~degenerate)
+            with mpmath.workdps(50):
+                for i in np.flatnonzero(certified):
+                    assert self.exact_mass(a[i], g[i], band_lo[i]) - 1 >= margin / 2
+                    assert 1 - self.exact_mass(a[i], g[i], band_hi[i]) >= margin / 2
+            # A degenerate row keeps lam = 0 with no halving and no evaluation.
+            lam, _, halvings, _, evaluated = batch_frequency_bisection(a, g, estimate)
+            assert np.all(lam[degenerate] == 0.0)
+            assert not np.any(halvings[degenerate]) and not np.any(evaluated[degenerate])
+
+    def test_passes_follow_the_evaluations(self, monkeypatch):
+        # Bracket, the three certification passes, one lockstep pass per
+        # evaluated halving of the longest row, and the result.
+        import jeffreys.centroids as centroids
+
+        a, g = self.harness_problems(3, 200, 16)
+        estimate = self.fixedpoint_estimate(a, g)
+        calls = []
+
+        def counting(x, **kw):
+            calls.append(np.shape(x)[0])
+            return lambert_w0_values(x, **kw)
+
+        monkeypatch.setattr(centroids, "lambert_w0_values", counting)
+        _, _, halvings, _, evaluated = batch_frequency_bisection(a, g, estimate)
+        assert set(halvings) == {BISECTION_HALVINGS}
+        assert evaluated.max() < 30 and evaluated.mean() < 15
+        assert len(calls) == 1 + 3 + evaluated.max() + 1
+        # Each lockstep pass evaluates only the rows with a halving left.
+        lockstep = calls[4:-1]
+        assert lockstep == [int(np.sum(evaluated > k)) for k in range(evaluated.max())]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 64),
+        n=st.integers(2, 5),
+        bad=st.sampled_from(["nan", "inf", "-inf", "above", "below", "far"]),
+        offset=st.floats(1e-6, 1.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_bad_estimates_change_nothing(self, seed, d, n, bad, offset, sign):
+        # Every other row gets a bad estimate: those rows must come out
+        # bitwise as without one, with all 52 halvings evaluated.
+        import jeffreys.centroids as centroids
+
+        a, g = self.harness_problems(seed, 8, d, n)
+        free = batch_frequency_bisection(a, g)
+        estimate = self.fixedpoint_estimate(a, g)
+        bad_rows = np.arange(8) % 2 == 0
+        estimate[bad_rows] = {
+            "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "above": 1.0, "below": -1e3,
+            "far": free[0][bad_rows] + sign * offset,
+        }[bad]
+        lam, coords, halvings, defect, evaluated = batch_frequency_bisection(a, g, estimate)
+        for got, want in zip((lam, coords, halvings, defect), free):
+            assert np.array_equal(got[bad_rows], want[bad_rows])
+        assert np.array_equal(evaluated[bad_rows], halvings[bad_rows])
+        assert np.array_equal(free[4], free[2])
+        assert np.array_equal(halvings, free[2])
+        assert np.all(evaluated <= halvings)
+        # With the fixed point's estimate, the evaluated halvings start from
+        # another warm history, and the decisions where s(mid) is within
+        # rounding of 1 can differ: lam then moves by one final bracket
+        # width, |lo| 2**-52.  Measured on 48,000 such rows: 30 moved, by at
+        # most 1.0015 widths, and their coordinates by at most 0.91 widths
+        # relative (6.3e-16).
+        width = -centroids._bracket(a, g, a / g)[1] * 2.0**-52
+        assert np.all(np.abs(lam - free[0]) <= 2.0 * width)
+        assert np.all(np.max(np.abs(coords - free[1]) / free[1], axis=1) <= 2.0 * width)
 
 
 def sparse_problem(seed, alpha, d, n):
@@ -468,7 +599,7 @@ class TestBatchNewton:
     def test_matches_bisection(self, rng):
         _, a, g = TestBatchBisection.stacked_problems(rng)
         lam, coords, steps, defect = batch_frequency_newton(a, g)
-        lam_b, coords_b, _, _ = batch_frequency_bisection(a, g)
+        lam_b, coords_b, _, _, _ = batch_frequency_bisection(a, g)
         assert relative_gap(coords, coords_b) <= 1e-15
         assert np.abs(lam - lam_b).max() <= 1e-15
         assert defect.max() <= 1e-12
@@ -486,7 +617,7 @@ class TestBatchNewton:
     def test_sparse_sets_match_bisection(self, seed, log_alpha, d, n):
         a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
         lam, coords, steps, _ = batch_frequency_newton(a, g)
-        _, coords_b, _, _ = batch_frequency_bisection(a, g)
+        _, coords_b, _, _, _ = batch_frequency_bisection(a, g)
         assert steps[0] <= 8
         if relative_gap(coords, coords_b) > 1e-15:
             newton, bisection = distance_to_exact(a[0], g[0], lam[0], [coords[0], coords_b[0]])
@@ -764,7 +895,7 @@ class TestFixedAccuracy:
         a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
         lam, iterations, converged = batch_frequency_fixedpoint(a, g)
         assert converged[0] and iterations[0] <= 60
-        lam_b, coords_b, _, _ = batch_frequency_bisection(a, g)
+        lam_b, coords_b, _, _, _ = batch_frequency_bisection(a, g)
         lam_n = batch_frequency_newton(a, g)[0]
         scale = max(1.0, abs(float(lam[0])))
         assert abs(lam[0] - lam_n[0]) <= 5e-14 * scale

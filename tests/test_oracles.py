@@ -1,7 +1,11 @@
 """The brute-force oracles of ``references`` and the randomized trial harness."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,26 @@ class TestTrialHarness:
         monkeypatch.setattr(oracles, "_run_chunk", recording)
         run_alpha_trials(oracles._CHUNK_SIZE + 10, 2, seed=5, threads=threads)
         assert seen == [pooled, pooled]
+
+    def test_import_leaves_the_thread_pool_out(self):
+        # Only threads > 1 needs concurrent.futures; importing it costs
+        # milliseconds and memory on every start.
+        src = str(Path(oracles.__file__).resolve().parents[1])
+        code = "import sys, jeffreys; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
+    def test_bisection_evaluations(self):
+        # Every non-degenerate trial still makes 52 halvings, but the fixed
+        # point's multiplier certifies all but about 10 of them.
+        for d in (2, 16):
+            data = run_alpha_trials(3000, d, seed=2)
+            halvings, evaluated = data.bisection_halvings, data.bisection_evaluations
+            assert set(halvings) <= {0, 52}
+            assert np.all(evaluated[halvings == 0] == 0)
+            assert np.all(evaluated <= halvings)
+            assert 5.0 <= evaluated[halvings > 0].mean() <= 15.0
 
     def test_chunks_in_stream_order(self):
         # Every field is the chunks' arrays, one chunk per spawned stream, in order.
