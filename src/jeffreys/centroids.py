@@ -19,25 +19,26 @@ divergence:
 The mass function ``s(lam) = sum_i c_i(lam)`` is strictly decreasing with
 ``s(0) <= 1``, and the multiplier lives in
 ``[max_i(a_i + log g_i) - 1, 0]``, which makes bisection safe.  At the
-solution ``lam = -KL(c : g) <= 0``.
+solution ``lam = -KL(c : g) <= 0``; it is 0 only for identical members,
+whose root is the bracket's top.
 
 The multiplier solvers are written once, for ``T`` problems at a time:
 :func:`batch_frequency_bisection`, :func:`batch_frequency_newton` and
 :func:`batch_frequency_fixedpoint` take ``(T, d)`` normalized means, one
 problem per row.  The bisection always makes 52 halvings.  On its own it
-evaluates every one, 54 ``W0`` passes in all, and starts each halving but
-the first from the previous pass's ``W``.  Given a root estimate per row,
-it certifies in three passes that the root lies in a narrow band around
-the estimate, decides every halving whose midpoint is outside the band
-without a pass, and evaluates only the rest, about 10.  The safeguarded
-Newton on ``log s(lam) = 0`` keeps the same bracket and needs about seven
-passes.  Their accuracy is fixed: every solution ends in one check of its
-simplex defect against :data:`SIMPLEX_TOL`.  The scalar solvers run them
-at ``T = 1``, without estimates; k-means runs Newton
-(``frequency_exact``) on every cluster at once, the fixed point's rescue
-runs Newton, and the trial harness runs the fixed point on every trial at
-once and then the bisection, with the fixed point's multipliers as its
-estimates.
+evaluates every one, 53 ``W0`` passes in all with the result's, and
+starts each halving but the first from the previous pass's ``W``.  Given
+a root estimate per row, it certifies in three passes that the root lies
+in a narrow band around the estimate, decides every halving whose
+midpoint is outside the band without a pass, and evaluates only the
+rest, about 10.  The safeguarded Newton on ``log s(lam) = 0`` keeps the
+same bracket and needs about six passes.  Their accuracy is fixed: every
+solution ends in one check of its simplex defect against
+:data:`SIMPLEX_TOL`.  The scalar solvers run them at ``T = 1``, without
+estimates; k-means runs Newton (``frequency_exact``) on every cluster at
+once, the fixed point's rescue runs Newton, and the trial harness runs
+the fixed point on every trial at once and then the bisection, with the
+fixed point's multipliers as its estimates.
 
 :data:`MODES` names every centroid mode once: the scalar solvers here,
 the k-means relocations of :mod:`jeffreys.clustering`, and the CLI's
@@ -103,9 +104,6 @@ _FAR = 1e300
 FIXEDPOINT_TOL = 1e-14
 #: Largest simplex defect |s(lam) - 1| a solver may return; a larger one raises.
 SIMPLEX_TOL = 1e-12
-#: ``1 - s(0)`` at or below which the bisection and Newton take ``lam = 0``
-#: without a step (identical members); the rounding floor of ``s``.
-DEGENERACY_TOL = 1e-13
 #: Fixed-point steps after which the solver falls back to Newton.
 _FIXEDPOINT_CAP = 100
 #: Newton steps after which a row still running raises.
@@ -141,19 +139,22 @@ class CentroidResult:
 
 
 def _singleton_result(s: WeightedHistogramSet, mode: str) -> CentroidResult:
-    # n == 1 is analytically exact; skip the solvers entirely.
-    frequency = MODES[mode].frequency
+    """The exact result of a one-member set: the member, without a solver.
+
+    It sets the fields that ``mode`` sets at ``n >= 2``, with the member's
+    values: its mass ``w_c`` (and ``bound_factor = 1 / w_c``), or the
+    multiplier 0 and the member's own simplex defect.
+    """
     member = s.matrix[0]  # a view of the read-only matrix
-    return CentroidResult(
-        centroid=member,
-        mode=mode,
-        objective=0.0,
-        iterations=0,
-        w_c=float(member.sum()),
-        lambda_star=0.0 if frequency else None,
-        bound_factor=1.0 if mode == "normalized" else None,
-        simplex_defect=0.0 if frequency else None,
-    )
+    mass = float(member.sum())
+    diagnostics = {}
+    if mode in ("positive", "normalized"):
+        diagnostics["w_c"] = mass
+    if mode == "normalized":
+        diagnostics["bound_factor"] = 1.0 / mass
+    if mode in ("bisection", "fixedpoint"):
+        diagnostics.update(lambda_star=0.0, simplex_defect=abs(mass - 1.0))
+    return CentroidResult(centroid=member, mode=mode, objective=0.0, iterations=0, **diagnostics)
 
 
 def _objective(c: np.ndarray, s: WeightedHistogramSet, mode: str) -> float:
@@ -290,19 +291,14 @@ def veldhuis_centroid(s: WeightedHistogramSet) -> CentroidResult:
     )
 
 
-def _bracket(a: np.ndarray, g: np.ndarray, ratio: np.ndarray):
-    """Each row's degeneracy and the lower end of its bracket.
+def _bracket(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The lower end ``max_i(a_i + log g_i) - 1`` of each row's bracket; the upper end is 0.
 
-    ``s(0) <= 1`` up to rounding, and ``s(0) == 1`` means ``a == g`` and
-    ``lam* = 0``.  A row with ``1 - s(0) <= DEGENERACY_TOL``, a threshold at
-    the rounding floor of ``s`` so that merely similar inputs are still
-    solved, is degenerate: its bracket is ``[0, 0]``.  Every other row has
-    the bracket ``[max_i(a_i + log g_i) - 1, 0]``; ``s(lower) >= 1`` holds
-    analytically there, since the coordinate that attains the max is 1.
+    ``s(lower) >= 1`` holds analytically, since the coordinate that attains
+    the max is 1, and ``s(0) <= 1``, with equality only where ``a == g``
+    (identical members, ``lam* = 0``).  Neither end takes a ``W0`` pass.
     """
-    degenerate = 1.0 - _row_sums(_coordinates(a, ratio)) <= DEGENERACY_TOL
-    lo = np.where(degenerate, 0.0, (a + np.log(g)).max(axis=1) - 1.0)
-    return degenerate, lo
+    return (a + np.log(g)).max(axis=1) - 1.0
 
 
 def _halvings(a, ratio, lo, hi, count, w=None, prev=None):
@@ -345,8 +341,8 @@ def _halvings(a, ratio, lo, hi, count, w=None, prev=None):
     return lo_out, hi_out
 
 
-def _certify(a, ratio, estimate, lo, hi, live):
-    """Which ``live`` rows have their root proven inside a band around ``estimate``.
+def _certify(a, ratio, estimate, lo, hi):
+    """Which rows have their root proven inside a band around ``estimate``.
 
     The estimate ``lam`` is clipped to the bracket ``[lo, hi]``; a NaN one
     certifies nothing.  One cold ``W0`` pass at ``lam`` gives ``W(lam)`` and
@@ -355,7 +351,9 @@ def _certify(a, ratio, estimate, lo, hi, live):
     2 m / |s'(lam)|`` and the margin ``m = 4 (d + 8) eps``.  Two more passes,
     warm from ``W(lam)`` along its tangent, evaluate ``s`` at the band's ends.
     A row is certified where ``s(band_lo) - 1 >= m`` and ``1 - s(band_hi)
-    >= m``; a NaN fails both tests.
+    >= m``; a NaN fails both tests.  A band clipped at the bracket top
+    (``band_hi == hi``) needs no upper test, since no midpoint reaches
+    ``hi``; this is what certifies a row whose root is at or next to 0.
 
     ``(d + 8) eps`` bounds the rounding of a computed ``s``: ``W0``'s 2 ulp,
     the rounding of ``ratio * e^(mid + 1)`` and of ``a / W``, and the
@@ -368,11 +366,11 @@ def _certify(a, ratio, estimate, lo, hi, live):
 
     Returns ``(certified, band_lo, band_hi, lam, w)``: the band and the
     clipped estimate per row, and the ``(T, d)`` values ``W(lam)``.  Rows
-    outside ``live`` are evaluated at ``lo`` and never certified.
+    without an estimate are evaluated at ``lo`` and never certified.
     """
     lam = np.clip(estimate, lo, hi)
-    live = live & ~np.isnan(lam)
-    lam = np.where(live, lam, lo)
+    known = ~np.isnan(lam)
+    lam = np.where(known, lam, lo)
     w = lambert_w0_values(ratio * np.exp(lam + 1.0)[:, None])
     margin = 4.0 * (a.shape[1] + 8) * _EPS
     delta = 2.0 * margin / _row_sums(a / (w * (1.0 + w)))
@@ -384,26 +382,27 @@ def _certify(a, ratio, estimate, lo, hi, live):
         guess = w + (end - lam)[:, None] * tangent
         return _row_sums(a / lambert_w0_values(ratio * np.exp(end + 1.0)[:, None], guess=guess))
 
-    certified = live & (mass(band_lo) - 1.0 >= margin) & (1.0 - mass(band_hi) >= margin)
+    below = mass(band_lo) - 1.0 >= margin
+    certified = known & below & ((band_hi == hi) | (1.0 - mass(band_hi) >= margin))
     return certified, band_lo, band_hi, lam, w
 
 
-def _certified_halvings(a, ratio, lo, hi, evaluated, estimate):
+def _certified_halvings(a, ratio, lo, hi, estimate):
     """The brackets after 52 halvings, and the count evaluated per row, given root estimates.
 
     Rows that :func:`_certify` certifies decide every halving whose mid is
     outside their band on ``(T,)`` arrays, without a ``W0`` pass, until
     the mid first falls inside it; their remaining halvings are then
-    evaluated in lockstep, warm from ``W(lam)``.  The other rows with
-    halvings to make (``evaluated > 0`` on entry) evaluate all 52, cold
-    first, exactly as without an estimate.
+    evaluated in lockstep, warm from ``W(lam)``.  The other rows evaluate
+    all 52, cold first, exactly as without an estimate.
     """
-    certified, band_lo, band_hi, lam, w = _certify(a, ratio, estimate, lo, hi, evaluated > 0)
+    certified, band_lo, band_hi, lam, w = _certify(a, ratio, estimate, lo, hi)
     band_lo = np.where(certified, band_lo, -np.inf)
     band_hi = np.where(certified, band_hi, np.inf)
     # A row whose mid is inside its band is frozen: its bracket, and so its
     # mid, stop moving.  Uncertified rows are frozen from the start.  lo
     # moves to mid where mid < band_lo, and hi where mid > band_hi (see _FAR).
+    evaluated = np.full(a.shape[0], BISECTION_HALVINGS)
     for _ in range(BISECTION_HALVINGS):
         mid = 0.5 * (lo + hi)
         not_below, not_above = mid >= band_lo, mid <= band_hi
@@ -420,7 +419,7 @@ def _certified_halvings(a, ratio, lo, hi, evaluated, estimate):
         lo[warm], hi[warm] = _halvings(
             a[warm], ratio[warm], lo[warm], hi[warm], evaluated[warm], w, lam[warm]
         )
-    plain = np.flatnonzero(~certified & (evaluated > 0))
+    plain = np.flatnonzero(~certified)
     if plain.size:
         lo[plain], hi[plain] = _halvings(
             a[plain], ratio[plain], lo[plain], hi[plain], evaluated[plain]
@@ -437,27 +436,28 @@ def batch_frequency_bisection(
     means, one problem per row.  Returns ``(lam, coords, halvings, defect,
     evaluated)``: the multipliers, the ``(T, d)`` centroids on the simplex,
     the halvings, the simplex defects before renormalization and the
-    halvings decided by a ``W0`` pass, per row.  The bracket
+    halvings decided by a ``W0`` pass, per row.  On every row the bracket
     ``[max_i(a_i + log g_i) - 1, 0]`` is halved exactly
     :data:`BISECTION_HALVINGS` times, which resolves the multiplier to the
     52-bit significand of a double, and each row's simplex defect is then
     checked against :data:`SIMPLEX_TOL` (stopping on the defect alone
     could leave the coordinates under-resolved where ``s`` is flat).  A row
-    with ``1 - s(0) <= DEGENERACY_TOL`` (identical members) keeps ``lam =
-    0``, 0 halvings and 0 evaluations.  A root outside the bracket (an
-    inaccurate ``W0``) drives the halvings to the bracket's end, where the
-    defect check raises :class:`NumericError`.  No row's result depends on
-    the other rows.
+    of identical members, whose root is the bracket's top, ends within one
+    final bracket width of 0.  A root outside the bracket (an inaccurate
+    ``W0``) drives the halvings to the bracket's end, where the defect
+    check raises :class:`NumericError`.  No row's result depends on the
+    other rows.
 
-    Without ``estimate`` every halving is evaluated: all rows share the 54
-    ``W0`` passes (one for the bracket, one per halving, one for the
-    result).  Each halving after the first starts Halley from the previous
+    Without ``estimate`` every halving is evaluated: all rows share the 53
+    ``W0`` passes (one per halving, one for the result).  Each halving
+    after the first starts Halley from the previous
     pass's ``W``.  ``W`` is convex in ``t = log x`` with ``dW/dt = W / (1 +
     W)``, and consecutive midpoints move ``t`` by ``mid - prev``, so the
     tangent ``W + (mid - prev) * W / (1 + W)`` is a lower bound on the new
     root, off by ``O((mid - prev)**2)``; late halvings converge in one
-    step.  The bracket and the final coordinates keep the cold start, so
-    the returned centroid's ``W0`` values are those of :func:`_coordinates`.
+    step.  The first halving and the final coordinates keep the cold
+    start, so the returned centroid's ``W0`` values are those of
+    :func:`_coordinates`.
 
     ``estimate``, one multiplier per row (NaN where there is none), lets a
     row skip the evaluations whose sign is already proven.  Three ``W0``
@@ -473,16 +473,13 @@ def batch_frequency_bisection(
     every row when ``estimate`` is None.
     """
     ratio = a / g
-    degenerate, lo = _bracket(a, g, ratio)
-    hi = np.zeros(a.shape[0])
-    halvings = np.where(degenerate, 0, BISECTION_HALVINGS)
-    evaluated = halvings
-    # With every row degenerate, lo = hi = 0 and halving changes nothing.
-    if not degenerate.all():
-        if estimate is None:
-            lo, hi = _halvings(a, ratio, lo, hi, np.full(a.shape[0], BISECTION_HALVINGS))
-        else:
-            lo, hi, evaluated = _certified_halvings(a, ratio, lo, hi, halvings, estimate)
+    lo, hi = _bracket(a, g), np.zeros(a.shape[0])
+    halvings = np.full(a.shape[0], BISECTION_HALVINGS)
+    if estimate is None:
+        lo, hi = _halvings(a, ratio, lo, hi, halvings)
+        evaluated = halvings
+    else:
+        lo, hi, evaluated = _certified_halvings(a, ratio, lo, hi, estimate)
     lam = 0.5 * (lo + hi)
     coords, defect = _on_simplex(a, ratio, lam, "bisection")
     return lam, coords, halvings, defect, evaluated
@@ -506,18 +503,18 @@ def batch_frequency_newton(
     most ``4 eps * max(1, |lam|)``; tested after it, the last ulp-sized
     steps would turn into midpoints.
 
-    Degenerate rows keep ``lam = 0`` and 0 steps, and the final defect is
+    Every row takes at least one step; on a row of identical members the
+    first raw step already meets the stop test.  The final defect is
     checked as in the bisection.  A root outside the bracket (an inaccurate
     ``W0``) drives the midpoints to its end, where the raw step never
     shrinks, so a row still running after ``_NEWTON_CAP`` steps raises
     :class:`NumericError`.  No row's result depends on the other rows.
     """
     ratio = a / g
-    degenerate, lo = _bracket(a, g, ratio)
-    hi = np.zeros(a.shape[0])
+    lo, hi = _bracket(a, g), np.zeros(a.shape[0])
     lam = np.clip(_kl_multiplier(a, np.log(g)), lo, hi)
     steps = np.zeros(a.shape[0], dtype=np.int64)
-    active = ~degenerate
+    active = np.ones(a.shape[0], dtype=bool)
     for _ in range(_NEWTON_CAP):
         if not active.any():
             break
@@ -645,10 +642,9 @@ def _finish_frequency(
 def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:
     """Exact Jeffreys frequency centroid via bisection on the multiplier.
 
-    Runs :func:`batch_frequency_bisection` on the set's one problem: unless
-    the members are identical (``lam = 0``, 0 iterations), the multiplier
-    bracket is halved :data:`BISECTION_HALVINGS` times and the final simplex
-    defect is checked against :data:`SIMPLEX_TOL`.
+    Runs :func:`batch_frequency_bisection` on the set's one problem: the
+    multiplier bracket is halved :data:`BISECTION_HALVINGS` times and the
+    final simplex defect is checked against :data:`SIMPLEX_TOL`.
     """
     sf = s.as_frequency()
     if sf.n == 1:

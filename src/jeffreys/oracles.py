@@ -6,14 +6,14 @@ closed-form constructions against the exact frequency centroid; the
 ``bench`` command prints each factor's mean, minimum and maximum.
 
 It draws its trials in chunks of ``_CHUNK_SIZE``, one RNG stream each,
-and solves a chunk in row blocks of about ``_BLOCK_ELEMENTS`` lanes
-(trials times bins), so that the solvers' ``W0`` passes work on data that
-stays in cache instead of streaming a whole chunk's arrays from memory on
-every pass.  No trial's result depends on the others', and the weighted
-objectives are one matrix-vector product per chunk, so the results are
-bitwise those of one block per chunk.  Blocks and chunks are copied into
-the result as they finish, so the peak memory holds the result and one
-chunk.
+and draws and solves a chunk in row blocks of about ``_BLOCK_ELEMENTS``
+lanes (trials times bins), so that the solvers' ``W0`` passes work on
+data that stays in cache instead of streaming a whole chunk's arrays from
+memory on every pass.  A block's draws continue the chunk's stream, and
+no trial's result depends on the others', so the results are bitwise
+those of one block per chunk.  Blocks and chunks are copied into the
+result as they finish, so the peak memory holds the result and one
+block's arrays.
 
 Each block runs the fixed point first and passes its converged
 multipliers to the bisection as root estimates.  Every trial still makes
@@ -26,7 +26,7 @@ rest are certified from the estimate, see
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,8 +59,8 @@ class TrialData:
     """Per-trial arrays from a batch of random centroid problems.
 
     ``bisection_halvings`` counts the bisection's bracket halvings, 52 per
-    trial or 0 for a degenerate one, and ``bisection_evaluations`` the
-    halvings among them that a ``W0`` pass decided.
+    trial, and ``bisection_evaluations`` the halvings among them that a
+    ``W0`` pass decided.
     """
 
     j_positive: np.ndarray
@@ -86,10 +86,6 @@ class TrialData:
         return self.j_veldhuis / self.j_exact
 
 
-#: The :class:`TrialData` fields that hold weighted Jeffreys objectives.
-_OBJECTIVES = ("j_positive", "j_normalized", "j_veldhuis", "j_exact")
-
-
 def _concatenate(parts: Iterable[TrialData], trials: int) -> TrialData:
     """One :class:`TrialData` of ``parts``' ``trials`` rows, field by field, in order.
 
@@ -111,16 +107,14 @@ def _concatenate(parts: Iterable[TrialData], trials: int) -> TrialData:
 
 
 def _solve_block(members: np.ndarray) -> TrialData:
-    """Every per-trial quantity of ``(T, n, d)`` members; no row depends on another.
-
-    The four objectives are left unweighted: each ``j_*`` field holds the
-    ``(T, n)`` divergences of the trial's members, which the chunk weights.
-    """
+    """Every per-trial quantity of ``(T, n, d)`` members; no row depends on another."""
     log_members = np.log(members)
+    weights = np.full(members.shape[1], 1.0 / members.shape[1])
 
     def to_members(c: np.ndarray) -> np.ndarray:
-        """(T, n) Jeffreys divergences of each trial's members to the trial's row of ``c``."""
-        return jeffreys_rows(members, log_members, c[:, None, :], np.log(c)[:, None, :])
+        """(T,) weighted Jeffreys objective of each trial's members to the trial's row of ``c``."""
+        j = jeffreys_rows(members, log_members, c[:, None, :], np.log(c)[:, None, :])
+        return _row_sums(j * weights)
 
     a = members.mean(axis=1)
     a = a / _row_sums(a)[:, None]
@@ -150,18 +144,14 @@ def _solve_block(members: np.ndarray) -> TrialData:
 
 
 def _run_chunk(seed_seq: np.random.SeedSequence, trials: int, n: int, d: int) -> TrialData:
-    """One chunk's trials: drawn in one call, solved in row blocks of ``_BLOCK_ELEMENTS`` lanes.
-
-    The weighted objectives are one matrix-vector product per chunk, since
-    BLAS rounds a row's product according to its place in the matrix.
-    """
+    """One chunk's trials, drawn from its stream, solved in blocks of ``_BLOCK_ELEMENTS`` lanes."""
     rng = np.random.default_rng(seed_seq)
-    members = random_frequency_rows(rng, trials, n, d)
-    weights = np.full(n, 1.0 / n)
     rows = max(1, _BLOCK_ELEMENTS // d)
-    blocks = (_solve_block(members[i : i + rows]) for i in range(0, trials, rows))
-    data = _concatenate(blocks, trials)
-    return replace(data, **{name: getattr(data, name) @ weights for name in _OBJECTIVES})
+    blocks = (
+        _solve_block(random_frequency_rows(rng, min(rows, trials - i), n, d))
+        for i in range(0, trials, rows)
+    )
+    return _concatenate(blocks, trials)
 
 
 def run_alpha_trials(

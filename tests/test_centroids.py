@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jeffreys import (
@@ -22,7 +22,7 @@ from jeffreys import (
     positive_centroid,
     veldhuis_centroid,
 )
-from jeffreys.centroids import _means, _normalized_means, batch_frequency_bisection
+from jeffreys.centroids import _bracket, _means, _normalized_means, batch_frequency_bisection
 from jeffreys.centroids import batch_frequency_fixedpoint, batch_frequency_newton
 from jeffreys.centroids import FIXEDPOINT_TOL, _kl_multiplier, _simplex_coordinates
 from jeffreys.histograms import smooth_bins
@@ -36,6 +36,11 @@ CANONICAL = [[0.5, 0.5], [0.9, 0.1]]
 
 def canonical_set():
     return WeightedHistogramSet(CANONICAL, frequency=True)
+
+
+def final_width(a, g):
+    """Each row's bracket width after the bisection's 52 halvings, ``|lo| 2**-52``."""
+    return -_bracket(np.atleast_2d(a), np.atleast_2d(g)) * 2.0**-BISECTION_HALVINGS
 
 
 class TestPositiveCentroid:
@@ -209,7 +214,9 @@ class TestBisection:
         r = frequency_centroid_bisection(s)
         assert np.allclose(r.centroid, member, atol=1e-12)
         assert r.lambda_star == pytest.approx(0.0, abs=1e-12)
-        assert r.iterations == 0
+        # The root is the bracket's top: 52 halvings, ending within one final width of it.
+        assert r.iterations == BISECTION_HALVINGS
+        assert abs(r.lambda_star) <= final_width(*normalized_means(s))[0]
 
     def test_canonical_pair_beats_approximations(self):
         s = canonical_set()
@@ -311,9 +318,9 @@ class TestBatchBisection:
             assert lam[i] == pytest.approx(r.lambda_star, abs=1e-12)
             assert halvings[i] == r.iterations
             assert defect[i] == r.simplex_defect
-        # the identical-member row takes the s(0) ~ 1 shortcut
-        assert halvings[-1] == 0 and lam[-1] == 0.0
-        assert set(halvings[:-1]) == {BISECTION_HALVINGS}
+        # the identical-member row ends within one final bracket width of 0
+        assert abs(lam[-1]) <= final_width(a, g)[-1]
+        assert set(halvings) == {BISECTION_HALVINGS}
 
     def test_bracket_violation_raises(self, monkeypatch):
         # W0 scaled by 4 puts the root of the scaled s below the bracket, so
@@ -328,7 +335,7 @@ class TestBatchBisection:
             batch_frequency_bisection(arith[None, :], geom[None, :])
 
     def test_final_simplex_defect_raises(self, monkeypatch):
-        # Break only the last of the 54 W0 passes, which yields the returned
+        # Break only the last of the 53 W0 passes, which yields the returned
         # coordinates, so that their mass misses one by about 1e-6.
         import jeffreys.centroids as centroids
 
@@ -338,12 +345,12 @@ class TestBatchBisection:
         def off_on_last_pass(x, **kw):
             calls.append(1)
             w = lambert_w0_values(x, **kw)
-            return w * (1.0 + 1e-6) if len(calls) == 1 + BISECTION_HALVINGS + 1 else w
+            return w * (1.0 + 1e-6) if len(calls) == BISECTION_HALVINGS + 1 else w
 
         monkeypatch.setattr(centroids, "lambert_w0_values", off_on_last_pass)
         with pytest.raises(NumericError, match="simplex defect"):
             batch_frequency_bisection(arith[None, :], geom[None, :])
-        assert len(calls) == 1 + BISECTION_HALVINGS + 1
+        assert len(calls) == BISECTION_HALVINGS + 1
 
     def test_final_nan_lane_raises(self, monkeypatch):
         # A NaN defect compares False against any tolerance; it must still fail.
@@ -355,14 +362,14 @@ class TestBatchBisection:
         def nan_on_last_pass(x, **kw):
             calls.append(1)
             w = lambert_w0_values(x, **kw)
-            if len(calls) == 1 + BISECTION_HALVINGS + 1:
+            if len(calls) == BISECTION_HALVINGS + 1:
                 w[..., -1] = np.nan
             return w
 
         monkeypatch.setattr(centroids, "lambert_w0_values", nan_on_last_pass)
         with pytest.raises(NumericError, match="simplex defect nan"):
             batch_frequency_bisection(arith[None, :], geom[None, :])
-        assert len(calls) == 1 + BISECTION_HALVINGS + 1
+        assert len(calls) == BISECTION_HALVINGS + 1
 
 
 class TestWarmBisection:
@@ -386,7 +393,7 @@ class TestWarmBisection:
         import jeffreys.centroids as centroids
 
         a, g = self.sparse_problems() if d == "sparse" else self.uniform_problems(d)
-        a, g = np.vstack([a, a[:1]]), np.vstack([g, a[:1]])  # one degenerate row
+        a, g = np.vstack([a, a[:1]]), np.vstack([g, a[:1]])  # one row of identical members
         steps = []
 
         def counting(x, **kw):
@@ -404,9 +411,8 @@ class TestWarmBisection:
         assert np.abs(lam - cold_lam).max() <= 8.0 * eps
         assert np.abs(coords - cold_coords).max() <= 8.0 * eps
         assert np.array_equal(halvings, cold_halvings)
-        # At d = 2 a few trials are degenerate too, as in the harness.
-        assert set(halvings) == {0, BISECTION_HALVINGS} and halvings[-1] == 0
-        assert len(steps) == 1 + BISECTION_HALVINGS + 1
+        assert set(halvings) == {BISECTION_HALVINGS}
+        assert len(steps) == BISECTION_HALVINGS + 1
         assert np.mean(steps) <= 2.0
 
     def test_first_halving_and_result_start_cold(self, monkeypatch):
@@ -422,7 +428,7 @@ class TestWarmBisection:
         monkeypatch.setattr(centroids, "lambert_w0_values", recording)
         batch_frequency_bisection(a, g)
         cold = [i for i, guess in enumerate(guesses) if guess is None]
-        assert cold == [0, 1, 1 + BISECTION_HALVINGS]
+        assert cold == [0, BISECTION_HALVINGS]
 
 
 class TestCertifiedBisection:
@@ -438,8 +444,9 @@ class TestCertifiedBisection:
     def near_degenerate_problems(d):
         """Members paired with copies perturbed by 1e-2 to 2e-3 relative.
 
-        Their ``1 - s(0)`` runs from about 1e-11 down to the degeneracy
-        threshold and below it.
+        Their ``1 - s(0)`` runs from about 1e-11 down to the rounding floor
+        of ``s`` and below it, and their roots are as close to the
+        bracket's top, 0.
         """
         rng = np.random.default_rng(d)
         member = rng.uniform(0.1, 1.0, size=(4, d))
@@ -465,7 +472,8 @@ class TestCertifiedBisection:
     def test_band_holds_the_exact_root(self):
         # The certified decisions rest on W0's measured 2-ulp bound; in 50
         # digits, every certified band must hold the root with room to spare:
-        # s(band_lo) - 1 and 1 - s(band_hi) at least half the margin.
+        # s(band_lo) - 1 and 1 - s(band_hi) at least half the margin.  A band
+        # clipped at the bracket's top, 0, needs no upper test.
         import jeffreys.centroids as centroids
 
         problems = [self.harness_problems(d, t, d) for d, t in ((2, 60), (16, 20), (64, 6))]
@@ -473,30 +481,24 @@ class TestCertifiedBisection:
             sparse = [sparse_problem(seed, 0.01, d, 2 + seed % 5) for seed in range(8)]
             problems.append([np.vstack(m) for m in zip(*sparse)])
         problems += [self.near_degenerate_problems(d) for d in (2, 5, 16)]
-        # The flaky FOUND example: a = [2.1e-13, 1], g = [1.05e-20, 1], degenerate.
+        # a = [2.1e-13, 1], g = [1.05e-20, 1]: the root is -1.83e-13.
         problems.append(sparse_problem(5685, 10.0**-1.59375, 2, 2))
         for a, g in problems:
-            ratio = a / g
-            degenerate, lo = centroids._bracket(a, g, ratio)
             estimate = self.fixedpoint_estimate(a, g)
             certified, band_lo, band_hi, _, _ = centroids._certify(
-                a, ratio, estimate, lo, np.zeros(a.shape[0]), ~degenerate
+                a, a / g, estimate, centroids._bracket(a, g), np.zeros(a.shape[0])
             )
             margin = 4.0 * (a.shape[1] + 8) * np.finfo(np.float64).eps
-            # Every row but the degenerate ones is certified.
-            assert np.array_equal(certified, ~degenerate)
+            assert certified.all()
             with mpmath.workdps(50):
-                for i in np.flatnonzero(certified):
+                for i in range(a.shape[0]):
                     assert self.exact_mass(a[i], g[i], band_lo[i]) - 1 >= margin / 2
-                    assert 1 - self.exact_mass(a[i], g[i], band_hi[i]) >= margin / 2
-            # A degenerate row keeps lam = 0 with no halving and no evaluation.
-            lam, _, halvings, _, evaluated = batch_frequency_bisection(a, g, estimate)
-            assert np.all(lam[degenerate] == 0.0)
-            assert not np.any(halvings[degenerate]) and not np.any(evaluated[degenerate])
+                    if band_hi[i] < 0.0:
+                        assert 1 - self.exact_mass(a[i], g[i], band_hi[i]) >= margin / 2
 
     def test_passes_follow_the_evaluations(self, monkeypatch):
-        # Bracket, the three certification passes, one lockstep pass per
-        # evaluated halving of the longest row, and the result.
+        # The three certification passes, one lockstep pass per evaluated
+        # halving of the longest row, and the result.
         import jeffreys.centroids as centroids
 
         a, g = self.harness_problems(3, 200, 16)
@@ -511,9 +513,9 @@ class TestCertifiedBisection:
         _, _, halvings, _, evaluated = batch_frequency_bisection(a, g, estimate)
         assert set(halvings) == {BISECTION_HALVINGS}
         assert evaluated.max() < 30 and evaluated.mean() < 15
-        assert len(calls) == 1 + 3 + evaluated.max() + 1
+        assert len(calls) == 3 + evaluated.max() + 1
         # Each lockstep pass evaluates only the rows with a halving left.
-        lockstep = calls[4:-1]
+        lockstep = calls[3:-1]
         assert lockstep == [int(np.sum(evaluated > k)) for k in range(evaluated.max())]
 
     @settings(max_examples=40, deadline=None)
@@ -551,7 +553,7 @@ class TestCertifiedBisection:
         # width, |lo| 2**-52.  Measured on 48,000 such rows: 30 moved, by at
         # most 1.0015 widths, and their coordinates by at most 0.91 widths
         # relative (6.3e-16).
-        width = -centroids._bracket(a, g, a / g)[1] * 2.0**-52
+        width = -centroids._bracket(a, g) * 2.0**-52
         assert np.all(np.abs(lam - free[0]) <= 2.0 * width)
         assert np.all(np.max(np.abs(coords - free[1]) / free[1], axis=1) <= 2.0 * width)
 
@@ -567,18 +569,28 @@ def relative_gap(x, y):
     return float(np.max(np.abs(x - y) / y))
 
 
+def exact_coordinates(a, g):
+    """``lam -> c(lam)`` of one row's means, in the working precision of ``mpmath``."""
+    a_mp = [mpmath.mpf(v) for v in a]
+    ratio = [mpmath.mpf(v) / mpmath.mpf(w) for v, w in zip(a, g)]
+
+    def coords(lam):
+        scale = mpmath.exp(lam + 1)
+        return [v / mpmath.lambertw(r * scale).real for v, r in zip(a_mp, ratio)]
+
+    return coords
+
+
+def exact_multiplier(coords, start):
+    """The root of ``sum(coords(lam)) = 1``, searched from ``start``."""
+    return mpmath.findroot(lambda t: mpmath.fsum(coords(t)) - 1, mpmath.mpf(start))
+
+
 def distance_to_exact(a, g, lam, candidates):
     """Largest relative distance of each candidate to the 50-digit centroid."""
     with mpmath.workdps(50):
-        a_mp = [mpmath.mpf(v) for v in a]
-        ratio = [mpmath.mpf(v) / mpmath.mpf(w) for v, w in zip(a, g)]
-
-        def coords(lam):
-            scale = mpmath.exp(lam + 1)
-            return [v / mpmath.lambertw(r * scale).real for v, r in zip(a_mp, ratio)]
-
-        lam = mpmath.findroot(lambda t: mpmath.fsum(coords(t)) - 1, mpmath.mpf(lam))
-        exact = coords(lam)
+        coords = exact_coordinates(a, g)
+        exact = coords(exact_multiplier(coords, lam))
         return [
             float(max(abs(mpmath.mpf(c) - e) / e for c, e in zip(candidate, exact)))
             for candidate in candidates
@@ -603,9 +615,10 @@ class TestBatchNewton:
         assert relative_gap(coords, coords_b) <= 1e-15
         assert np.abs(lam - lam_b).max() <= 1e-15
         assert defect.max() <= 1e-12
-        # the identical-member row takes the s(0) ~ 1 shortcut
-        assert steps[-1] == 0 and lam[-1] == 0.0
-        assert 1 <= steps[:-1].min() and steps.max() <= 8
+        # the identical-member row stops after one step, within one final
+        # bisection bracket width of 0
+        assert steps[-1] == 1 and abs(lam[-1]) <= final_width(a, g)[-1]
+        assert 1 <= steps.min() and steps.max() <= 8
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -639,7 +652,7 @@ class TestBatchNewton:
 
         arith, geom = normalized_means(canonical_set())
         a, g = arith[None, :], geom[None, :]
-        passes = 1 + int(batch_frequency_newton(a, g)[2][0]) + 1
+        passes = int(batch_frequency_newton(a, g)[2][0]) + 1
         calls = []
 
         def off_on_last_pass(x):
@@ -657,7 +670,7 @@ class TestBatchNewton:
 
         arith, geom = normalized_means(canonical_set())
         a, g = arith[None, :], geom[None, :]
-        passes = 1 + int(batch_frequency_newton(a, g)[2][0]) + 1
+        passes = int(batch_frequency_newton(a, g)[2][0]) + 1
         calls = []
 
         def nan_on_last_pass(x):
@@ -891,6 +904,8 @@ class TestFixedAccuracy:
         d=st.integers(2, 512),
         n=st.integers(2, 11),
     )
+    # A root of -1.83e-13, next to the bracket's top.
+    @example(seed=5685, log_alpha=-1.59375, d=2, n=2)
     def test_fixedpoint_converges_without_rescue(self, seed, log_alpha, d, n):
         a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
         lam, iterations, converged = batch_frequency_fixedpoint(a, g)
@@ -902,6 +917,23 @@ class TestFixedAccuracy:
         assert abs(lam[0] - lam_b[0]) <= 5e-14 * scale
         coords = _simplex_coordinates(a, a / g, lam)
         assert relative_gap(coords, coords_b) <= 1e-12
+
+    def test_roots_next_to_the_bracket_top(self):
+        # Near-identical members put the root within about 1e-11 of 0, the
+        # bracket's top.  The bisection and Newton land within 6 eps *
+        # max(1, |lam|) of the 50-digit root; measured at most 2.1 and 1.6 eps.
+        problems = [TestCertifiedBisection.near_degenerate_problems(d) for d in (2, 5, 16)]
+        problems.append(sparse_problem(5685, 10.0**-1.59375, 2, 2))
+        eps = np.finfo(np.float64).eps
+        for a, g in problems:
+            lam_b = batch_frequency_bisection(a, g)[0]
+            lam_n = batch_frequency_newton(a, g)[0]
+            for i in range(a.shape[0]):
+                with mpmath.workdps(50):
+                    root = float(exact_multiplier(exact_coordinates(a[i], g[i]), lam_b[i]))
+                bound = 6.0 * eps * max(1.0, abs(root))
+                assert abs(lam_b[i] - root) <= bound
+                assert abs(lam_n[i] - root) <= bound
 
 
 class TestSandwich:

@@ -422,6 +422,27 @@ class TestModeRegistry:
             if mode.solver:
                 assert getattr(centroids, mode.solver)(s).mode == name
 
+    def test_singleton_results_set_their_mode_fields(self):
+        # A one-member set reports the diagnostics its mode reports at n >= 2.
+        one = WeightedHistogramSet([[0.3, 0.7]], frequency=True)
+        two = WeightedHistogramSet([[0.5, 0.5], [0.9, 0.1]], frequency=True)
+        diagnostics = ("w_c", "lambda_star", "bound_factor", "simplex_defect")
+        for name, mode in MODES.items():
+            if not mode.solver:
+                continue
+            solver = getattr(centroids, mode.solver)
+            single, pair = solver(one), solver(two)
+            assert [getattr(single, f) is None for f in diagnostics] == [
+                getattr(pair, f) is None for f in diagnostics
+            ], name
+            assert single.objective == 0.0 and single.iterations == 0 and not single.fallback
+            if single.w_c is not None:
+                assert single.w_c == pytest.approx(1.0, abs=1e-15)
+            if single.bound_factor is not None:
+                assert single.bound_factor == 1.0 / single.w_c
+            if single.lambda_star is not None:
+                assert single.lambda_star == 0.0 and single.simplex_defect <= 1e-15
+
     @pytest.mark.parametrize("name", [n for n, m in MODES.items() if m.frequency])
     def test_frequency_only_rows_reject_positive_kind(self, pair_csv, name):
         io_flags = ["--input", pair_csv, "--format", "csv", "--kind", "positive"]

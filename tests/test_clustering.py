@@ -260,7 +260,7 @@ class TestBatchedRelocation:
     @staticmethod
     def clustered(rng, d=7):
         # cluster 0: five members, 1: a singleton, 2: empty, 3: three
-        # identical members (the s(0) ~ 1 path), 4: four members
+        # identical members (a root at the bracket's top), 4: four members
         rows = rng.uniform(0.01, 1.0, size=(13, d))
         rows[6:9] = rows[6]
         rows /= rows.sum(axis=1, keepdims=True)
@@ -300,8 +300,8 @@ class TestBatchedRelocation:
 class TestRelocationCost:
     @pytest.mark.parametrize("k", [2, 5, 9])
     def test_exact_round_makes_at_most_9_w0_calls_for_any_k(self, k, rng, monkeypatch):
-        # One batched Newton solve: the s(0) pass, at most 7 steps (measured
-        # on sparse and dense sets) and the final pass, whatever k is.
+        # One batched Newton solve: at most 7 steps (measured on sparse and
+        # dense sets) and the final pass, whatever k is.
         calls = []
 
         def counting(*args, **kwargs):
