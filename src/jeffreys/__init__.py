@@ -26,7 +26,6 @@ from .errors import NumericError, ValidationError
 from .histograms import WeightedHistogramSet, smooth_bins
 from .lambertw import lambert_w0_values
 from .oracles import run_alpha_trials
-from .reports import RunReport
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,6 @@ __all__ = [
     "DatasetFile",
     "MODES",
     "NumericError",
-    "RunReport",
     "ValidationError",
     "WeightedHistogramSet",
     "frequency_centroid_bisection",

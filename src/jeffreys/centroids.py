@@ -48,7 +48,7 @@ the k-means relocations of :mod:`jeffreys.clustering`, and the CLI's
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -192,18 +192,13 @@ def normalized_means(s: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
     return a, g
 
 
-def _coordinates(a: np.ndarray, ratio: np.ndarray, lam=0.0, return_iterations: bool = False):
+def _coordinates(a: np.ndarray, ratio: np.ndarray, lam=0.0) -> np.ndarray:
     """``c(lam) = a / W0(ratio * e^(lam + 1))`` row by row, with ``ratio = a / g``.
 
     ``lam`` is a scalar or one multiplier per row of ``(T, d)`` means; on
-    raw means ``lam = 0`` gives the positive centroid.  With
-    ``return_iterations=True`` also returns the ``W0`` step counts.
+    raw means ``lam = 0`` gives the positive centroid.
     """
-    x = ratio * np.exp(lam + 1.0)[..., None]
-    if return_iterations:
-        w, steps = lambert_w0_values(x, return_iterations=True)
-        return a / w, steps
-    return a / lambert_w0_values(x)
+    return a / lambert_w0_values(ratio * np.exp(lam + 1.0)[..., None])
 
 
 def _simplex_coordinates(a: np.ndarray, ratio: np.ndarray, lam) -> np.ndarray:
@@ -231,24 +226,50 @@ def _on_simplex(a: np.ndarray, ratio: np.ndarray, lam: np.ndarray, mode: str):
     return coords / mass[:, None], defect
 
 
+def _solved(s: WeightedHistogramSet, mode: str, solve) -> CentroidResult:
+    """The frame of every scalar solver: ``solve`` applied to ``s``'s raw means.
+
+    A frequency mode of :data:`MODES` first validates ``s`` as a frequency
+    set, and a one-member set is its own result (:func:`_singleton_result`).
+    ``solve(a, g)`` returns ``(centroid, iterations, fields)``: a new
+    ``(d,)`` array, which is frozen here, and the diagnostics of
+    :class:`CentroidResult` that ``mode`` sets.
+    """
+    if MODES[mode].frequency:
+        s = s.as_frequency()
+    if s.n == 1:
+        return _singleton_result(s, mode)
+    c, iterations, fields = solve(*_means(s))
+    c.flags.writeable = False
+    return CentroidResult(
+        centroid=c, mode=mode, objective=_objective(c, s, mode), iterations=iterations, **fields
+    )
+
+
+def _positive(a: np.ndarray, g: np.ndarray):
+    w, steps = lambert_w0_values(a / g * np.exp(1.0), return_iterations=True)
+    c = a / w
+    return c, int(np.max(steps)), {"w_c": float(c.sum())}
+
+
+def _normalized(a: np.ndarray, g: np.ndarray):
+    c, iterations, fields = _positive(a, g)
+    w_c = fields["w_c"]
+    return c / w_c, iterations, {"w_c": w_c, "bound_factor": 1.0 / w_c}
+
+
+def _veldhuis(a: np.ndarray, g: np.ndarray):
+    a, g = _normalized_means(a, g)
+    return 0.5 * (a + g), 0, {}
+
+
 def positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
     """Exact Jeffreys centroid over the positive orthant.
 
     Separates per coordinate; each coordinate solves
     ``log(c/g) + 1 - a/c = 0``, whose root is ``a / W0(a * e / g)``.
     """
-    if s.n == 1:
-        return _singleton_result(s, "positive")
-    a, g = _means(s)
-    c, steps = _coordinates(a, a / g, return_iterations=True)
-    c.flags.writeable = False
-    return CentroidResult(
-        centroid=c,
-        mode="positive",
-        objective=_objective(c, s, "positive"),
-        iterations=int(np.max(steps)),
-        w_c=float(c.sum()),
-    )
+    return _solved(s, "positive", _positive)
 
 
 def normalized_positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
@@ -258,37 +279,12 @@ def normalized_positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
     ``0 < w_c <= 1`` and the normalized centroid's objective is at most
     ``1 / w_c`` times the optimum, recorded as ``bound_factor``.
     """
-    sf = s.as_frequency()
-    if sf.n == 1:
-        return _singleton_result(sf, "normalized")
-    pos = positive_centroid(sf)
-    w_c = pos.w_c
-    c = pos.centroid / w_c
-    c.flags.writeable = False
-    return CentroidResult(
-        centroid=c,
-        mode="normalized",
-        objective=_objective(c, sf, "normalized"),
-        iterations=pos.iterations,
-        w_c=w_c,
-        bound_factor=1.0 / w_c,
-    )
+    return _solved(s, "normalized", _normalized)
 
 
 def veldhuis_centroid(s: WeightedHistogramSet) -> CentroidResult:
     """Half-sum of the normalized arithmetic and geometric means."""
-    sf = s.as_frequency()
-    if sf.n == 1:
-        return _singleton_result(sf, "veldhuis")
-    a, g = _normalized_means(*_means(sf))
-    c = 0.5 * (a + g)
-    c.flags.writeable = False
-    return CentroidResult(
-        centroid=c,
-        mode="veldhuis",
-        objective=_objective(c, sf, "veldhuis"),
-        iterations=0,
-    )
+    return _solved(s, "veldhuis", _veldhuis)
 
 
 def _bracket(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -612,31 +608,33 @@ def batch_frequency_fixedpoint(
     return lam_out, iterations, converged_out
 
 
-def _frequency_problem(sf: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(1, d)`` normalized means of a set: one row of the batched solvers."""
-    a, g = _normalized_means(*_means(sf))
-    return a[None], g[None]
+def _multiplier(lam: np.ndarray, defect: np.ndarray) -> dict:
+    """The frequency modes' diagnostics of a batched solve's one row."""
+    return {"lambda_star": min(float(lam[0]), 0.0), "simplex_defect": float(defect[0])}
 
 
-def _finish_frequency(
-    sf: WeightedHistogramSet,
-    mode: str,
-    lam: np.ndarray,
-    coords: np.ndarray,
-    iterations: int,
-    defect: np.ndarray,
-) -> CentroidResult:
-    """The report of a batched solve of ``sf``'s one problem."""
-    c = coords[0]
-    c.flags.writeable = False
-    return CentroidResult(
-        centroid=c,
-        mode=mode,
-        objective=_objective(c, sf, mode),
-        iterations=iterations,
-        lambda_star=min(float(lam[0]), 0.0),
-        simplex_defect=float(defect[0]),
+def _bisection(a: np.ndarray, g: np.ndarray):
+    a, g = _normalized_means(a, g)
+    lam, coords, halvings, defect, _ = batch_frequency_bisection(a[None], g[None])
+    return coords[0], int(halvings[0]), _multiplier(lam, defect)
+
+
+def _fixedpoint(a: np.ndarray, g: np.ndarray):
+    a, g = _normalized_means(a, g)
+    a, g = a[None], g[None]
+    lam, iterations, converged = batch_frequency_fixedpoint(a, g)
+    steps = int(iterations[0])
+    if converged[0]:
+        coords, defect = _on_simplex(a, a / g, lam, "fixedpoint")
+        return coords[0], steps, _multiplier(lam, defect)
+    warnings.warn(
+        f"fixed-point iteration did not contract within {steps} steps; "
+        "finishing with the safeguarded Newton solver",
+        RuntimeWarning,
+        stacklevel=4,  # the caller of frequency_centroid_fixedpoint, past _solved
     )
+    lam, coords, _, defect = batch_frequency_newton(a, g)
+    return coords[0], steps, {**_multiplier(lam, defect), "fallback": True}
 
 
 def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:
@@ -646,12 +644,7 @@ def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:
     multiplier bracket is halved :data:`BISECTION_HALVINGS` times and the
     final simplex defect is checked against :data:`SIMPLEX_TOL`.
     """
-    sf = s.as_frequency()
-    if sf.n == 1:
-        return _singleton_result(sf, "bisection")
-    a, g = _frequency_problem(sf)
-    lam, coords, halvings, defect, _ = batch_frequency_bisection(a, g)
-    return _finish_frequency(sf, "bisection", lam, coords, int(halvings[0]), defect)
+    return _solved(s, "bisection", _bisection)
 
 
 def frequency_centroid_fixedpoint(s: WeightedHistogramSet) -> CentroidResult:
@@ -668,22 +661,4 @@ def frequency_centroid_fixedpoint(s: WeightedHistogramSet) -> CentroidResult:
     :func:`batch_frequency_newton` on the same means and flags the result
     as a ``fallback`` instead of looping forever.
     """
-    sf = s.as_frequency()
-    if sf.n == 1:
-        return _singleton_result(sf, "fixedpoint")
-    a, g = _frequency_problem(sf)
-    lam, iterations, converged = batch_frequency_fixedpoint(a, g)
-    steps = int(iterations[0])
-    if converged[0]:
-        coords, defect = _on_simplex(a, a / g, lam, "fixedpoint")
-        return _finish_frequency(sf, "fixedpoint", lam, coords, steps, defect)
-
-    warnings.warn(
-        f"fixed-point iteration did not contract within {steps} steps; "
-        "finishing with the safeguarded Newton solver",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    lam, coords, _, defect = batch_frequency_newton(a, g)
-    rescue = _finish_frequency(sf, "fixedpoint", lam, coords, steps, defect)
-    return replace(rescue, fallback=True)
+    return _solved(s, "fixedpoint", _fixedpoint)

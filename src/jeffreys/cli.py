@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -23,7 +24,6 @@ from .centroids import MODES
 from .clustering import ClusteringConfig, kmeans
 from .datasets import FORMATS, KIND_FREQUENCY, KINDS, load_dataset
 from .errors import NumericError, ValidationError
-from .reports import RunReport
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -110,22 +110,22 @@ def _run_centroid(args) -> int:
         alpha = result.objective / exact.objective if exact.objective > 0.0 else 1.0
     elapsed = time.perf_counter() - start
 
-    report = RunReport(
-        mode=result.mode,
-        kind=args.kind,
-        centroid=result.centroid.tolist(),
-        iterations=result.iterations,
-        objective=result.objective,
-        wall_clock_seconds=elapsed,
-        w_c=result.w_c,
-        lambda_star=result.lambda_star,
-        bound_factor=result.bound_factor,
-        alpha_vs_exact=alpha,
-        simplex_defect=result.simplex_defect,
-        epsilon_scale=dataset.epsilon_scale,
-        fallback=result.fallback,
-    )
-    sys.stdout.write(report.to_json() + "\n" if args.output == "json" else report.to_csv())
+    report = {
+        "mode": result.mode,
+        "kind": args.kind,
+        "centroid": result.centroid.tolist(),
+        "iterations": result.iterations,
+        "objective": result.objective,
+        "wall_clock_seconds": elapsed,
+        "w_c": result.w_c,
+        "lambda_star": result.lambda_star,
+        "bound_factor": result.bound_factor,
+        "alpha_vs_exact": alpha,
+        "simplex_defect": result.simplex_defect,
+        "epsilon_scale": dataset.epsilon_scale,
+        "fallback": result.fallback,
+    }
+    sys.stdout.write(_dumps(report) + "\n" if args.output == "json" else _csv(report))
     return EXIT_OK
 
 
@@ -141,20 +141,46 @@ def _run_kmeans(args) -> int:
     start = time.perf_counter()
     result = kmeans(dataset.histograms, cfg)
     elapsed = time.perf_counter() - start
-    payload = result.to_dict()
-    payload["config"] = dataclasses.asdict(cfg)
-    try:
-        text = json.dumps(payload, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"k-means output is not finite: {exc}") from exc
-    sys.stdout.write(text + "\n")
+    payload = {
+        "assignments": result.assignments.tolist(),
+        "centroids": result.centroids.tolist(),
+        "objective_trace": list(result.objective_trace),
+        "iterations": result.iterations,
+        "config": dataclasses.asdict(cfg),
+    }
+    sys.stdout.write(_dumps(payload) + "\n")
     sys.stderr.write(f"kmeans finished in {elapsed:.3f}s, {result.iterations} rounds\n")
     return EXIT_OK
 
 
+def _dumps(payload: dict) -> str:
+    """``payload`` as one line of JSON, with shortest round-trip decimals.
+
+    JSON cannot hold a non-finite number: one raises :class:`NumericError`.
+    """
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"output is not finite: {exc}") from exc
+
+
+def _csv(report: dict) -> str:
+    """The centroid report as a header and one row: the scalars, then ``bin_0``, ``bin_1``, ...
+
+    A missing value is an empty cell; a non-finite number raises
+    :class:`NumericError`, as in JSON.
+    """
+    cells = {name: value for name, value in report.items() if name != "centroid"}
+    cells.update((f"bin_{i}", v) for i, v in enumerate(report["centroid"]))
+    for name, value in cells.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericError(f"output field {name} is not finite: {value!r}")
+    # str() of a float is its shortest round-trip repr.
+    row = ("" if value is None else str(value) for value in cells.values())
+    return ",".join(cells) + "\n" + ",".join(row) + "\n"
+
+
 def _run_bench(args) -> int:
-    if args.trials < 1:
-        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     # Looked up at call time, like the solvers in _run_centroid.
     data = oracles.run_alpha_trials(args.trials, args.dims, seed=args.seed, threads=args.threads)
     # (avg, min, max) of each column, one column's array alive at a time.

@@ -65,14 +65,6 @@ class ClusteringResult:
     objective_trace: tuple[float, ...]
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "assignments": [int(j) for j in self.assignments],
-            "centroids": self.centroids.tolist(),
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "iterations": self.iterations,
-        }
-
 
 def _expanded_costs(
     s: WeightedHistogramSet, centers: np.ndarray, log_centers: np.ndarray

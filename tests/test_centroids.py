@@ -187,6 +187,25 @@ class TestNormalizedPositiveCentroid:
             assert 0.0 < r.w_c <= 1.0 + 1e-12
             assert r.bound_factor >= 1.0 - 1e-12
 
+    def test_builds_on_the_positive_solve(self, rng, monkeypatch):
+        # One objective per call: the positive centroid's own is never computed.
+        import jeffreys.centroids as centroids
+
+        s = random_frequency_set(rng, n=3, d=5)
+        calls = []
+
+        def counting(c, s):
+            calls.append(1)
+            return jeffreys_to_set(c, s)
+
+        monkeypatch.setattr(centroids, "jeffreys_to_set", counting)
+        r = normalized_positive_centroid(s)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        pos = positive_centroid(s)
+        np.testing.assert_array_equal(r.centroid, pos.centroid / pos.w_c)
+        assert (r.w_c, r.bound_factor, r.iterations) == (pos.w_c, 1.0 / pos.w_c, pos.iterations)
+
 
 class TestVeldhuisCentroid:
     def test_identical_members(self):
@@ -730,6 +749,17 @@ class TestFixedPoint:
         assert r.fallback and r.iterations == 1
         b = frequency_centroid_bisection(s)
         assert np.abs(r.centroid - b.centroid).max() <= 1e-12
+
+    def test_rescue_warning_points_at_the_caller(self, monkeypatch):
+        import jeffreys.centroids as centroids
+
+        monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", 1)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            r = frequency_centroid_fixedpoint(canonical_set())
+        assert r.fallback
+        assert [w.category for w in record] == [RuntimeWarning]
+        assert record[0].filename == __file__
 
 
 class TestBatchFixedPoint:

@@ -9,14 +9,13 @@ import pytest
 
 from jeffreys import (
     MODES,
-    ValidationError,
     WeightedHistogramSet,
     centroids,
     clustering,
+    load_dataset,
     run_alpha_trials,
 )
 from jeffreys.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
-from jeffreys.reports import RunReport
 from conftest import planted_blobs
 
 
@@ -44,6 +43,13 @@ def identical_csv(tmp_path):
     path.write_text("0.3,0.7\n0.3,0.7\n")
     return str(path)
 
+
+#: The ``centroid`` report's keys, in the order both output formats write them.
+REPORT_KEYS = [
+    "mode", "kind", "centroid", "iterations", "objective", "wall_clock_seconds", "w_c",
+    "lambda_star", "bound_factor", "alpha_vs_exact", "simplex_defect", "epsilon_scale",
+    "fallback",
+]
 
 HUGE_ROWS = [[1e307, 1.7e308], [1.7e308, 1e307]]
 
@@ -94,15 +100,6 @@ class TestCentroidCommand:
         report = json.loads(out)
         assert 1.0 - 1e-12 <= report["alpha_vs_exact"] <= report["bound_factor"] + 1e-12
 
-    def test_report_json_round_trips(self, pair_csv):
-        _, out, _ = run_cli(
-            ["centroid", "--input", pair_csv, "--format", "csv",
-             "--kind", "frequency", "--mode", "fixedpoint"]
-        )
-        report = RunReport.from_json(out)
-        assert report.to_json() == out.strip()
-        assert report.fallback is False
-
     def test_fixedpoint_rescue_is_reported(self, pair_csv, monkeypatch):
         # A one-step cap forces the rescue; the report carries its flag.
         monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", 1)
@@ -114,44 +111,37 @@ class TestCentroidCommand:
         assert code == EXIT_OK
         assert json.loads(out)["fallback"] is True
 
-    def test_report_with_fallback_round_trips(self):
-        report = RunReport(
-            mode="fixedpoint", kind="frequency", centroid=[0.25, 0.75], iterations=100,
-            objective=0.125, wall_clock_seconds=0.5, lambda_star=-0.01,
-            simplex_defect=1e-16, fallback=True,
-        )
-        assert RunReport.from_json(report.to_json()) == report
-
-        def parse(name, text):
-            if text == "" or name in ("mode", "kind"):
-                return text or None
-            if name == "fallback":
-                return {"True": True, "False": False}[text]
-            return int(text) if name == "iterations" else float(text)
-
-        header, row = report.to_csv().strip().splitlines()
-        cells = dict(zip(header.split(","), row.split(",")))
-        assert cells["fallback"] == "True"
-        bins = [name for name in cells if name.startswith("bin_")]
-        scalars = {name: parse(name, text) for name, text in cells.items() if name not in bins}
-        assert RunReport(centroid=[float(cells[b]) for b in bins], **scalars) == report
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda report: json.dumps([report]),
-            lambda report: json.dumps({**report, "surprise": 1}),
-            lambda report: json.dumps({k: v for k, v in report.items() if k != "objective"}),
-        ],
-        ids=["array", "unknown_key", "missing_key"],
-    )
-    def test_report_json_rejects_bad_shapes(self, pair_csv, mutate):
-        _, out, _ = run_cli(
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize("mode", [name for name, m in MODES.items() if m.solver])
+    def test_report_carries_the_library_result(self, pair_csv, mode, output):
+        code, out, _ = run_cli(
             ["centroid", "--input", pair_csv, "--format", "csv",
-             "--kind", "frequency", "--mode", "fixedpoint"]
+             "--kind", "frequency", "--mode", mode, "--output", output]
         )
-        with pytest.raises(ValidationError):
-            RunReport.from_json(mutate(json.loads(out)))
+        assert code == EXIT_OK
+        dataset = load_dataset(pair_csv, "csv", "frequency")
+        r = getattr(centroids, MODES[mode].solver)(dataset.histograms)
+        expected = {
+            "mode": mode, "kind": "frequency", "centroid": r.centroid.tolist(),
+            "iterations": r.iterations, "objective": r.objective, "w_c": r.w_c, "lambda_star": r.lambda_star, "bound_factor": r.bound_factor,
+            "alpha_vs_exact": None, "simplex_defect": r.simplex_defect,
+            "epsilon_scale": dataset.epsilon_scale, "fallback": r.fallback,
+        }
+        if output == "json":
+            report = json.loads(out)
+            assert list(report) == REPORT_KEYS
+            assert report.pop("wall_clock_seconds") >= 0.0
+            assert report == expected
+            return
+        header, row = out.splitlines()
+        scalars = [k for k in REPORT_KEYS if k != "centroid"]
+        assert header.split(",") == scalars + ["bin_0", "bin_1"]
+        cells = row.split(",")
+        assert float(cells[scalars.index("wall_clock_seconds")]) >= 0.0
+        cells[scalars.index("wall_clock_seconds")] = ""
+        values = [expected.get(k) for k in scalars] + expected["centroid"]
+        assert cells == ["" if v is None else repr(v) if isinstance(v, float) else str(v)
+                         for v in values]
 
     def test_csv_output(self, pair_csv):
         code, out, _ = run_cli(
@@ -225,6 +215,24 @@ class TestCentroidCommand:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "objective is not finite" in err
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_non_finite_report_field_is_numeric_failure(self, pair_csv, monkeypatch, output):
+        # Both formats refuse a non-finite number, whatever produced it.
+        def infinite_mass(s):
+            return centroids.CentroidResult(
+                centroid=s.matrix[0], mode="positive", objective=0.0, iterations=0,
+                w_c=float("inf"),
+            )
+
+        monkeypatch.setattr(centroids, "positive_centroid", infinite_mass)
+        code, out, err = run_cli(
+            ["centroid", "--input", pair_csv, "--format", "csv",
+             "--kind", "frequency", "--mode", "positive", "--output", output]
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "not finite" in err
 
     def test_missing_file_is_validation_error(self):
         code, _, err = run_cli(
@@ -502,6 +510,19 @@ class TestBenchCommand:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "threads" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--trials", "0"], ["--trials", "10", "--dims", "1"],
+         ["--trials", "10", "--threads", "0"]],
+        ids=["trials", "dims", "threads"],
+    )
+    def test_sizes_are_left_to_the_harness(self, flags):
+        # run_alpha_trials refuses each of them; the CLI adds no check of its own.
+        code, out, err = run_cli(["bench", *flags])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_threads_do_not_change_output(self):
         argv = ["bench", "--trials", "3000", "--dims", "2", "--seed", "3"]

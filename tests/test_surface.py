@@ -1,7 +1,9 @@
 """Guards on the public surface and on the benchmark's per-layer tracer."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import jeffreys
@@ -9,7 +11,7 @@ from jeffreys import cli
 
 EXPECTED_ALL = {
     "BISECTION_HALVINGS", "CentroidResult", "ClusteringConfig",
-    "ClusteringResult", "DatasetFile", "MODES", "NumericError", "RunReport", "ValidationError",
+    "ClusteringResult", "DatasetFile", "MODES", "NumericError", "ValidationError",
     "WeightedHistogramSet",
     "frequency_centroid_bisection", "frequency_centroid_fixedpoint",
     "jeffreys", "jeffreys_to_set", "kmeans", "lambert_w0_values", "load_dataset",
@@ -82,3 +84,28 @@ def test_tracer_sees_every_layer_and_restores_it():
     finally:
         tracer.uninstall()
     assert all(vars(owner)[attr] is fn for (owner, attr), fn in originals.items())
+
+
+def test_tracer_reads_a_traced_cli_run(tmp_path):
+    # The traced benchmark reads DatasetFile.histograms, CentroidResult.iterations
+    # and the ClusteringResult fields; a change that drops one fails here too.
+    path = tmp_path / "pair.csv"
+    path.write_text("0.5,0.5\n0.9,0.1\n")
+    io_flags = ["--input", str(path), "--format", "csv", "--kind", "frequency"]
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in (
+                ["centroid", *io_flags, "--mode", "bisection"],
+                ["centroid", *io_flags, "--mode", "fixedpoint"],
+                ["kmeans", *io_flags, "--k", "1"],
+            ):
+                assert cli.main(argv) == 0
+        metrics = tracer.pass_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["datasets.rows"] > 0
+    assert metrics["centroids.bisection.calls"] == 1
+    assert metrics["centroids.fixedpoint.calls"] == 1
+    assert metrics["clustering.rounds"] >= 1
