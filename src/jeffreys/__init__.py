@@ -20,8 +20,8 @@ from .centroids import (
     veldhuis_centroid,
 )
 from .clustering import ClusteringConfig, ClusteringResult, kmeans, seed_centroids
-from .datasets import DatasetFile, load_dataset, read_pgm, write_dataset
-from .divergences import jeffreys, jeffreys_to_set
+from .datasets import DatasetFile, load_dataset, read_pgm
+from .divergences import jeffreys_to_set
 from .errors import NumericError, ValidationError
 from .histograms import WeightedHistogramSet, smooth_bins
 from .lambertw import lambert_w0_values
@@ -41,7 +41,6 @@ __all__ = [
     "WeightedHistogramSet",
     "frequency_centroid_bisection",
     "frequency_centroid_fixedpoint",
-    "jeffreys",
     "jeffreys_to_set",
     "kmeans",
     "lambert_w0_values",
@@ -54,5 +53,4 @@ __all__ = [
     "seed_centroids",
     "smooth_bins",
     "veldhuis_centroid",
-    "write_dataset",
 ]

@@ -16,6 +16,12 @@ divergence:
   system ``c_i(lam) = a_i / W0(a_i * exp(lam + 1) / g_i)`` for the Lagrange
   multiplier ``lam`` that puts the coordinates back on the simplex.
 
+``W0``'s argument is formed in one place: :func:`_ratio` forms ``a / g``
+and :func:`_w0_at` returns ``W0(ratio * e^(lam + 1))``, with ``lam = 0``
+for the positive centroid.  The k-means builders of
+:mod:`jeffreys.clustering` and the trial harness of :mod:`jeffreys.oracles`
+reach ``W0`` through them alone.
+
 The mass function ``s(lam) = sum_i c_i(lam)`` is strictly decreasing with
 ``s(0) <= 1``, and the multiplier lives in
 ``[max_i(a_i + log g_i) - 1, 0]``, which makes bisection safe.  At the
@@ -192,13 +198,31 @@ def normalized_means(s: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
     return a, g
 
 
+def _ratio(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``a / g``, the ratio that :func:`_w0_at` takes: the one place it is formed."""
+    return a / g
+
+
+def _w0_at(ratio: np.ndarray, lam=0.0, **kw):
+    """``W0(ratio * e^(lam + 1))``: the one place ``W0``'s argument is formed.
+
+    ``lam`` is a scalar or one multiplier per row of ``(T, d)`` ratios;
+    ``kw`` (``guess``, ``return_iterations``) goes to
+    :func:`~jeffreys.lambertw.lambert_w0_values`, which is looked up on
+    this module and given ``x`` positionally, so a patched one sees every
+    pass and its lanes.
+    """
+    return lambert_w0_values(ratio * np.exp(lam + 1.0)[..., None], **kw)
+
+
 def _coordinates(a: np.ndarray, ratio: np.ndarray, lam=0.0) -> np.ndarray:
-    """``c(lam) = a / W0(ratio * e^(lam + 1))`` row by row, with ``ratio = a / g``.
+    """``c(lam) = a / W0(ratio * e^(lam + 1))`` row by row, with ``ratio = _ratio(a, g)``.
 
     ``lam`` is a scalar or one multiplier per row of ``(T, d)`` means; on
-    raw means ``lam = 0`` gives the positive centroid.
+    raw means ``lam = 0`` gives the positive centroid.  ``W0``'s argument
+    is formed by :func:`_w0_at` alone.
     """
-    return a / lambert_w0_values(ratio * np.exp(lam + 1.0)[..., None])
+    return a / _w0_at(ratio, lam)
 
 
 def _simplex_coordinates(a: np.ndarray, ratio: np.ndarray, lam) -> np.ndarray:
@@ -247,7 +271,7 @@ def _solved(s: WeightedHistogramSet, mode: str, solve) -> CentroidResult:
 
 
 def _positive(a: np.ndarray, g: np.ndarray):
-    w, steps = lambert_w0_values(a / g * np.exp(1.0), return_iterations=True)
+    w, steps = _w0_at(_ratio(a, g), return_iterations=True)
     c = a / w
     return c, int(np.max(steps)), {"w_c": float(c.sum())}
 
@@ -320,7 +344,7 @@ def _halvings(a, ratio, lo, hi, count, w=None, prev=None):
         mid = 0.5 * (lo + hi)
         if w is not None:
             guess = w + (mid - prev)[:, None] * w / (1.0 + w)
-        w = lambert_w0_values(ratio * np.exp(mid + 1.0)[:, None], guess=guess)
+        w = _w0_at(ratio, mid, guess=guess)
         ge = _row_sums(a / w) >= 1.0
         lo = np.where(ge, mid, lo)
         hi = np.where(ge, hi, mid)
@@ -340,16 +364,20 @@ def _halvings(a, ratio, lo, hi, count, w=None, prev=None):
 def _certify(a, ratio, estimate, lo, hi):
     """Which rows have their root proven inside a band around ``estimate``.
 
-    The estimate ``lam`` is clipped to the bracket ``[lo, hi]``; a NaN one
-    certifies nothing.  One cold ``W0`` pass at ``lam`` gives ``W(lam)`` and
-    the slope ``|s'(lam)| = sum_i c_i / (1 + W_i)``, and the band is
-    ``[lam - delta, lam + delta]`` (clipped to the bracket), with ``delta =
-    2 m / |s'(lam)|`` and the margin ``m = 4 (d + 8) eps``.  Two more passes,
-    warm from ``W(lam)`` along its tangent, evaluate ``s`` at the band's ends.
-    A row is certified where ``s(band_lo) - 1 >= m`` and ``1 - s(band_hi)
-    >= m``; a NaN fails both tests.  A band clipped at the bracket top
-    (``band_hi == hi``) needs no upper test, since no midpoint reaches
-    ``hi``; this is what certifies a row whose root is at or next to 0.
+    The estimate ``lam`` is clipped to the bracket ``[lo, hi]``.  One cold
+    ``W0`` pass at ``lam`` gives ``W(lam)`` and the slope ``|s'(lam)| =
+    sum_i c_i / (1 + W_i)``, and the band is ``[lam - delta, lam + delta]``
+    (clipped to the bracket), with ``delta = 2 m / |s'(lam)|`` and the
+    margin ``m = 4 (d + 8) eps``.  An estimate that is NaN, or that the
+    clipping moves by more than ``delta`` (an infinite one, or one outside
+    the bracket by more than rounding), certifies nothing: it says nothing
+    about the root, even where the bracket's end happens to certify.  Two
+    more passes, warm from ``W(lam)`` along its tangent, evaluate ``s`` at
+    the band's ends.  A row is certified where ``s(band_lo) - 1 >= m`` and
+    ``1 - s(band_hi) >= m``; a NaN fails both tests.  A band clipped at the
+    bracket top (``band_hi == hi``) needs no upper test, since no midpoint
+    reaches ``hi``; this is what certifies a row whose root is at or next
+    to 0.
 
     ``(d + 8) eps`` bounds the rounding of a computed ``s``: ``W0``'s 2 ulp,
     the rounding of ``ratio * e^(mid + 1)`` and of ``a / W``, and the
@@ -367,16 +395,17 @@ def _certify(a, ratio, estimate, lo, hi):
     lam = np.clip(estimate, lo, hi)
     known = ~np.isnan(lam)
     lam = np.where(known, lam, lo)
-    w = lambert_w0_values(ratio * np.exp(lam + 1.0)[:, None])
+    w = _w0_at(ratio, lam)
     margin = 4.0 * (a.shape[1] + 8) * _EPS
     delta = 2.0 * margin / _row_sums(a / (w * (1.0 + w)))
+    known &= np.abs(estimate - lam) <= delta
     # fmax and fmin also map a NaN or infinite delta to the bracket's ends.
     band_lo, band_hi = np.fmax(lam - delta, lo), np.fmin(lam + delta, hi)
     tangent = w / (1.0 + w)
 
     def mass(end):
         guess = w + (end - lam)[:, None] * tangent
-        return _row_sums(a / lambert_w0_values(ratio * np.exp(end + 1.0)[:, None], guess=guess))
+        return _row_sums(a / _w0_at(ratio, end, guess=guess))
 
     below = mass(band_lo) - 1.0 >= margin
     certified = known & below & ((band_hi == hi) | (1.0 - mass(band_hi) >= margin))
@@ -464,11 +493,11 @@ def batch_frequency_bisection(
     are evaluated, warm from ``W`` at the estimate.  Each halving is still
     decided by the sign of ``s(mid) - 1``, so the result is the plain
     bisection's up to the rounding noise of the evaluations near the root.
-    A row whose estimate is missing, far from the root or not certified
-    runs the plain schedule, cold first, with 52 evaluations; so does
-    every row when ``estimate`` is None.
+    A row whose estimate is missing, outside the bracket, far from the root
+    or not certified runs the plain schedule, cold first, with 52
+    evaluations; so does every row when ``estimate`` is None.
     """
-    ratio = a / g
+    ratio = _ratio(a, g)
     lo, hi = _bracket(a, g), np.zeros(a.shape[0])
     halvings = np.full(a.shape[0], BISECTION_HALVINGS)
     if estimate is None:
@@ -506,7 +535,7 @@ def batch_frequency_newton(
     shrinks, so a row still running after ``_NEWTON_CAP`` steps raises
     :class:`NumericError`.  No row's result depends on the other rows.
     """
-    ratio = a / g
+    ratio = _ratio(a, g)
     lo, hi = _bracket(a, g), np.zeros(a.shape[0])
     lam = np.clip(_kl_multiplier(a, np.log(g)), lo, hi)
     steps = np.zeros(a.shape[0], dtype=np.int64)
@@ -514,7 +543,7 @@ def batch_frequency_newton(
     for _ in range(_NEWTON_CAP):
         if not active.any():
             break
-        w = lambert_w0_values(ratio * np.exp(lam + 1.0)[:, None])
+        w = _w0_at(ratio, lam)
         c = a / w
         mass = _row_sums(c)
         raw = np.log(mass) * mass / _row_sums(c / (1.0 + w))
@@ -566,7 +595,7 @@ def batch_frequency_fixedpoint(
     that is not finite (only a faulty ``W0`` result makes one) raises
     :class:`NumericError`.
     """
-    ratio = a / g
+    ratio = _ratio(a, g)
     log_g = np.log(g)
     lam = _kl_multiplier(a, log_g)
     # Each row's results, written when it retires or reaches the cap.
@@ -625,7 +654,7 @@ def _fixedpoint(a: np.ndarray, g: np.ndarray):
     lam, iterations, converged = batch_frequency_fixedpoint(a, g)
     steps = int(iterations[0])
     if converged[0]:
-        coords, defect = _on_simplex(a, a / g, lam, "fixedpoint")
+        coords, defect = _on_simplex(a, _ratio(a, g), lam, "fixedpoint")
         return coords[0], steps, _multiplier(lam, defect)
     warnings.warn(
         f"fixed-point iteration did not contract within {steps} steps; "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means
+from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means, _ratio
 from .centroids import _simplex_coordinates, batch_frequency_newton
 from .divergences import jeffreys_rows
 from .errors import NumericError, ValidationError
@@ -197,11 +197,11 @@ def _repair_empty(assign: np.ndarray, costs: np.ndarray, k: int) -> np.ndarray:
 
 
 def _positive_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return _coordinates(a, a / g)
+    return _coordinates(a, _ratio(a, g))
 
 
 def _normalized_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return _simplex_coordinates(a, a / g, 0.0)
+    return _simplex_coordinates(a, _ratio(a, g), 0.0)
 
 
 def _one_step_frequency_update(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ def _one_step_frequency_update(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     provably-better-than-mean update that keeps the variational k-means
     cheap.
     """
-    return _simplex_coordinates(a, a / g, _kl_multiplier(a, np.log(g)))
+    return _simplex_coordinates(a, _ratio(a, g), _kl_multiplier(a, np.log(g)))
 
 
 def _fixedpoint_1step_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:

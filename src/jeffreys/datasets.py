@@ -1,4 +1,4 @@
-"""Dataset ingestion and serialization.
+"""Dataset ingestion.
 
 Three on-disk formats, named by :data:`FORMATS` as the CLI's ``--format``
 names them, map to a :class:`WeightedHistogramSet`:
@@ -25,7 +25,6 @@ which are normalized after smoothing.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from dataclasses import dataclass
@@ -287,22 +286,3 @@ def load_dataset(path, format: str, kind: str) -> DatasetFile:
 
     histograms = WeightedHistogramSet(rows, weights, frequency=kind == KIND_FREQUENCY)
     return DatasetFile(histograms=histograms, epsilon_scale=eps)
-
-
-def write_dataset(s: WeightedHistogramSet, path, format: str = FORMAT_JSON) -> None:
-    """Serialize a set to CSV or JSON with round-trip exact decimals."""
-    if format == FORMAT_JSON:
-        # json emits floats with repr(), i.e. shortest round-trip decimals.
-        payload = {
-            "weights": s.weights.tolist(),
-            "histograms": s.matrix.tolist(),
-        }
-        Path(path).write_text(json.dumps(payload) + "\n")
-    elif format == FORMAT_CSV:
-        buf = io.StringIO()
-        for row, w in zip(s.matrix.tolist(), s.weights.tolist()):
-            cells = [f"{_WEIGHT_PREFIX}{w!r}"] + [repr(v) for v in row]
-            buf.write(",".join(cells) + "\n")
-        Path(path).write_text(buf.getvalue())
-    else:
-        raise ValidationError(f"cannot write format {format!r}")

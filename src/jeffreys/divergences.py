@@ -17,13 +17,6 @@ from .errors import ValidationError
 from .histograms import WeightedHistogramSet
 
 
-def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    pb, qb = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    if pb.shape != qb.shape:
-        raise ValidationError(f"dimension mismatch: {pb.shape} vs {qb.shape}")
-    return pb, qb
-
-
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """``x.sum(axis=-1)``, bitwise, without numpy's per-row loop on narrow rows.
 
@@ -56,18 +49,6 @@ def jeffreys_rows(h, log_h, c, log_c) -> np.ndarray:
         c = h - c
         c *= log_h - log_c
         return _row_sums(c)
-
-
-def jeffreys(p, q) -> float:
-    """Jeffreys divergence ``sum (p - q) * log(p/q)``; symmetric in p and q.
-
-    Each term is a product of same-sign factors, so the computed sum is
-    non-negative exactly, not just up to rounding.
-    """
-    pb, qb = _pair(p, q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where((pb > 0.0) | (qb > 0.0), (pb - qb) * (np.log(pb) - np.log(qb)), 0.0)
-    return float(terms.sum())
 
 
 def jeffreys_to_set(x, s: WeightedHistogramSet) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .centroids import _coordinates
+from .centroids import _coordinates, _normalized_means, _ratio
 # Imported under these names, through which the benchmark's tracer times them.
 from .centroids import batch_frequency_bisection as _batch_bisection
 from .centroids import batch_frequency_fixedpoint as _batch_fixedpoint
@@ -116,12 +116,10 @@ def _solve_block(members: np.ndarray) -> TrialData:
         j = jeffreys_rows(members, log_members, c[:, None, :], np.log(c)[:, None, :])
         return _row_sums(j * weights)
 
-    a = members.mean(axis=1)
-    a = a / _row_sums(a)[:, None]
     g_raw = np.exp(log_members.mean(axis=1))
-    g = g_raw / _row_sums(g_raw)[:, None]
+    a, g = _normalized_means(members.mean(axis=1), g_raw)
 
-    c_pos = _coordinates(a, a / g_raw)
+    c_pos = _coordinates(a, _ratio(a, g_raw))
     w_c = _row_sums(c_pos)
     c_norm = c_pos / w_c[:, None]
     c_veld = 0.5 * (a + g)

@@ -3,21 +3,27 @@
 * Brute-force centroid oracles, which minimize the objectives directly
   (golden-section and grid search), independently of the closed forms and
   the multiplier solvers, so the tests can cross-validate both routes.
-* Kullback-Leibler divergences, entropies and their set averages, which
-  the tests use to check identities of the Jeffreys objective.
+* The pairwise Jeffreys divergence, Kullback-Leibler divergences,
+  entropies and their set averages, which the tests use to check
+  identities of the Jeffreys objective.
 * The per-trial weighted objectives of ``(T, n, d)`` member batches.
+* :func:`write_dataset`, which serializes a set for the loader's
+  round-trip test.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from jeffreys import ValidationError, WeightedHistogramSet, jeffreys_to_set, normalized_means
 from jeffreys.centroids import _means
-from jeffreys.divergences import _pair
+from jeffreys.datasets import _WEIGHT_PREFIX, FORMAT_CSV, FORMAT_JSON
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -145,8 +151,27 @@ def oracle_frequency_centroid(
 
 
 # ---------------------------------------------------------------------------
-# Kullback-Leibler divergences and entropies
+# Jeffreys and Kullback-Leibler divergences, entropies
 # ---------------------------------------------------------------------------
+
+
+def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    pb, qb = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if pb.shape != qb.shape:
+        raise ValidationError(f"dimension mismatch: {pb.shape} vs {qb.shape}")
+    return pb, qb
+
+
+def jeffreys(p, q) -> float:
+    """Jeffreys divergence ``sum (p - q) * log(p/q)``; symmetric in p and q.
+
+    Each term is a product of same-sign factors, so the computed sum is
+    non-negative exactly, not just up to rounding.
+    """
+    pb, qb = _pair(p, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where((pb > 0.0) | (qb > 0.0), (pb - qb) * (np.log(pb) - np.log(qb)), 0.0)
+    return float(terms.sum())
 
 
 def _xlog_ratio(p: np.ndarray, q: np.ndarray) -> float:
@@ -211,3 +236,27 @@ def batch_kl_to_set(x: np.ndarray, members: np.ndarray, weights: np.ndarray) -> 
     """Per-trial weighted KL(x : member) averages."""
     terms = x[:, None, :] * (np.log(x)[:, None, :] - np.log(members))
     return terms.sum(axis=2) @ weights
+
+
+# ---------------------------------------------------------------------------
+# Dataset serialization
+# ---------------------------------------------------------------------------
+
+
+def write_dataset(s: WeightedHistogramSet, path, format: str = FORMAT_JSON) -> None:
+    """Serialize a set to CSV or JSON with round-trip exact decimals."""
+    if format == FORMAT_JSON:
+        # json emits floats with repr(), i.e. shortest round-trip decimals.
+        payload = {
+            "weights": s.weights.tolist(),
+            "histograms": s.matrix.tolist(),
+        }
+        Path(path).write_text(json.dumps(payload) + "\n")
+    elif format == FORMAT_CSV:
+        buf = io.StringIO()
+        for row, w in zip(s.matrix.tolist(), s.weights.tolist()):
+            cells = [f"{_WEIGHT_PREFIX}{w!r}"] + [repr(v) for v in row]
+            buf.write(",".join(cells) + "\n")
+        Path(path).write_text(buf.getvalue())
+    else:
+        raise ValidationError(f"cannot write format {format!r}")

@@ -19,7 +19,6 @@ from jeffreys import (
     WeightedHistogramSet,
     frequency_centroid_bisection,
     frequency_centroid_fixedpoint,
-    jeffreys,
     kmeans,
     lambert_w0_values,
     normalized_means,

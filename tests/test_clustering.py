@@ -11,7 +11,6 @@ from jeffreys import (
     ValidationError,
     WeightedHistogramSet,
     frequency_centroid_bisection,
-    jeffreys,
     jeffreys_to_set,
     kmeans,
     normalized_means,
@@ -30,6 +29,7 @@ from jeffreys.clustering import (
 from jeffreys.histograms import smooth_bins
 from jeffreys.lambertw import lambert_w0_values
 from conftest import planted_blobs, random_frequency_set
+from references import jeffreys
 
 #: The registry's k-means modes: the rows with a candidate builder.
 KMEANS_MODES = [name for name, mode in MODES.items() if mode.builder]
@@ -120,8 +120,8 @@ class TestKMeans:
     @pytest.mark.xfail(
         strict=True,
         raises=(ValidationError, RuntimeWarning),
-        reason="defect A in relocation: _positive_candidates forms a / g, which overflows "
-        "before W0 (ROADMAP direction 3)",
+        reason="defect A in relocation: centroids._ratio's a / g overflows before "
+        "centroids._w0_at calls W0 (ROADMAP direction 3)",
     )
     def test_overflowing_ratio_relocates_to_finite_centroid(self):
         # The set of TestExtremeBins::test_overflowing_ratio_has_finite_centroid;

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jeffreys import ValidationError, load_dataset, read_pgm, write_dataset
+from jeffreys import ValidationError, load_dataset, read_pgm
 from jeffreys.datasets import FORMAT_CSV, FORMAT_JSON, FORMAT_PGM, _parse_csv, _parse_csv_cells
+from references import write_dataset
 
 
 def write(tmp_path, name, text):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from jeffreys import ValidationError, WeightedHistogramSet, jeffreys, jeffreys_to_set
+from jeffreys import ValidationError, WeightedHistogramSet, jeffreys_to_set
 from jeffreys.divergences import _row_sums
 from conftest import random_frequency_set, random_positive_set
-from references import cross_entropy, entropy, extended_kl, kl, kl_to_set
+from references import cross_entropy, entropy, extended_kl, jeffreys, kl, kl_to_set
 
 
 def brute_extended_kl(p, q):

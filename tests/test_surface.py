@@ -4,19 +4,22 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
+import numpy as np
+
 import jeffreys
-from jeffreys import cli
+from jeffreys import centroids, cli, clustering, oracles
 
 EXPECTED_ALL = {
     "BISECTION_HALVINGS", "CentroidResult", "ClusteringConfig",
     "ClusteringResult", "DatasetFile", "MODES", "NumericError", "ValidationError",
     "WeightedHistogramSet",
     "frequency_centroid_bisection", "frequency_centroid_fixedpoint",
-    "jeffreys", "jeffreys_to_set", "kmeans", "lambert_w0_values", "load_dataset",
+    "jeffreys_to_set", "kmeans", "lambert_w0_values", "load_dataset",
     "normalized_means", "normalized_positive_centroid", "positive_centroid", "read_pgm",
-    "run_alpha_trials", "seed_centroids", "smooth_bins", "veldhuis_centroid", "write_dataset",
+    "run_alpha_trials", "seed_centroids", "smooth_bins", "veldhuis_centroid",
 }
 
 
@@ -109,3 +112,35 @@ def test_tracer_reads_a_traced_cli_run(tmp_path):
     assert metrics["centroids.bisection.calls"] == 1
     assert metrics["centroids.fixedpoint.calls"] == 1
     assert metrics["clustering.rounds"] >= 1
+
+
+def test_w0_argument_is_formed_in_one_place(monkeypatch):
+    # centroids._w0_at alone calls W0, on ratio * e^(lam + 1) with the ratio
+    # from centroids._ratio; k-means and the trial harness reach W0 only
+    # through centroids, so an overflow of either form has one place to mend.
+    assert "lambert_w0_values" not in vars(clustering)
+    assert "lambert_w0_values" not in vars(oracles)
+    real = centroids.lambert_w0_values
+    callers = []
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(centroids, "lambert_w0_values", spy)
+    rows = np.random.default_rng(3).uniform(0.05, 1.0, size=(12, 6))
+    s = jeffreys.WeightedHistogramSet(rows / rows.sum(axis=1, keepdims=True), frequency=True)
+
+    def callers_of(fn, *args, **kwargs):
+        start = len(callers)
+        fn(*args, **kwargs)
+        return set(callers[start:])
+
+    for name, mode in centroids.MODES.items():
+        if mode.solver:
+            seen = callers_of(getattr(centroids, mode.solver), s)
+            assert seen == (set() if name == "veldhuis" else {"_w0_at"}), name
+        if mode.builder:
+            config = jeffreys.ClusteringConfig(k=3, centroid_mode=name, seed=0)
+            assert callers_of(jeffreys.kmeans, s, config) == {"_w0_at"}, name
+    assert callers_of(jeffreys.run_alpha_trials, 200, 3, seed=1) == {"_w0_at"}
