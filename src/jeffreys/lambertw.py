@@ -82,9 +82,11 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
     squeeze = arr.ndim == 0
     if squeeze:
         arr = arr.reshape(1)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("lambert_w0 requires finite arguments")
-    if np.any(arr < 0.0):
+    # One min and one max test every lane: both propagate a NaN, which fails
+    # the comparisons like a negative or infinite lane.
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("lambert_w0 requires finite arguments")
         raise ValidationError("lambert_w0 is only defined for x >= 0")
 
     if guess is None:
@@ -97,9 +99,9 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
 
     active = arr > 0.0
     iterations = np.zeros(arr.shape, dtype=np.int64) if return_iterations else None
-    # Every step reuses these: the residual, the step, one scratch buffer
-    # (which also holds the stepped value) and the convergence test.
-    r, step, tmp = (np.empty_like(w) for _ in range(3))
+    # Every step reuses these: the residual, the step, two scratch buffers
+    # (one of which also holds the stepped value) and the convergence test.
+    r, step, tmp, twice = (np.empty_like(w) for _ in range(4))
     done = np.empty(arr.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
         if not active.any():
@@ -109,13 +111,13 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
         np.exp(tmp, out=tmp)
         np.multiply(arr, tmp, out=tmp)
         np.subtract(w, tmp, out=r)
-        # step = r / ((1 + w) - r * (2 + w) / (2 + 2 w))
+        # step = r / ((1 + w) - r * (2 + w) / (2 (1 + w))); doubling is exact,
+        # so 2 (1 + w) rounds as 2 w + 2 does.
+        np.add(w, 1.0, out=step)
+        np.multiply(step, 2.0, out=twice)
         np.add(w, 2.0, out=tmp)
         np.multiply(r, tmp, out=tmp)
-        np.multiply(w, 2.0, out=step)
-        np.add(step, 2.0, out=step)
-        np.divide(tmp, step, out=tmp)
-        np.add(w, 1.0, out=step)
+        np.divide(tmp, twice, out=tmp)
         np.subtract(step, tmp, out=step)
         np.divide(r, step, out=step)
         np.subtract(w, step, out=tmp)
@@ -128,8 +130,7 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
         np.multiply(tmp, _EPS, out=tmp)
         np.abs(step, out=r)
         np.less_equal(r, tmp, out=done)
-        np.logical_not(done, out=done)
-        np.logical_and(active, done, out=active)
+        np.greater(active, done, out=active)  # active & ~done
     if np.any(active):
         raise NumericError("Halley iteration did not converge for some entries")
 
