@@ -501,6 +501,16 @@ class TestBenchCommand:
         assert (code, err) == (EXIT_OK, "")
         assert out == "\n".join(expected) + "\n"
 
+    def test_zero_trials_validation(self):
+        code, _, _ = run_cli(["bench", "--trials", "0"])
+        assert code == EXIT_VALIDATION
+
+    def test_zero_threads_validation(self):
+        code, out, err = run_cli(["bench", "--trials", "10", "--threads", "0"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "threads" in err
+
     @pytest.mark.parametrize(
         "flags, names",
         [(["--trials", "0"], "num_trials"), (["--trials", "10", "--dims", "1"], "d must"),
