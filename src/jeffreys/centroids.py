@@ -38,15 +38,16 @@ a root estimate per row, it certifies in three passes that the root lies
 in a narrow band around the estimate, decides every halving whose
 midpoint is outside the band without a pass, and evaluates only the
 rest, about 10.  The safeguarded Newton on ``log s(lam) = 0`` keeps the
-same bracket and needs about six passes.  Their accuracy is fixed: every
-solution ends in one check of its simplex defect against
+same bracket and needs about five passes.  Newton and the fixed point only
+estimate multipliers; every centroid is finished once, by
+:func:`_on_simplex`, which checks its simplex defect against
 :data:`SIMPLEX_TOL`.  The scalar solvers run them at ``T = 1``: the
-bisection takes Newton's multiplier as its estimate, about 22 passes in
-all on small sparse sets instead of 53, and runs without one where Newton
-raises.  k-means runs Newton (``frequency_exact``) on every cluster at
-once, the fixed point's rescue runs Newton, and the trial harness runs
-the fixed point on every trial at once and then the bisection, with the
-fixed point's multipliers as its estimates.
+bisection takes Newton's multiplier as its estimate, about 21 passes on
+small sparse sets instead of 53, and runs without one where Newton raises.
+k-means (``frequency_exact``) runs Newton on every cluster at once, the
+fixed point's rescue runs Newton, and the trial harness runs the fixed
+point on every trial at once and then the bisection, with the fixed
+point's multipliers as its estimates.
 
 :data:`MODES` names every centroid mode once: the scalar solvers here,
 the k-means relocations of :mod:`jeffreys.clustering`, and the CLI's
@@ -538,14 +539,12 @@ def batch_frequency_bisection(
     return lam, coords, halvings, defect, evaluated
 
 
-def batch_frequency_newton(
-    a: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def batch_frequency_newton(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton on the multiplier for ``T`` frequency problems at once.
 
-    Same problems as :func:`batch_frequency_bisection`, and its first four
-    returns with Newton steps in place of halvings: ``(lam, coords, steps,
-    defect)``.
+    Same problems as :func:`batch_frequency_bisection`.  Returns ``(lam,
+    steps)``, the multipliers and Newton steps per row: like the fixed point
+    it only estimates, and its callers finish ``c(lam)`` (:func:`_on_simplex`).
     Each row solves ``log s(lam) = 0`` from the fixed point's start
     ``lam_0 = -KL(a : g)``, clipped to the bracket ``[max_i(a_i + log g_i)
     - 1, 0]``.  The derivative ``s'(lam) = -sum_i c_i / (1 + W_i)`` reuses
@@ -557,11 +556,11 @@ def batch_frequency_newton(
     steps would turn into midpoints.
 
     Every row takes at least one step; on a row of identical members the
-    first raw step already meets the stop test.  The final defect is
-    checked as in the bisection.  A root outside the bracket (an inaccurate
-    ``W0``) drives the midpoints to its end, where the raw step never
-    shrinks, so a row still running after ``_NEWTON_CAP`` steps raises
-    :class:`NumericError`.  No row's result depends on the other rows.
+    first raw step already meets the stop test.  A root outside the
+    bracket (an inaccurate ``W0``) drives the midpoints to its end, where
+    the raw step never shrinks, so a row still running after
+    ``_NEWTON_CAP`` steps raises :class:`NumericError`.  No row's result
+    depends on the other rows.
     """
     ratio = _ratio(a, g)
     lo, hi = _bracket(a, g), np.zeros(a.shape[0])
@@ -589,8 +588,7 @@ def batch_frequency_newton(
             f"Newton on the multiplier did not converge within {_NEWTON_CAP} steps; "
             f"s(lam) = {float(mass[active].min())!r} on the last pass"
         )
-    coords, defect = _on_simplex(a, ratio, lam, "newton")
-    return lam, coords, steps, defect
+    return lam, steps
 
 
 def batch_frequency_fixedpoint(
@@ -702,17 +700,17 @@ def _fixedpoint(a: np.ndarray, g: np.ndarray):
     a, g = a[None], g[None]
     lam, iterations, converged = batch_frequency_fixedpoint(a, g)
     steps = int(iterations[0])
-    if converged[0]:
-        coords, defect = _on_simplex(a, _ratio(a, g), lam, "fixedpoint")
-        return coords[0], steps, _multiplier(lam, defect)
-    warnings.warn(
-        f"fixed-point iteration did not contract within {steps} steps; "
-        "finishing with the safeguarded Newton solver",
-        RuntimeWarning,
-        stacklevel=4,  # the caller of frequency_centroid_fixedpoint, past _solved
-    )
-    lam, coords, _, defect = batch_frequency_newton(a, g)
-    return coords[0], steps, {**_multiplier(lam, defect), "fallback": True}
+    fallback = not converged[0]
+    if fallback:
+        warnings.warn(
+            f"fixed-point iteration did not contract within {steps} steps; "
+            "finishing with the safeguarded Newton solver",
+            RuntimeWarning,
+            stacklevel=4,  # the caller of frequency_centroid_fixedpoint, past _solved
+        )
+        lam = batch_frequency_newton(a, g)[0]
+    coords, defect = _on_simplex(a, _ratio(a, g), lam, "fixedpoint")
+    return coords[0], steps, {**_multiplier(lam, defect), "fallback": fallback}
 
 
 def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:
@@ -722,9 +720,9 @@ def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:
     multiplier bracket is halved :data:`BISECTION_HALVINGS` times and the
     final simplex defect is checked against :data:`SIMPLEX_TOL`.  The
     multiplier of :func:`batch_frequency_newton` is its root estimate, so
-    only the halvings near the root take a ``W0`` pass; where Newton
-    raises :class:`NumericError`, every halving does.  ``iterations``
-    reports the 52 halvings either way.
+    only the halvings near the root take a ``W0`` pass, about 21 in all on
+    small sparse sets; where Newton raises :class:`NumericError`, every
+    halving does.  ``iterations`` reports the 52 halvings either way.
     """
     return _solved(s, "bisection", _bisection)
 
@@ -740,8 +738,8 @@ def frequency_centroid_fixedpoint(s: WeightedHistogramSet) -> CentroidResult:
     4,000 random sets with ``d`` up to 512; 16 once in 50,000 with ``d``
     up to 8).  ``iterations`` counts ``W0`` passes.  No contraction
     guarantee exists, so if ``_FIXEDPOINT_CAP`` map evaluations do not meet
-    :data:`FIXEDPOINT_TOL` the solver finishes with
-    :func:`batch_frequency_newton` on the same means and flags the result
-    as a ``fallback`` instead of looping forever.
+    :data:`FIXEDPOINT_TOL` the solver finishes the multiplier of
+    :func:`batch_frequency_newton` on the same means instead, and flags the
+    result as a ``fallback`` instead of looping forever.
     """
     return _solved(s, "fixedpoint", _fixedpoint)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means, _ratio
-from .centroids import _simplex_coordinates, batch_frequency_newton
+from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means, _on_simplex
+from .centroids import _ratio, _simplex_coordinates, batch_frequency_newton
 from .divergences import jeffreys_rows
 from .errors import NumericError, ValidationError
 from .histograms import WeightedHistogramSet
@@ -176,24 +176,28 @@ def _trace_entry(weights: np.ndarray, costs: np.ndarray) -> float:
     return objective
 
 
-def _repair_empty(assign: np.ndarray, costs: np.ndarray, k: int) -> np.ndarray:
-    """Give each empty cluster the point that is currently worst served.
+def _assigned(
+    s: WeightedHistogramSet, centers: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pairwise_jeffreys`, with every empty cluster repaired.
 
-    Moving the point with the largest divergence to its own centroid into a
-    singleton cluster strictly decreases the objective.  Donors are only
-    taken from clusters with at least two members.  ``assign`` is updated
-    in place; returns the donors' indices, whose ``costs`` are now stale.
+    An empty cluster takes the point that is currently worst served, only
+    from clusters with at least two members, as its one member and its
+    centre: ``centers`` is updated in place, and the donor's cost is 0.
+    Moving the point with the largest divergence to its own centroid into
+    a singleton cluster strictly decreases the objective.
     """
+    assign, costs = _pairwise_jeffreys(s, centers)
     counts = np.bincount(assign, minlength=k)
-    donors = []
     for m in np.flatnonzero(counts == 0):
         eligible = np.flatnonzero(counts[assign] >= 2)
         donor = eligible[np.argmax(costs[eligible])]
         counts[assign[donor]] -= 1
         assign[donor] = m
         counts[m] += 1
-        donors.append(donor)
-    return np.array(donors, dtype=np.intp)
+        centers[m] = s.matrix[donor]
+        costs[donor] = 0.0
+    return assign, costs
 
 
 def _positive_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -219,7 +223,8 @@ def _fixedpoint_1step_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _exact_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return batch_frequency_newton(*_normalized_means(a, g))[1]
+    a, g = _normalized_means(a, g)
+    return _on_simplex(a, _ratio(a, g), batch_frequency_newton(a, g)[0], "frequency_exact")[0]
 
 
 def _relocate(
@@ -277,8 +282,9 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     Assignment sends each histogram to its nearest centroid (ties to the
     lowest index); relocation applies the configured centroid update to
     every cluster in one batched call.  Each round makes one assignment
-    call, which also returns every row's elementwise cost to its centre;
-    the relocation guard and the trace entry read those costs or the
+    call, which also returns every row's elementwise cost to its centre
+    and repairs every cluster it empties (:func:`_assigned`); the
+    relocation guard and the trace entry read those costs or the
     candidates' own.  Stops when assignments repeat, when the trace did not
     decrease, or after ``max_iterations`` rounds.  The trace records the
     weighted objective after each relocation and never increases; an
@@ -286,36 +292,25 @@ def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     """
     if MODES[cfg.centroid_mode].frequency:
         s = s.as_frequency()
-    matrix = s.matrix
-    log_matrix = s.log_matrix
-
-    centers = matrix[seed_centroids(s, cfg.k, cfg.seed)]
+    centers = s.matrix[seed_centroids(s, cfg.k, cfg.seed)]
     assignments: np.ndarray | None = None
     trace: list[float] = []
     rounds = 0
 
     while rounds < cfg.max_iterations:
-        new_assign, costs = _pairwise_jeffreys(s, centers)
-        donors = _repair_empty(new_assign, costs, cfg.k)
-        c = centers[new_assign[donors]]
-        costs[donors] = jeffreys_rows(matrix[donors], log_matrix[donors], c, np.log(c))
+        new_assign, costs = _assigned(s, centers, cfg.k)
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
         centers, kept_costs = _relocate(
-            matrix, log_matrix, s.weights, assignments, centers, costs, cfg.centroid_mode
+            s.matrix, s.log_matrix, s.weights, assignments, centers, costs, cfg.centroid_mode
         )
         rounds += 1
         trace.append(_trace_entry(s.weights, kept_costs))
         if len(trace) >= 2 and trace[-1] >= trace[-2]:
-            # Refresh assignments against the final centroids.  A cluster
-            # the refresh empties is repaired and takes its donor as its
-            # centre, so the donor's cost drops to 0; the refresh and the
-            # repair can therefore only decrease the objective.
-            refreshed, refreshed_costs = _pairwise_jeffreys(s, centers)
-            donors = _repair_empty(refreshed, refreshed_costs, cfg.k)
-            centers[refreshed[donors]] = matrix[donors]
-            refreshed_costs[donors] = 0.0
+            # Refresh assignments against the final centroids; the refresh
+            # and its repair can only decrease the objective.
+            refreshed, refreshed_costs = _assigned(s, centers, cfg.k)
             if not np.array_equal(refreshed, assignments):
                 assignments = refreshed
                 trace.append(_trace_entry(s.weights, refreshed_costs))

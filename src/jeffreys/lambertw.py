@@ -36,6 +36,12 @@ instead of four.  The value is then within about two ulp of ``W0(x)``
 (1.96 at worst in 3 * 10**6 random lanes, for ``x`` near 1e-16, where one
 step from a guess far below already passes the absolute step test).  A
 lane whose guess is not finite or not positive takes the cold start above.
+Over ``[1e-300, 1e300]`` (4 * 10**6 random lanes) every guess with ``0 <
+guess <= 2 W0(x)`` and ``|guess - W0(x)| <= 6`` took at most 8 steps and
+came within 2 ulp of the cold value.  Farther off, a lane can exhaust the
+10 steps and raise :class:`NumericError` (first seen 10.3 away; 1.5% off is
+10 near ``x = 1e300``); above ``2 W0(x)`` at ``x < 1e-8`` its error is about
+``ulp(guess)``.
 """
 
 from __future__ import annotations
@@ -75,8 +81,9 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
     values instead of the cold initial guesses.  A lane whose guess is not
     finite or not ``> 0``, or whose ``x`` is 0, takes the cold start, which
     is only computed when some lane needs it.  A guess close to the root
-    saves steps; the value is then within about two ulp of ``W0(x)``, see
-    the module docstring.
+    saves steps.  One with ``0 < guess <= 2 W0(x)`` and ``|guess - W0(x)|
+    <= 6`` gives a value within 2 ulp of the cold start's; one farther away
+    can raise :class:`NumericError`, see the module docstring.
     """
     arr = np.asarray(x, dtype=np.float64)
     squeeze = arr.ndim == 0

@@ -660,16 +660,16 @@ class TestScalarBisection:
         return calls
 
     def test_passes(self, rng, monkeypatch):
-        # Newton's steps and its result's pass, the three certification
-        # passes, one per evaluated halving and the result's: on this set
-        # 4 + 1 + 3 + 11 + 1 = 20, not 53.
+        # Newton's steps, the three certification passes (the first is the
+        # only one at Newton's multiplier), one per evaluated halving and the
+        # result's: on this set 4 + 3 + 11 + 1 = 19, not 53.
         s = random_frequency_set(rng, n=4, d=16)
         a, g = normalized_means(s)
-        estimate, _, steps, _ = batch_frequency_newton(a[None], g[None])
+        estimate, steps = batch_frequency_newton(a[None], g[None])
         evaluated = int(batch_frequency_bisection(a[None], g[None], estimate)[4][0])
         calls = self.counting(monkeypatch)
         assert frequency_centroid_bisection(s).iterations == BISECTION_HALVINGS
-        assert len(calls) == int(steps[0]) + 1 + 3 + evaluated + 1
+        assert len(calls) == int(steps[0]) + 3 + evaluated + 1
         assert len(calls) < 30
 
     def test_newton_failure_runs_the_estimate_free_schedule(self, rng, monkeypatch):
@@ -729,12 +729,19 @@ def distance_to_exact(a, g, lam, candidates):
         ]
 
 
+def newton_on_simplex(a, g):
+    """Newton's ``(lam, coords, steps, defect)``: its multipliers, finished by ``_on_simplex``."""
+    lam, steps = batch_frequency_newton(a, g)
+    coords, defect = _on_simplex(a, _ratio(a, g), lam, "newton")
+    return lam, coords, steps, defect
+
+
 class TestBatchNewton:
     def test_rows_are_independent_bitwise(self, rng):
         _, a, g = TestBatchBisection.stacked_problems(rng)
-        lam, coords, steps, defect = batch_frequency_newton(a, g)
+        lam, coords, steps, defect = newton_on_simplex(a, g)
         for i in range(a.shape[0]):
-            lam_i, coords_i, steps_i, defect_i = batch_frequency_newton(a[i:i + 1], g[i:i + 1])
+            lam_i, coords_i, steps_i, defect_i = newton_on_simplex(a[i:i + 1], g[i:i + 1])
             assert lam_i[0] == lam[i]
             assert np.array_equal(coords_i[0], coords[i])
             assert steps_i[0] == steps[i]
@@ -742,7 +749,7 @@ class TestBatchNewton:
 
     def test_matches_bisection(self, rng):
         _, a, g = TestBatchBisection.stacked_problems(rng)
-        lam, coords, steps, defect = batch_frequency_newton(a, g)
+        lam, coords, steps, defect = newton_on_simplex(a, g)
         lam_b, coords_b, _, _, _ = batch_frequency_bisection(a, g)
         assert relative_gap(coords, coords_b) <= 1e-15
         assert np.abs(lam - lam_b).max() <= 1e-15
@@ -761,7 +768,7 @@ class TestBatchNewton:
     )
     def test_sparse_sets_match_bisection(self, seed, log_alpha, d, n):
         a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
-        lam, coords, steps, _ = batch_frequency_newton(a, g)
+        lam, coords, steps, _ = newton_on_simplex(a, g)
         _, coords_b, _, _, _ = batch_frequency_bisection(a, g)
         assert steps[0] <= 8
         if relative_gap(coords, coords_b) > 1e-15:
@@ -778,44 +785,53 @@ class TestBatchNewton:
         with pytest.raises(NumericError, match="Newton"):
             batch_frequency_newton(arith[None, :], geom[None, :])
 
+    @staticmethod
+    def break_last_pass(monkeypatch, corrupt, match):
+        """``corrupt`` the ``W0`` values of the last pass of Newton's two finishers.
+
+        On the canonical set, k-means' ``frequency_exact`` builder makes
+        Newton's steps and one ``_on_simplex`` pass; the fixed point rescued
+        after one step makes that step, Newton's steps and one.  The last
+        pass is the finish, whose check raises.
+        """
+        import jeffreys.centroids as centroids
+        import jeffreys.clustering as clustering
+
+        s = canonical_set()
+        raw_a, raw_g = _means(s)
+        arith, geom = normalized_means(s)
+        steps = int(batch_frequency_newton(arith[None], geom[None])[1][0])
+        monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", 1)
+        finishers = {
+            "frequency_exact": (lambda: clustering._exact_candidates(raw_a[None], raw_g[None]), 0),
+            "fixedpoint": (lambda: frequency_centroid_fixedpoint(s), 1),
+        }
+        for mode, (finish, before) in finishers.items():
+            passes = before + steps + 1
+            calls = []
+
+            def on_last_pass(x):
+                calls.append(1)
+                w = lambert_w0_values(x)
+                return corrupt(w) if len(calls) == passes else w
+
+            monkeypatch.setattr(centroids, "lambert_w0_values", on_last_pass)
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                with pytest.raises(NumericError, match=f"{mode}: {match}"):
+                    finish()
+            assert len(calls) == passes, mode
+
     def test_final_simplex_defect_raises(self, monkeypatch):
         # Break only the last W0 pass, which yields the returned coordinates.
-        import jeffreys.centroids as centroids
-
-        arith, geom = normalized_means(canonical_set())
-        a, g = arith[None, :], geom[None, :]
-        passes = int(batch_frequency_newton(a, g)[2][0]) + 1
-        calls = []
-
-        def off_on_last_pass(x):
-            calls.append(1)
-            w = lambert_w0_values(x)
-            return w * (1.0 + 1e-6) if len(calls) == passes else w
-
-        monkeypatch.setattr(centroids, "lambert_w0_values", off_on_last_pass)
-        with pytest.raises(NumericError, match="simplex defect"):
-            batch_frequency_newton(a, g)
-        assert len(calls) == passes
+        self.break_last_pass(monkeypatch, lambda w: w * (1.0 + 1e-6), "simplex defect")
 
     def test_final_nan_lane_raises(self, monkeypatch):
-        import jeffreys.centroids as centroids
-
-        arith, geom = normalized_means(canonical_set())
-        a, g = arith[None, :], geom[None, :]
-        passes = int(batch_frequency_newton(a, g)[2][0]) + 1
-        calls = []
-
-        def nan_on_last_pass(x):
-            calls.append(1)
-            w = lambert_w0_values(x)
-            if len(calls) == passes:
-                w[..., -1] = np.nan
+        def nan_lane(w):
+            w[..., -1] = np.nan
             return w
 
-        monkeypatch.setattr(centroids, "lambert_w0_values", nan_on_last_pass)
-        with pytest.raises(NumericError, match="simplex defect nan"):
-            batch_frequency_newton(a, g)
-        assert len(calls) == passes
+        self.break_last_pass(monkeypatch, nan_lane, "simplex defect nan")
 
 
 class TestFixedPoint:
@@ -1025,7 +1041,7 @@ class TestFixedAccuracy:
         assert len(caught) == f.fallback  # converged, or rescued with a warning
         b = frequency_centroid_bisection(s)
         arith, geom = normalized_means(s)
-        lam, coords, _, defect = batch_frequency_newton(arith[None], geom[None])
+        lam, coords, _, defect = newton_on_simplex(arith[None], geom[None])
         assert relative_gap(f.centroid, b.centroid) <= 1e-12
         assert relative_gap(coords[0], b.centroid) <= 2e-14
         for lam_star, c, simplex_defect in (

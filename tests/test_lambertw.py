@@ -6,10 +6,10 @@ from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jeffreys import ValidationError, lambert_w0_values
+from jeffreys import NumericError, ValidationError, lambert_w0_values
 from jeffreys.lambertw import _MAX_STEPS
 from conftest import w0_reference, w0_residual
 
@@ -248,6 +248,38 @@ class TestWarmStart:
         )
         assert steps.max() <= _MAX_STEPS
         assert ulps_from_reference(moved, warm) <= 2.5
+
+    # Over 4 * 10**6 random lanes, every guess with 0 < guess <= 2 W0(x) and
+    # |guess - W0(x)| <= 6 took at most 8 Halley steps and came within 2 ulp
+    # of the cold value; the first lane to exhaust the 10 steps was 10.3 below
+    # its root.  Farther guesses are drawn here too, down to 1e-300 of the
+    # root and 16 away.  The examples: 8 steps from 1e-3 W0(x) at W0 = 4.4;
+    # 2.0 ulp from 2 W0(x) at x = 1.8e-16; 2 W0(x) at W0 = 13.0, which raises.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.floats(math.log(1e-300), math.log(1e300)),
+                st.floats(-16.0, 16.0),
+                st.floats(-300.0, 0.0),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @example(lanes=[(5.909584641169218, -6.0, -3.0), (-36.25608815023884, 16.0, 0.0),
+                    (15.539246595022291, 13.5, 0.0)])
+    def test_perturbed_guess_is_accurate_or_raises(self, lanes):
+        for log_x, shift, log_floor in lanes:
+            x = math.exp(log_x)
+            cold = float(lambert_w0_values(x))
+            guess = min(max(cold + shift, cold * 10.0**log_floor), 2.0 * cold)
+            try:
+                warm = float(lambert_w0_values(x, guess=guess))
+            except NumericError:
+                assert abs(guess - cold) > 6.0
+                continue
+            assert abs(warm - cold) <= 2.0 * math.ulp(cold)
 
     def test_late_halving_takes_one_step(self):
         x = np.logspace(-300.0, 300.0, 601)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import jeffreys
 from jeffreys import centroids, cli, clustering, oracles
@@ -144,3 +145,33 @@ def test_w0_argument_is_formed_in_one_place(monkeypatch):
             config = jeffreys.ClusteringConfig(k=3, centroid_mode=name, seed=0)
             assert callers_of(jeffreys.kmeans, s, config) == {"_w0_at"}, name
     assert callers_of(jeffreys.run_alpha_trials, 200, 3, seed=1) == {"_w0_at"}
+
+
+def test_each_frequency_centroid_is_finished_once(monkeypatch):
+    # Newton and the fixed point estimate multipliers; the bisection and the
+    # scalar modes finish c(lam) with one _on_simplex pass, the fixed point's
+    # Newton rescue included.
+    real = centroids._on_simplex
+    labels = []
+
+    def spy(*args):
+        labels.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(centroids, "_on_simplex", spy)
+    rows = np.random.default_rng(3).uniform(0.05, 1.0, size=(12, 6))
+    s = jeffreys.WeightedHistogramSet(rows / rows.sum(axis=1, keepdims=True), frequency=True)
+    a, g = jeffreys.normalized_means(s)
+    centroids.batch_frequency_newton(a[None], g[None])
+    centroids.batch_frequency_fixedpoint(a[None], g[None])
+    assert labels == []
+    jeffreys.frequency_centroid_bisection(s)
+    assert labels == ["bisection"]
+    labels.clear()
+    assert not jeffreys.frequency_centroid_fixedpoint(s).fallback
+    assert labels == ["fixedpoint"]
+    labels.clear()
+    monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", 1)
+    with pytest.warns(RuntimeWarning, match="did not contract"):
+        assert jeffreys.frequency_centroid_fixedpoint(s).fallback
+    assert labels == ["fixedpoint"]
