@@ -18,7 +18,7 @@ divergence:
 
 ``W0``'s argument is formed in one place: :func:`_ratio` forms ``a / g``
 and :func:`_w0_at` returns ``W0(ratio * e^(lam + 1))``, with ``lam = 0``
-for the positive centroid.  The k-means builders of
+for the positive centroid.  The k-means relocation of
 :mod:`jeffreys.clustering` and the trial harness of :mod:`jeffreys.oracles`
 reach ``W0`` through them alone.
 
@@ -28,22 +28,26 @@ The mass function ``s(lam) = sum_i c_i(lam)`` is strictly decreasing with
 solution ``lam = -KL(c : g) <= 0``; it is 0 only for identical members,
 whose root is the bracket's top.
 
-The multiplier solvers are written once, for ``T`` problems at a time:
-:func:`batch_frequency_bisection`, :func:`batch_frequency_newton` and
-:func:`batch_frequency_fixedpoint` take ``(T, d)`` normalized means, one
-problem per row.  The bisection always makes 52 halvings.  On its own it
-evaluates every one, 53 ``W0`` passes in all with the result's, and
+Each centroid mode is one private function (:func:`_positive`,
+:func:`_bisection`, ...) of raw ``(T, d)`` means, one problem per row,
+that returns ``(coords, iterations, fields)`` as ``(T,)`` arrays.  The
+scalar API runs it at ``T = 1`` and k-means relocation on every cluster
+at once, through the ``builder`` that :data:`MODES` names.
+
+The three multiplier solvers, :func:`batch_frequency_bisection`,
+:func:`batch_frequency_newton` and :func:`batch_frequency_fixedpoint`,
+take ``(T, d)`` normalized means and only estimate multipliers; every
+centroid is finished once, by :func:`_on_simplex`, which checks its
+simplex defect against :data:`SIMPLEX_TOL`.  The bisection always makes
+52 halvings.  On its own it evaluates every one, 52 ``W0`` passes, and
 starts each halving but the first from the previous pass's ``W``.  Given
 a root estimate per row, it certifies in three passes that the root lies
 in a narrow band around the estimate, decides every halving whose
 midpoint is outside the band without a pass, and evaluates only the
 rest, about 10.  The safeguarded Newton on ``log s(lam) = 0`` keeps the
-same bracket and needs about five passes.  Newton and the fixed point only
-estimate multipliers; every centroid is finished once, by
-:func:`_on_simplex`, which checks its simplex defect against
-:data:`SIMPLEX_TOL`.  The scalar solvers run them at ``T = 1``: the
-bisection takes Newton's multiplier as its estimate, about 21 passes on
-small sparse sets instead of 53, and runs without one where Newton raises.
+same bracket and needs about five passes.  The scalar bisection takes
+Newton's multiplier as its estimate, about 21 passes in all on small
+sparse sets instead of 53, and runs without one where Newton raises.
 k-means (``frequency_exact``) runs Newton on every cluster at once, the
 fixed point's rescue runs Newton, and the trial harness runs the fixed
 point on every trial at once and then the bisection, with the fixed
@@ -72,9 +76,10 @@ class Mode(NamedTuple):
     """One row of :data:`MODES`.
 
     ``solver`` names the scalar solver in this module and ``builder`` the
-    ``(k, d)`` candidate builder of k-means relocation in
-    :mod:`jeffreys.clustering`; either is ``None`` where the mode has no
-    such form.  Names are looked up on their module at call time, so a
+    mode's centroid function here, which k-means relocation runs on the
+    ``(k, d)`` raw means of every cluster at once; the scalar solver runs
+    the same function at ``T = 1``.  Either is ``None`` where the mode has
+    no such use.  Names are looked up on this module at call time, so a
     patched attribute is the one that runs.  ``frequency`` marks a mode
     that only accepts frequency sets.
     """
@@ -86,13 +91,13 @@ class Mode(NamedTuple):
 
 #: Every centroid mode, by the name that results, reports and the CLI use.
 MODES = {
-    "positive": Mode("positive_centroid", "_positive_candidates", False),
-    "normalized": Mode("normalized_positive_centroid", "_normalized_candidates", True),
+    "positive": Mode("positive_centroid", "_positive", False),
+    "normalized": Mode("normalized_positive_centroid", "_normalized", True),
     "veldhuis": Mode("veldhuis_centroid", None, True),
     "bisection": Mode("frequency_centroid_bisection", None, True),
     "fixedpoint": Mode("frequency_centroid_fixedpoint", None, True),
-    "frequency_fixedpoint_1step": Mode(None, "_fixedpoint_1step_candidates", True),
-    "frequency_exact": Mode(None, "_exact_candidates", True),
+    "frequency_fixedpoint_1step": Mode(None, "_fixedpoint_1step", True),
+    "frequency_exact": Mode(None, "_exact", True),
 }
 
 #: Number of interval halvings that resolves the multiplier bracket to the
@@ -259,40 +264,46 @@ def _on_simplex(a: np.ndarray, ratio: np.ndarray, lam: np.ndarray, mode: str):
 
 
 def _solved(s: WeightedHistogramSet, mode: str, solve) -> CentroidResult:
-    """The frame of every scalar solver: ``solve`` applied to ``s``'s raw means.
+    """The frame of every scalar solver: the centroid function ``solve`` at ``T = 1``.
 
     A frequency mode of :data:`MODES` first validates ``s`` as a frequency
     set, and a one-member set is its own result (:func:`_singleton_result`).
-    ``solve(a, g)`` returns ``(centroid, iterations, fields)``: a new
-    ``(d,)`` array, which is frozen here, and the diagnostics of
-    :class:`CentroidResult` that ``mode`` sets.
+    ``solve`` maps ``s``'s raw means, one ``(1, d)`` row each, to
+    ``(coords, iterations, fields)``, the per-row diagnostics that ``mode``
+    sets.  Row 0's centroid is frozen and its fields made Python scalars.
     """
     if MODES[mode].frequency:
         s = s.as_frequency()
     if s.n == 1:
         return _singleton_result(s, mode)
-    c, iterations, fields = solve(*_means(s))
+    a, g = _means(s)
+    coords, iterations, fields = solve(a[None], g[None])
+    c = coords[0]
     c.flags.writeable = False
+    fields = {name: value[0].item() for name, value in fields.items()}
     return CentroidResult(
-        centroid=c, mode=mode, objective=_objective(c, s, mode), iterations=iterations, **fields
+        centroid=c, mode=mode, objective=_objective(c, s, mode), iterations=iterations[0].item(),
+        **fields,
     )
 
 
 def _positive(a: np.ndarray, g: np.ndarray):
+    """The positive centroid ``a / W0(a e / g)`` of each row of raw means, and its mass ``w_c``."""
     w, steps = _w0_at(_ratio(a, g), return_iterations=True)
     c = a / w
-    return c, int(np.max(steps)), {"w_c": float(c.sum())}
+    return c, steps.max(axis=1), {"w_c": _row_sums(c)}
 
 
 def _normalized(a: np.ndarray, g: np.ndarray):
+    """The positive centroid divided by its mass ``w_c``, and ``bound_factor = 1 / w_c``."""
     c, iterations, fields = _positive(a, g)
     w_c = fields["w_c"]
-    return c / w_c, iterations, {"w_c": w_c, "bound_factor": 1.0 / w_c}
+    return c / w_c[:, None], iterations, {"w_c": w_c, "bound_factor": 1.0 / w_c}
 
 
 def _veldhuis(a: np.ndarray, g: np.ndarray):
     a, g = _normalized_means(a, g)
-    return 0.5 * (a + g), 0, {}
+    return 0.5 * (a + g), np.zeros(a.shape[0], dtype=np.int64), {}
 
 
 def positive_centroid(s: WeightedHistogramSet) -> CentroidResult:
@@ -480,35 +491,31 @@ def _certified_halvings(a, ratio, lo, hi, estimate):
 
 def batch_frequency_bisection(
     a: np.ndarray, g: np.ndarray, estimate: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Multiplier bisection for ``T`` frequency problems at once.
 
     ``a`` and ``g`` are ``(T, d)`` normalized arithmetic and geometric
-    means, one problem per row.  Returns ``(lam, coords, halvings, defect,
-    evaluated)``: the multipliers, the ``(T, d)`` centroids on the simplex,
-    the halvings, the simplex defects before renormalization and the
-    halvings decided by a ``W0`` pass, per row.  On every row the bracket
-    ``[max_i(a_i + log g_i) - 1, 0]`` is halved exactly
-    :data:`BISECTION_HALVINGS` times, which resolves the multiplier to the
-    52-bit significand of a double, and each row's simplex defect is then
-    checked against :data:`SIMPLEX_TOL` (stopping on the defect alone
+    means, one problem per row.  Returns ``(lam, evaluated)``: the
+    multipliers and the halvings decided by a ``W0`` pass, per row.  Like
+    Newton and the fixed point it only estimates; its callers finish
+    ``c(lam)`` with :func:`_on_simplex`, whose check of each row's simplex
+    defect against :data:`SIMPLEX_TOL` raises :class:`NumericError`.  On
+    every row the bracket ``[max_i(a_i + log g_i) - 1, 0]`` is halved
+    exactly :data:`BISECTION_HALVINGS` times, which resolves the multiplier
+    to the 52-bit significand of a double (stopping on the defect alone
     could leave the coordinates under-resolved where ``s`` is flat).  A row
     of identical members, whose root is the bracket's top, ends within one
     final bracket width of 0.  A root outside the bracket (an inaccurate
-    ``W0``) drives the halvings to the bracket's end, where the defect
-    check raises :class:`NumericError`.  No row's result depends on the
-    other rows.
+    ``W0``) drives the halvings to the bracket's end, whose defect the
+    finishing check rejects.  No row's result depends on the other rows.
 
-    Without ``estimate`` every halving is evaluated: all rows share the 53
-    ``W0`` passes (one per halving, one for the result).  Each halving
-    after the first starts Halley from the previous
-    pass's ``W``.  ``W`` is convex in ``t = log x`` with ``dW/dt = W / (1 +
-    W)``, and consecutive midpoints move ``t`` by ``mid - prev``, so the
-    tangent ``W + (mid - prev) * W / (1 + W)`` is a lower bound on the new
-    root, off by ``O((mid - prev)**2)``; late halvings converge in one
-    step.  The first halving and the final coordinates keep the cold
-    start, so the returned centroid's ``W0`` values are those of
-    :func:`_coordinates`.
+    Without ``estimate`` every halving is evaluated: all rows share the 52
+    ``W0`` passes.  Each halving after the first starts Halley from the
+    previous pass's ``W``.  ``W`` is convex in ``t = log x`` with ``dW/dt =
+    W / (1 + W)``, and consecutive midpoints move ``t`` by ``mid - prev``,
+    so the tangent ``W + (mid - prev) * W / (1 + W)`` is a lower bound on
+    the new root, off by ``O((mid - prev)**2)``; late halvings converge in
+    one step.  The first halving keeps the cold start.
 
     ``estimate``, one multiplier per row (NaN where there is none), lets a
     row skip the evaluations whose sign is already proven.  Three ``W0``
@@ -528,15 +535,12 @@ def batch_frequency_bisection(
     """
     ratio = _ratio(a, g)
     lo, hi = _bracket(a, g), np.zeros(a.shape[0])
-    halvings = np.full(a.shape[0], BISECTION_HALVINGS)
     if estimate is None:
-        lo, hi = _halvings(a, ratio, lo, hi, halvings)
-        evaluated = halvings
+        evaluated = np.full(a.shape[0], BISECTION_HALVINGS)
+        lo, hi = _halvings(a, ratio, lo, hi, evaluated)
     else:
         lo, hi, evaluated = _certified_halvings(a, ratio, lo, hi, estimate)
-    lam = 0.5 * (lo + hi)
-    coords, defect = _on_simplex(a, ratio, lam, "bisection")
-    return lam, coords, halvings, defect, evaluated
+    return 0.5 * (lo + hi), evaluated
 
 
 def batch_frequency_newton(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -678,39 +682,53 @@ def batch_frequency_fixedpoint(
     return lam_out, iterations, converged_out
 
 
-def _multiplier(lam: np.ndarray, defect: np.ndarray) -> dict:
-    """The frequency modes' diagnostics of a batched solve's one row."""
-    return {"lambda_star": min(float(lam[0]), 0.0), "simplex_defect": float(defect[0])}
-
-
 def _bisection(a: np.ndarray, g: np.ndarray):
     a, g = _normalized_means(a, g)
-    a, g = a[None], g[None]
     try:
         estimate = batch_frequency_newton(a, g)[0]
     except NumericError:
         # The estimate-free schedule then raises, or answers, on its own terms.
         estimate = None
-    lam, coords, halvings, defect, _ = batch_frequency_bisection(a, g, estimate)
-    return coords[0], int(halvings[0]), _multiplier(lam, defect)
+    lam, _ = batch_frequency_bisection(a, g, estimate)
+    coords, defect = _on_simplex(a, _ratio(a, g), lam, "bisection")
+    halvings = np.full(a.shape[0], BISECTION_HALVINGS)
+    return coords, halvings, {"lambda_star": np.minimum(lam, 0.0), "simplex_defect": defect}
 
 
 def _fixedpoint(a: np.ndarray, g: np.ndarray):
     a, g = _normalized_means(a, g)
-    a, g = a[None], g[None]
     lam, iterations, converged = batch_frequency_fixedpoint(a, g)
-    steps = int(iterations[0])
-    fallback = not converged[0]
-    if fallback:
+    fallback = ~converged
+    if fallback.any():
         warnings.warn(
-            f"fixed-point iteration did not contract within {steps} steps; "
+            f"fixed-point iteration did not contract within {_FIXEDPOINT_CAP} steps; "
             "finishing with the safeguarded Newton solver",
             RuntimeWarning,
             stacklevel=4,  # the caller of frequency_centroid_fixedpoint, past _solved
         )
-        lam = batch_frequency_newton(a, g)[0]
+        lam[fallback] = batch_frequency_newton(a[fallback], g[fallback])[0]
     coords, defect = _on_simplex(a, _ratio(a, g), lam, "fixedpoint")
-    return coords[0], steps, {**_multiplier(lam, defect), "fallback": fallback}
+    fields = {"lambda_star": np.minimum(lam, 0.0), "simplex_defect": defect, "fallback": fallback}
+    return coords, iterations, fields
+
+
+def _fixedpoint_1step(a: np.ndarray, g: np.ndarray):
+    """One fixed-point refinement per row, started from the arithmetic mean.
+
+    Its multiplier is ``lam = -KL(a : g)`` of the normalized means: a
+    provably-better-than-mean update that keeps the variational k-means
+    cheap.
+    """
+    a, g = _normalized_means(a, g)
+    lam = _kl_multiplier(a, np.log(g))
+    return _simplex_coordinates(a, _ratio(a, g), lam), np.ones(a.shape[0], dtype=np.int64), {}
+
+
+def _exact(a: np.ndarray, g: np.ndarray):
+    """The exact frequency centroid of each row: Newton's multiplier, finished once."""
+    a, g = _normalized_means(a, g)
+    lam, steps = batch_frequency_newton(a, g)
+    return _on_simplex(a, _ratio(a, g), lam, "frequency_exact")[0], steps, {}
 
 
 def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:

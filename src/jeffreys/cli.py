@@ -195,7 +195,7 @@ def _run_bench(args) -> int:
     out.write("\nmetric,value\n")
     out.write(f"trials,{args.trials}\n")
     out.write(f"dims,{args.dims}\n")
-    out.write(f"mean_bisection_halvings,{float(data.bisection_halvings.mean())!r}\n")
+    out.write(f"mean_bisection_halvings,{float(centroids.BISECTION_HALVINGS)!r}\n")
     out.write(f"mean_fixedpoint_iterations,{float(data.fixedpoint_iterations.mean())!r}\n")
     return EXIT_OK
 

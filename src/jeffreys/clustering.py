@@ -2,11 +2,13 @@
 
 Lloyd iteration with the Jeffreys divergence as the assignment distance.
 The relocation step runs one of four centroid updates, the rows of
-:data:`jeffreys.centroids.MODES` that name a ``(k, d)`` candidate builder
-here: the exact positive centroid (``positive``), the normalized
-approximation (``normalized``), a single fixed-point refinement, the
-variational scheme (``frequency_fixedpoint_1step``), or the exact frequency
-centroid (``frequency_exact``).  Every update is guarded against the
+:data:`jeffreys.centroids.MODES` that name a ``builder``: the exact
+positive centroid (``positive``), the normalized approximation
+(``normalized``), a single fixed-point refinement, the variational scheme
+(``frequency_fixedpoint_1step``), or the exact frequency centroid
+(``frequency_exact``).  Each builder is the mode's one centroid function in
+:mod:`jeffreys.centroids`, the one the scalar API runs at ``T = 1``; here
+it runs on every cluster at once.  Every update is guarded against the
 previous centroid, so the objective trace is non-increasing for every mode,
 exact or approximate.
 """
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import MODES, _coordinates, _kl_multiplier, _normalized_means, _on_simplex
-from .centroids import _ratio, _simplex_coordinates, batch_frequency_newton
+from . import centroids
+from .centroids import MODES
 from .divergences import jeffreys_rows
 from .errors import NumericError, ValidationError
 from .histograms import WeightedHistogramSet
@@ -30,7 +32,7 @@ class ClusteringConfig:
     """Knobs of a k-means run; ``seed`` makes the whole run reproducible.
 
     ``centroid_mode`` is a name in :data:`jeffreys.centroids.MODES` whose
-    row has a candidate builder.  A run stops early when assignments repeat
+    row has a ``builder``.  A run stops early when assignments repeat
     or the objective trace does not decrease; ``max_iterations`` caps the
     rounds.
     """
@@ -200,33 +202,6 @@ def _assigned(
     return assign, costs
 
 
-def _positive_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return _coordinates(a, _ratio(a, g))
-
-
-def _normalized_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return _simplex_coordinates(a, _ratio(a, g), 0.0)
-
-
-def _one_step_frequency_update(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """One fixed-point refinement per row of ``(k, d)`` normalized means.
-
-    Started from the arithmetic mean, ``lam = -KL(a : g)``; a
-    provably-better-than-mean update that keeps the variational k-means
-    cheap.
-    """
-    return _simplex_coordinates(a, _ratio(a, g), _kl_multiplier(a, np.log(g)))
-
-
-def _fixedpoint_1step_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return _one_step_frequency_update(*_normalized_means(a, g))
-
-
-def _exact_candidates(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    a, g = _normalized_means(a, g)
-    return _on_simplex(a, _ratio(a, g), batch_frequency_newton(a, g)[0], "frequency_exact")[0]
-
-
 def _relocate(
     matrix: np.ndarray,
     log_matrix: np.ndarray,
@@ -239,10 +214,11 @@ def _relocate(
     """Update every centroid of one round in a single batched solve.
 
     The clusters' normalized weights form one ``(k, n)`` matrix, so their
-    arithmetic and geometric means are two matmuls and the mode's builder,
-    which maps the ``(k, d)`` raw means to ``(k, d)`` candidates, runs once
-    for every cluster with at least two members.  A singleton cluster takes
-    its member, an empty one keeps its centroid.
+    arithmetic and geometric means are two matmuls and the mode's builder
+    in :mod:`jeffreys.centroids`, which maps the ``(k, d)`` raw means to
+    ``(k, d)`` candidates, runs once for every cluster with at least two
+    members.  A singleton cluster takes its member, an empty one keeps its
+    centroid.
 
     ``costs`` holds each row's cost to its cluster's old centre, which the
     guard compares with the candidates' ``n`` costs computed here.  Returns
@@ -263,7 +239,7 @@ def _relocate(
         w = cluster_weights[solve]
         a = w @ matrix
         g = np.exp(w @ log_matrix)
-        candidates[solve] = globals()[MODES[mode].builder](a, g)
+        candidates[solve] = getattr(centroids, MODES[mode].builder)(a, g)[0]
 
     # Keep the previous centroid when the update does not improve the
     # within-cluster objective; this pins down monotone convergence for

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -67,8 +68,9 @@ def epsilon_scale_from_env() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ValidationError(f"{EPSILON_ENV} must be a float, got {raw!r}") from exc
-    if value <= 0.0:
-        raise ValidationError(f"{EPSILON_ENV} must be positive, got {value!r}")
+    # NaN fails both comparisons; float() reads "1e400" as inf.
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{EPSILON_ENV} must be positive and finite, got {value!r}")
     return value
 
 

@@ -17,10 +17,11 @@ block's arrays.
 
 Each block runs the fixed point first and passes its converged
 multipliers to the bisection as root estimates.  Every trial still makes
-the bisection's 52 halvings (``bisection_halvings``), but only about 10
-of them are decided by a ``W0`` pass (``bisection_evaluations``); the
-rest are certified from the estimate, see
-:func:`~jeffreys.centroids.batch_frequency_bisection`.
+the bisection's 52 halvings, but only about 10 of them are decided by a
+``W0`` pass (``bisection_evaluations``); the rest are certified from the
+estimate, see :func:`~jeffreys.centroids.batch_frequency_bisection`.  Like
+the scalar bisection, a block then finishes the exact centroids in one
+pass, :func:`~jeffreys.centroids._on_simplex`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .centroids import _coordinates, _normalized_means, _ratio
+from .centroids import _coordinates, _normalized_means, _on_simplex, _ratio
 # Imported under these names, through which the benchmark's tracer times them.
 from .centroids import batch_frequency_bisection as _batch_bisection
 from .centroids import batch_frequency_fixedpoint as _batch_fixedpoint
@@ -58,9 +59,8 @@ def random_frequency_rows(rng: np.random.Generator, trials: int, n: int, d: int)
 class TrialData:
     """Per-trial arrays from a batch of random centroid problems.
 
-    ``bisection_halvings`` counts the bisection's bracket halvings, 52 per
-    trial, and ``bisection_evaluations`` the halvings among them that a
-    ``W0`` pass decided.
+    ``bisection_evaluations`` counts the bisection's bracket halvings that
+    a ``W0`` pass decided, of the 52 that every trial makes.
     """
 
     j_positive: np.ndarray
@@ -70,7 +70,6 @@ class TrialData:
     w_c: np.ndarray
     lambda_star: np.ndarray
     fixedpoint_iterations: np.ndarray
-    bisection_halvings: np.ndarray
     bisection_evaluations: np.ndarray
 
     @property
@@ -124,9 +123,8 @@ def _solve_block(members: np.ndarray) -> TrialData:
     c_norm = c_pos / w_c[:, None]
     c_veld = 0.5 * (a + g)
     lam_fp, fp_iters, converged = _batch_fixedpoint(a, g)
-    lam, c_exact, halvings, _, evaluated = _batch_bisection(
-        a, g, estimate=np.where(converged, lam_fp, np.nan)
-    )
+    lam, evaluated = _batch_bisection(a, g, estimate=np.where(converged, lam_fp, np.nan))
+    c_exact = _on_simplex(a, _ratio(a, g), lam, "bisection")[0]
 
     return TrialData(
         j_positive=to_members(c_pos),
@@ -136,7 +134,6 @@ def _solve_block(members: np.ndarray) -> TrialData:
         w_c=w_c,
         lambda_star=lam,
         fixedpoint_iterations=fp_iters,
-        bisection_halvings=halvings,
         bisection_evaluations=evaluated,
     )
 

@@ -43,6 +43,17 @@ def final_width(a, g):
     return -_bracket(np.atleast_2d(a), np.atleast_2d(g)) * 2.0**-BISECTION_HALVINGS
 
 
+def bisection_on_simplex(a, g, estimate=None):
+    """Bisection multipliers finished by ``_on_simplex``: ``(lam, coords, defect, evaluated)``.
+
+    Without an estimate every halving is evaluated: ``evaluated`` is each
+    row's 52 halvings.
+    """
+    lam, evaluated = batch_frequency_bisection(a, g, estimate)
+    coords, defect = _on_simplex(a, _ratio(a, g), lam, "bisection")
+    return lam, coords, defect, evaluated
+
+
 class TestPositiveCentroid:
     def test_identical_members(self):
         member = np.array([0.4, 1.1, 2.0])
@@ -321,9 +332,9 @@ class TestBatchBisection:
 
     def test_rows_are_independent_bitwise(self, rng):
         _, a, g = self.stacked_problems(rng)
-        lam, coords, halvings, defect, _ = batch_frequency_bisection(a, g)
+        lam, coords, defect, halvings = bisection_on_simplex(a, g)
         for i in range(a.shape[0]):
-            lam_i, coords_i, halvings_i, defect_i, _ = batch_frequency_bisection(a[i:i + 1], g[i:i + 1])
+            lam_i, coords_i, defect_i, halvings_i = bisection_on_simplex(a[i:i + 1], g[i:i + 1])
             assert lam_i[0] == lam[i]
             assert np.array_equal(coords_i[0], coords[i])
             assert halvings_i[0] == halvings[i]
@@ -331,7 +342,7 @@ class TestBatchBisection:
 
     def test_matches_scalar_bisection(self, rng):
         sets, a, g = self.stacked_problems(rng)
-        lam, coords, halvings, defect, _ = batch_frequency_bisection(a, g)
+        lam, coords, defect, halvings = bisection_on_simplex(a, g)
         for i, s in enumerate(sets):
             r = frequency_centroid_bisection(s)
             assert np.abs(coords[i] - r.centroid).max() <= 1e-12
@@ -352,7 +363,7 @@ class TestBatchBisection:
             centroids, "lambert_w0_values", lambda x, **kw: 4.0 * lambert_w0_values(x, **kw)
         )
         with pytest.raises(NumericError, match="simplex defect"):
-            batch_frequency_bisection(arith[None, :], geom[None, :])
+            bisection_on_simplex(arith[None, :], geom[None, :])
 
     def test_final_simplex_defect_raises(self, monkeypatch):
         # Break only the last of the 53 W0 passes, which yields the returned
@@ -369,7 +380,7 @@ class TestBatchBisection:
 
         monkeypatch.setattr(centroids, "lambert_w0_values", off_on_last_pass)
         with pytest.raises(NumericError, match="simplex defect"):
-            batch_frequency_bisection(arith[None, :], geom[None, :])
+            bisection_on_simplex(arith[None, :], geom[None, :])
         assert len(calls) == BISECTION_HALVINGS + 1
 
     def test_final_nan_lane_raises(self, monkeypatch):
@@ -388,7 +399,7 @@ class TestBatchBisection:
 
         monkeypatch.setattr(centroids, "lambert_w0_values", nan_on_last_pass)
         with pytest.raises(NumericError, match="simplex defect nan"):
-            batch_frequency_bisection(arith[None, :], geom[None, :])
+            bisection_on_simplex(arith[None, :], geom[None, :])
         assert len(calls) == BISECTION_HALVINGS + 1
 
 
@@ -422,10 +433,10 @@ class TestWarmBisection:
             return w
 
         monkeypatch.setattr(centroids, "lambert_w0_values", counting)
-        lam, coords, halvings, _, _ = batch_frequency_bisection(a, g)
+        lam, coords, _, halvings = bisection_on_simplex(a, g)
         # The cold reference drops every guess.
         monkeypatch.setattr(centroids, "lambert_w0_values", lambda x, **kw: lambert_w0_values(x))
-        cold_lam, cold_coords, cold_halvings, _, _ = batch_frequency_bisection(a, g)
+        cold_lam, cold_coords, _, cold_halvings = bisection_on_simplex(a, g)
 
         eps = np.finfo(np.float64).eps
         assert np.abs(lam - cold_lam).max() <= 8.0 * eps
@@ -446,7 +457,7 @@ class TestWarmBisection:
             return lambert_w0_values(x, **kw)
 
         monkeypatch.setattr(centroids, "lambert_w0_values", recording)
-        batch_frequency_bisection(a, g)
+        bisection_on_simplex(a, g)
         cold = [i for i, guess in enumerate(guesses) if guess is None]
         assert cold == [0, BISECTION_HALVINGS]
 
@@ -530,8 +541,7 @@ class TestCertifiedBisection:
             return lambert_w0_values(x, **kw)
 
         monkeypatch.setattr(centroids, "lambert_w0_values", counting)
-        _, _, halvings, _, evaluated = batch_frequency_bisection(a, g, estimate)
-        assert set(halvings) == {BISECTION_HALVINGS}
+        _, _, _, evaluated = bisection_on_simplex(a, g, estimate)
         assert evaluated.max() < 30 and evaluated.mean() < 15
         assert len(calls) == 3 + evaluated.max() + 1
         # Each lockstep pass evaluates only the rows with a halving left.
@@ -558,20 +568,19 @@ class TestCertifiedBisection:
         import jeffreys.centroids as centroids
 
         a, g = self.harness_problems(seed, 8, d, n)
-        free = batch_frequency_bisection(a, g)
+        free = bisection_on_simplex(a, g)
         estimate = self.fixedpoint_estimate(a, g)
         bad_rows = np.arange(8) % 2 == 0
         estimate[bad_rows] = {
             "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "above": 1.0, "below": -1e3,
             "far": free[0][bad_rows] + sign * offset,
         }[bad]
-        lam, coords, halvings, defect, evaluated = batch_frequency_bisection(a, g, estimate)
-        for got, want in zip((lam, coords, halvings, defect), free):
+        lam, coords, defect, evaluated = bisection_on_simplex(a, g, estimate)
+        for got, want in zip((lam, coords, defect), free):
             assert np.array_equal(got[bad_rows], want[bad_rows])
-        assert np.array_equal(evaluated[bad_rows], halvings[bad_rows])
-        assert np.array_equal(free[4], free[2])
-        assert np.array_equal(halvings, free[2])
-        assert np.all(evaluated <= halvings)
+        assert np.all(evaluated[bad_rows] == BISECTION_HALVINGS)
+        assert np.all(free[3] == BISECTION_HALVINGS)
+        assert np.all(evaluated <= BISECTION_HALVINGS)
         # With the fixed point's estimate, the evaluated halvings start from
         # another warm history, and the decisions where s(mid) is within
         # rounding of 1 can differ: lam then moves by one final bracket
@@ -593,7 +602,7 @@ class TestCertifiedBisection:
         import jeffreys.centroids as centroids
 
         a, g = self.harness_problems(11, 8, 16)
-        free = batch_frequency_bisection(a, g)
+        free = bisection_on_simplex(a, g)
         shifted = np.arange(8) % 2 == 0
         real = centroids._certify
 
@@ -603,10 +612,10 @@ class TestCertifiedBisection:
             return certified, band_lo + off, band_hi + off, lam, w
 
         monkeypatch.setattr(centroids, "_certify", off_the_root)
-        lam, coords, halvings, defect, evaluated = batch_frequency_bisection(
+        lam, coords, defect, evaluated = bisection_on_simplex(
             a, g, self.fixedpoint_estimate(a, g)
         )
-        for got, want in zip((lam, coords, halvings, defect), free):
+        for got, want in zip((lam, coords, defect), free):
             assert np.array_equal(got[shifted], want[shifted])
         assert np.all(evaluated[shifted] == BISECTION_HALVINGS)
         assert np.all(evaluated[~shifted] < BISECTION_HALVINGS)
@@ -635,7 +644,7 @@ class TestScalarBisection:
         s = WeightedHistogramSet(smooth_bins(rows), frequency=True)
         r = frequency_centroid_bisection(s)
         a, g = normalized_means(s)
-        lam, coords, halvings, defect, _ = batch_frequency_bisection(a[None], g[None])
+        lam, coords, defect, halvings = bisection_on_simplex(a[None], g[None])
         assert r.iterations == halvings[0] == BISECTION_HALVINGS
         if r.lambda_star == min(lam[0], 0.0) and np.array_equal(r.centroid, coords[0]):
             assert r.simplex_defect == defect[0]
@@ -666,7 +675,7 @@ class TestScalarBisection:
         s = random_frequency_set(rng, n=4, d=16)
         a, g = normalized_means(s)
         estimate, steps = batch_frequency_newton(a[None], g[None])
-        evaluated = int(batch_frequency_bisection(a[None], g[None], estimate)[4][0])
+        evaluated = int(batch_frequency_bisection(a[None], g[None], estimate)[1][0])
         calls = self.counting(monkeypatch)
         assert frequency_centroid_bisection(s).iterations == BISECTION_HALVINGS
         assert len(calls) == int(steps[0]) + 3 + evaluated + 1
@@ -677,7 +686,7 @@ class TestScalarBisection:
 
         s = random_frequency_set(rng, n=4, d=16)
         a, g = normalized_means(s)
-        lam, coords, _, defect, _ = batch_frequency_bisection(a[None], g[None])
+        lam, coords, defect, _ = bisection_on_simplex(a[None], g[None])
 
         def failing(a, g):
             raise NumericError("newton: did not converge")
@@ -750,7 +759,7 @@ class TestBatchNewton:
     def test_matches_bisection(self, rng):
         _, a, g = TestBatchBisection.stacked_problems(rng)
         lam, coords, steps, defect = newton_on_simplex(a, g)
-        lam_b, coords_b, _, _, _ = batch_frequency_bisection(a, g)
+        lam_b, coords_b, _, _ = bisection_on_simplex(a, g)
         assert relative_gap(coords, coords_b) <= 1e-15
         assert np.abs(lam - lam_b).max() <= 1e-15
         assert defect.max() <= 1e-12
@@ -769,7 +778,7 @@ class TestBatchNewton:
     def test_sparse_sets_match_bisection(self, seed, log_alpha, d, n):
         a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
         lam, coords, steps, _ = newton_on_simplex(a, g)
-        _, coords_b, _, _, _ = batch_frequency_bisection(a, g)
+        _, coords_b, _, _ = bisection_on_simplex(a, g)
         assert steps[0] <= 8
         if relative_gap(coords, coords_b) > 1e-15:
             newton, bisection = distance_to_exact(a[0], g[0], lam[0], [coords[0], coords_b[0]])
@@ -795,7 +804,6 @@ class TestBatchNewton:
         pass is the finish, whose check raises.
         """
         import jeffreys.centroids as centroids
-        import jeffreys.clustering as clustering
 
         s = canonical_set()
         raw_a, raw_g = _means(s)
@@ -803,7 +811,7 @@ class TestBatchNewton:
         steps = int(batch_frequency_newton(arith[None], geom[None])[1][0])
         monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", 1)
         finishers = {
-            "frequency_exact": (lambda: clustering._exact_candidates(raw_a[None], raw_g[None]), 0),
+            "frequency_exact": (lambda: centroids._exact(raw_a[None], raw_g[None]), 0),
             "fixedpoint": (lambda: frequency_centroid_fixedpoint(s), 1),
         }
         for mode, (finish, before) in finishers.items():
@@ -1070,7 +1078,7 @@ class TestFixedAccuracy:
         a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
         lam, iterations, converged = batch_frequency_fixedpoint(a, g)
         assert converged[0] and iterations[0] <= 60
-        lam_b, coords_b, _, _, _ = batch_frequency_bisection(a, g)
+        lam_b, coords_b, _, _ = bisection_on_simplex(a, g)
         lam_n = batch_frequency_newton(a, g)[0]
         scale = max(1.0, abs(float(lam[0])))
         assert abs(lam[0] - lam_n[0]) <= 5e-14 * scale

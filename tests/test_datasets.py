@@ -258,6 +258,16 @@ class TestEpsilonOverride:
         with pytest.raises(ValidationError, match="JEFFREYS_EPSILON"):
             load_dataset(p, FORMAT_CSV, "positive").histograms
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("rows", ["0,4\n2,2\n", "1,3\n2,2\n"], ids=["empty-bin", "dense"])
+    def test_env_variable_not_finite(self, tmp_path, monkeypatch, value, rows):
+        # float() accepts all three; a scale that is not finite must not
+        # reach the smoothing, nor a set without empty bins.
+        p = write(tmp_path, "z.csv", rows)
+        monkeypatch.setenv("JEFFREYS_EPSILON", value)
+        with pytest.raises(ValidationError, match="JEFFREYS_EPSILON"):
+            load_dataset(p, FORMAT_CSV, "positive").histograms
+
     def test_reported_in_dataset(self, tmp_path):
         p = write(tmp_path, "z.csv", "1,4\n")
         ds = load_dataset(p, FORMAT_CSV, "positive")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from jeffreys import (
+    BISECTION_HALVINGS,
     ValidationError,
     WeightedHistogramSet,
     frequency_centroid_bisection,
@@ -139,9 +140,8 @@ class TestTrialHarness:
         # multiplier certifies all but about 10 of them.
         for d in (2, 16):
             data = run_alpha_trials(3000, d, seed=2)
-            halvings, evaluated = data.bisection_halvings, data.bisection_evaluations
-            assert set(halvings) == {52}
-            assert np.all(evaluated <= halvings)
+            evaluated = data.bisection_evaluations
+            assert np.all(evaluated <= BISECTION_HALVINGS)
             assert 5.0 <= evaluated.mean() <= 15.0
 
     @pytest.mark.parametrize("n", [2, 3, 11])

@@ -78,7 +78,9 @@ def test_tracer_sees_every_layer_and_restores_it():
     try:
         # The row types are gone: results are read-only arrays.  The CLI
         # calls oracles.run_alpha_trials directly; no harness wraps it.
+        # k-means runs the one-step update of centroids, which has no span.
         assert tracer.absent == [
+            "clustering._one_step_frequency_update",
             "oracles.alpha_trial_harness",
             spans.ROW,
             "histograms.FrequencyHistogram.__post_init__",
@@ -147,10 +149,35 @@ def test_w0_argument_is_formed_in_one_place(monkeypatch):
     assert callers_of(jeffreys.run_alpha_trials, 200, 3, seed=1) == {"_w0_at"}
 
 
+def test_centroid_maths_exists_once(monkeypatch):
+    # Each mode's centroid function is written once, in centroids: k-means
+    # relocation runs the one that the scalar API runs, named by MODES.
+    for name in ("_coordinates", "_simplex_coordinates", "_kl_multiplier",
+                 "_normalized_means", "_on_simplex", "batch_frequency_newton"):
+        assert name not in vars(clustering), name
+    for mode in centroids.MODES.values():
+        assert mode.builder is None or callable(getattr(centroids, mode.builder))
+    real = centroids._positive
+    rows_seen = []
+
+    def spy(a, g):
+        rows_seen.append(a.shape[0])
+        return real(a, g)
+
+    monkeypatch.setattr(centroids, "_positive", spy)
+    rows = np.random.default_rng(3).uniform(0.05, 1.0, size=(12, 6))
+    s = jeffreys.WeightedHistogramSet(rows)
+    jeffreys.positive_centroid(s)
+    assert rows_seen == [1]
+    result = jeffreys.kmeans(s, jeffreys.ClusteringConfig(k=3, centroid_mode="positive", seed=0))
+    assert len(rows_seen) == 1 + result.iterations
+    assert all(1 <= k <= 3 for k in rows_seen[1:])
+
+
 def test_each_frequency_centroid_is_finished_once(monkeypatch):
-    # Newton and the fixed point estimate multipliers; the bisection and the
-    # scalar modes finish c(lam) with one _on_simplex pass, the fixed point's
-    # Newton rescue included.
+    # The three multiplier solvers only estimate; every scalar mode, the
+    # trial harness and k-means finish c(lam) with one _on_simplex pass, the
+    # fixed point's Newton rescue included.
     real = centroids._on_simplex
     labels = []
 
@@ -159,12 +186,24 @@ def test_each_frequency_centroid_is_finished_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(centroids, "_on_simplex", spy)
+    # The harness binds the name itself; if it stops, the spy on centroids sees it.
+    monkeypatch.setattr(oracles, "_on_simplex", spy, raising=False)
     rows = np.random.default_rng(3).uniform(0.05, 1.0, size=(12, 6))
     s = jeffreys.WeightedHistogramSet(rows / rows.sum(axis=1, keepdims=True), frequency=True)
     a, g = jeffreys.normalized_means(s)
     centroids.batch_frequency_newton(a[None], g[None])
     centroids.batch_frequency_fixedpoint(a[None], g[None])
+    centroids.batch_frequency_bisection(a[None], g[None])
     assert labels == []
+    # 25 trials of 3 bins, 10 rows per block: three blocks.
+    monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", 30)
+    jeffreys.run_alpha_trials(25, 3, seed=1)
+    assert labels == ["bisection"] * 3
+    labels.clear()
+    config = jeffreys.ClusteringConfig(k=3, centroid_mode="frequency_exact", seed=0)
+    rounds = jeffreys.kmeans(s, config).iterations
+    assert rounds >= 1 and labels == ["frequency_exact"] * rounds
+    labels.clear()
     jeffreys.frequency_centroid_bisection(s)
     assert labels == ["bisection"]
     labels.clear()
