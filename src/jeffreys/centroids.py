@@ -41,13 +41,14 @@ centroid is finished once, by :func:`_on_simplex`, which checks its
 simplex defect against :data:`SIMPLEX_TOL`.  The bisection always makes
 52 halvings.  On its own it evaluates every one, 52 ``W0`` passes, and
 starts each halving but the first from the previous pass's ``W``.  Given
-a root estimate per row, it certifies in three passes that the root lies
-in a narrow band around the estimate, decides every halving whose
-midpoint is outside the band without a pass, and evaluates only the
-rest, about 10.  The safeguarded Newton on ``log s(lam) = 0`` keeps the
-same bracket and needs about five passes.  The scalar bisection takes
-Newton's multiplier as its estimate, about 21 passes in all on small
-sparse sets instead of 53, and runs without one where Newton raises.
+a root estimate per row, it takes one pass at the estimate for a narrow
+band around it, decides every halving whose midpoint is outside the band
+without a pass, evaluates only the rest, about 10, and checks any final
+bracket end that only the band decided.  The safeguarded Newton on
+``log s(lam) = 0`` keeps the same bracket and needs about five passes.
+The scalar bisection takes Newton's multiplier as its estimate, about 19
+passes in all on small sparse sets instead of 53, and runs without one
+where Newton raises.
 k-means (``frequency_exact``) runs Newton on every cluster at once, the
 fixed point's rescue runs Newton, and the trial harness runs the fixed
 point on every trial at once and then the bisection, with the fixed
@@ -107,7 +108,7 @@ BISECTION_HALVINGS = 52
 
 _EPS = float(np.finfo(np.float64).eps)
 #: Farther from any multiplier than the bracket's ends, ``0 >= lo >= -1 - log d``.
-#: A certified halving moves ``lo`` to ``mid`` on some rows and keeps it on
+#: A halving decided without a pass moves ``lo`` to ``mid`` on some rows and keeps it on
 #: the others as ``max(lo, mid - _FAR * keep)``, since ``lo <= mid``.
 #: Unlike ``np.where``, which branches on each row's direction, and those
 #: are random, it does not stall the CPU: three times as fast on 8,192 rows,
@@ -380,79 +381,64 @@ def _halvings(a, ratio, lo, hi, count, w=None, prev=None):
     return lo_out, hi_out
 
 
-def _certify(a, ratio, estimate, lo, hi):
-    """Which rows have their root proven inside a band around ``estimate``.
+def _band(a, ratio, estimate, lo, hi):
+    """A band around each row's root estimate, from one cold ``W0`` pass.
 
     The estimate ``lam`` is clipped to the bracket ``[lo, hi]``.  One cold
-    ``W0`` pass at ``lam`` gives ``W(lam)`` and the slope ``|s'(lam)| =
-    sum_i c_i / (1 + W_i)``, and the band is ``[lam - delta, lam + delta]``
-    (clipped to the bracket), with ``delta = 2 m / |s'(lam)|`` and the
-    margin ``m = 4 (d + 8) eps``.  An estimate that is NaN, or that the
-    clipping moves by more than ``delta`` (an infinite one, or one outside
-    the bracket by more than rounding), certifies nothing: it says nothing
-    about the root, even where the bracket's end happens to certify.  Two
-    more passes, warm from ``W(lam)`` along its tangent, evaluate ``s`` at
-    the band's ends.  A row is certified where ``s(band_lo) - 1 >= m`` and
-    ``1 - s(band_hi) >= m``; a NaN fails both tests.  A band clipped at the
-    bracket top (``band_hi == hi``) needs no upper test, since no midpoint
-    reaches ``hi``; this is what certifies a row whose root is at or next
-    to 0.
+    ``W0`` pass at ``lam`` gives ``W(lam)``, the lockstep's warm start, and
+    the slope ``|s'(lam)| = sum_i c_i / (1 + W_i)``.  The band is ``[lam -
+    delta, lam + delta]``, clipped to the bracket, with ``delta = 8 (d + 8)
+    eps / |s'(lam)|``.  ``(d + 8) eps`` bounds the rounding of a computed
+    ``s``: ``W0``'s 2 ulp, the rounding of ``ratio * e^(mid + 1)`` and of
+    ``a / W``, and the ``d``-term sum.  Where the estimate is within half
+    the band of the root, ``s`` is about ``4 (d + 8) eps`` or more from 1
+    at the band's ends, so every mid outside the band has the sign that an
+    evaluation there would give.  Nothing here proves that: the check of
+    the final bracket ends in :func:`_certified_halvings` does.
 
-    ``(d + 8) eps`` bounds the rounding of a computed ``s``: ``W0``'s 2 ulp,
-    the rounding of ``ratio * e^(mid + 1)`` and of ``a / W``, and the
-    ``d``-term sum.  ``s`` is strictly decreasing, so on a certified row
-    every ``mid < band_lo`` has ``s(mid) >= 1`` and every ``mid > band_hi``
-    has ``s(mid) < 1`` as computed, by a margin of at least half of ``m``:
-    the evaluation that the plain bisection would make there gives the
-    same decision.  The bound rests on ``W0``'s measured, not proven,
-    2-ulp error.
+    An estimate that is NaN, or that the clipping moves by more than
+    ``delta`` (an infinite one, or one outside the bracket by more than
+    rounding), is not ``known``: it says nothing about the root.
 
-    Returns ``(certified, band_lo, band_hi, lam, w)``: the band and the
-    clipped estimate per row, and the ``(T, d)`` values ``W(lam)``.  Rows
-    without an estimate are evaluated at ``lo`` and never certified.
+    Returns ``(known, band_lo, band_hi, lam, w)``: the band and the clipped
+    estimate per row, and the ``(T, d)`` values ``W(lam)``.  Rows without
+    an estimate are evaluated at ``lo``.
     """
     lam = np.clip(estimate, lo, hi)
     known = ~np.isnan(lam)
     lam = np.where(known, lam, lo)
     w = _w0_at(ratio, lam)
-    margin = 4.0 * (a.shape[1] + 8) * _EPS
-    delta = 2.0 * margin / _row_sums(a / (w * (1.0 + w)))
+    delta = 8.0 * (a.shape[1] + 8) * _EPS / _row_sums(a / (w * (1.0 + w)))
     known &= np.abs(estimate - lam) <= delta
     # fmax and fmin also map a NaN or infinite delta to the bracket's ends.
-    band_lo, band_hi = np.fmax(lam - delta, lo), np.fmin(lam + delta, hi)
-    tangent = w / (1.0 + w)
-
-    def mass(end):
-        guess = w + (end - lam)[:, None] * tangent
-        return _row_sums(a / _w0_at(ratio, end, guess=guess))
-
-    below = mass(band_lo) - 1.0 >= margin
-    certified = known & below & ((band_hi == hi) | (1.0 - mass(band_hi) >= margin))
-    return certified, band_lo, band_hi, lam, w
+    return known, np.fmax(lam - delta, lo), np.fmin(lam + delta, hi), lam, w
 
 
 def _certified_halvings(a, ratio, lo, hi, estimate):
     """The brackets after 52 halvings, and the count evaluated per row, given root estimates.
 
-    Rows that :func:`_certify` certifies decide every halving whose mid is
-    outside their band on ``(T,)`` arrays, without a ``W0`` pass, until
-    the mid first falls inside it; their remaining halvings are then
-    evaluated in lockstep, warm from ``W(lam)``.  The other rows evaluate
-    all 52, cold first, exactly as without an estimate.
+    Rows with a ``known`` estimate (see :func:`_band`) decide every halving
+    whose mid is outside their band on ``(T,)`` arrays, without a ``W0``
+    pass, until the mid first falls inside it; their remaining halvings are
+    then evaluated in lockstep, warm from ``W(lam)``.  The other rows
+    evaluate all 52, cold first, exactly as without an estimate.
 
     A final bracket end that a halving set without a pass, and that no
-    evaluated halving moved since, rests on the certificate alone.  One
-    cold pass per side evaluates ``s`` at those ends (on almost every row
-    the evaluated halvings move both ends, so it is almost never taken),
-    and a row where ``s(lo) < 1`` or ``s(hi) >= 1`` discards its halvings
-    and runs the plain schedule too.
+    evaluated halving moved since, rests on the band alone.  One cold pass
+    per side evaluates ``s`` at those ends, and a row where ``s(lo) < 1``
+    or ``s(hi) >= 1`` discards its halvings and runs the plain schedule
+    too.  This check is the one certificate: a skipped halving that puts an
+    end on the wrong side of the root leaves every evaluated mid on the
+    root's far side, so no evaluation moves that end, and the check
+    evaluates it.  Where the band holds the root, the evaluated halvings
+    nearly always move both ends, and the pass is almost never taken.
     """
-    certified, band_lo, band_hi, lam, w = _certify(a, ratio, estimate, lo, hi)
+    known, band_lo, band_hi, lam, w = _band(a, ratio, estimate, lo, hi)
     start_lo, start_hi = lo.copy(), hi.copy()
-    band_lo = np.where(certified, band_lo, -np.inf)
-    band_hi = np.where(certified, band_hi, np.inf)
+    band_lo = np.where(known, band_lo, -np.inf)
+    band_hi = np.where(known, band_hi, np.inf)
     # A row whose mid is inside its band is frozen: its bracket, and so its
-    # mid, stop moving.  Uncertified rows are frozen from the start.  lo
+    # mid, stop moving.  Rows without a band are frozen from the start.  lo
     # moves to mid where mid < band_lo, and hi where mid > band_hi (see _FAR).
     evaluated = np.full(a.shape[0], BISECTION_HALVINGS)
     for _ in range(BISECTION_HALVINGS):
@@ -465,15 +451,15 @@ def _certified_halvings(a, ratio, lo, hi, estimate):
         hi = np.minimum(hi, mid + _FAR * not_above)
         evaluated = evaluated - ~frozen
     skipped_lo, skipped_hi = lo.copy(), hi.copy()
-    warm = np.flatnonzero(certified & (evaluated > 0))
+    warm = np.flatnonzero(known & (evaluated > 0))
     if warm.size:
         # Rebinding keeps only the lockstep rows' W(lam) alive.
         w = w.take(warm, axis=0)
         lo[warm], hi[warm] = _halvings(
             a[warm], ratio[warm], lo[warm], hi[warm], evaluated[warm], w, lam[warm]
         )
-    # Check the ends that rest on the certificate alone; see the docstring.
-    plain = np.flatnonzero(~certified)
+    # Check the ends that rest on the band alone; see the docstring.
+    plain = np.flatnonzero(~known)
     for end, start, skipped, contradicts in (
         (lo, start_lo, skipped_lo, np.less), (hi, start_hi, skipped_hi, np.greater_equal)
     ):
@@ -518,20 +504,21 @@ def batch_frequency_bisection(
     one step.  The first halving keeps the cold start.
 
     ``estimate``, one multiplier per row (NaN where there is none), lets a
-    row skip the evaluations whose sign is already proven.  Three ``W0``
-    passes around the estimate certify that the root lies in a band of
-    width about ``16 (d + 8) eps / |s'|`` (see :func:`_certify`); every
-    halving whose mid is outside the band is then decided without a pass,
-    and only the rest, about 10 of the 52 on the trial harness's problems,
-    are evaluated, warm from ``W`` at the estimate.  Each halving is still
-    decided by the sign of ``s(mid) - 1``, so the result is the plain
-    bisection's up to the rounding noise of the evaluations near the root
-    (on about one row in 1,000, ``lam`` moves by one final bracket width).
-    A final bracket end that rests on the certificate alone is checked by
-    one cold evaluation of ``s``.  A row whose estimate is missing, outside
-    the bracket, far from the root or not certified, or whose check fails,
-    runs the plain schedule, cold first, with 52 evaluations; so does every
-    row when ``estimate`` is None.
+    row skip the evaluations whose sign it predicts.  One ``W0`` pass at
+    the estimate gives a band of width ``16 (d + 8) eps / |s'|`` around it
+    (see :func:`_band`); every halving whose mid is outside the band is
+    then decided without a pass, and only the rest, about 10 of the 52 on
+    the trial harness's problems, are evaluated, warm from ``W`` at the
+    estimate.  A final bracket end that rests on the band alone is checked
+    by one cold evaluation of ``s`` (see :func:`_certified_halvings`).
+    Each halving is thus decided by the sign of ``s(mid) - 1``, so the
+    result is the plain bisection's up to the rounding noise of the
+    evaluations near the root: on about one row in 1,000, ``lam`` moves by
+    at most ``max(2 final bracket widths, (d + 8) eps / |s'(lam)|)``, the
+    larger where the bracket is tiny.  A row whose estimate is missing or
+    outside the bracket, or whose check fails, runs the plain schedule,
+    cold first, with 52 evaluations; so does every row when ``estimate``
+    is None.
     """
     ratio = _ratio(a, g)
     lo, hi = _bracket(a, g), np.zeros(a.shape[0])
@@ -738,7 +725,7 @@ def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:
     multiplier bracket is halved :data:`BISECTION_HALVINGS` times and the
     final simplex defect is checked against :data:`SIMPLEX_TOL`.  The
     multiplier of :func:`batch_frequency_newton` is its root estimate, so
-    only the halvings near the root take a ``W0`` pass, about 21 in all on
+    only the halvings near the root take a ``W0`` pass, about 19 in all on
     small sparse sets; where Newton raises :class:`NumericError`, every
     halving does.  ``iterations`` reports the 52 halvings either way.
     """

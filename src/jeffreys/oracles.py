@@ -18,8 +18,9 @@ block's arrays.
 Each block runs the fixed point first and passes its converged
 multipliers to the bisection as root estimates.  Every trial still makes
 the bisection's 52 halvings, but only about 10 of them are decided by a
-``W0`` pass (``bisection_evaluations``); the rest are certified from the
-estimate, see :func:`~jeffreys.centroids.batch_frequency_bisection`.  Like
+``W0`` pass (``bisection_evaluations``); the rest are decided from a band
+around the estimate, which a check of the final bracket ends confirms,
+see :func:`~jeffreys.centroids.batch_frequency_bisection`.  Like
 the scalar bisection, a block then finishes the exact centroids in one
 pass, :func:`~jeffreys.centroids._on_simplex`.
 """
@@ -57,7 +58,7 @@ def random_frequency_rows(rng: np.random.Generator, trials: int, n: int, d: int)
 
 @dataclass(frozen=True)
 class TrialData:
-    """Per-trial arrays from a batch of random centroid problems.
+    """Per-trial arrays from a batch of random centroid problems, each read-only.
 
     ``bisection_evaluations`` counts the bisection's bracket halvings that
     a ``W0`` pass decided, of the 52 that every trial makes.
@@ -90,7 +91,7 @@ def _concatenate(parts: Iterable[TrialData], trials: int) -> TrialData:
 
     Each part is copied into the result as it arrives and then dropped, so
     that, given a generator, the peak holds the result and one part, not
-    every part and their concatenation.
+    every part and their concatenation.  The result's arrays are read-only.
     """
     out: dict[str, np.ndarray] = {}
     start = 0
@@ -102,6 +103,8 @@ def _concatenate(parts: Iterable[TrialData], trials: int) -> TrialData:
                 out[f.name] = np.empty((trials,) + value.shape[1:], dtype=value.dtype)
             out[f.name][start:stop] = value
         start = stop
+    for value in out.values():
+        value.flags.writeable = False
     return TrialData(**out)
 
 

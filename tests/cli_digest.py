@@ -16,9 +16,13 @@ and 11), builds the ``sparse-small`` and ``dense-csv`` inputs of
 It prints ``<calls> <sha256>``: the number of calls and a SHA-256 over
 each call's exit code and stdout, with ``wall_clock_seconds`` masked.  Two
 checkouts that print the same line gave the same output, byte for byte,
-on every call.  Run one copy of this file against each checkout: the
-workload definitions come from this file's own repository, and nothing
-is written into either checkout.  Not collected by pytest: its name does
+on every call.  A second line, ``w0 <passes> <lanes>``, counts the calls
+of ``jeffreys.centroids.lambert_w0_values``, the one seam through which
+the package reaches ``W0``, and the values they took, over all calls; the
+counting wrapper hands arguments and results through untouched.  Run one
+copy of this file against each checkout: the workload definitions come
+from this file's own repository, and nothing is written into either
+checkout.  Not collected by pytest: its name does
 not start with ``test_``.
 """
 
@@ -40,6 +44,8 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 DEFAULT_SEEDS = (7, 11)
@@ -100,6 +106,7 @@ def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv[1:]] or list(DEFAULT_SEEDS)
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(src))
+    import jeffreys.centroids
     import jeffreys.cli
     from jeffreys.centroids import MODES
 
@@ -111,6 +118,15 @@ def main(argv: list[str]) -> int:
     workloads = _workloads()
     digest = hashlib.sha256()
     calls = 0
+    w0 = [0, 0]  # passes, lanes
+    lambert_w0_values = jeffreys.centroids.lambert_w0_values
+
+    def counting(x, *args, **kw):
+        w0[0] += 1
+        w0[1] += np.size(x)
+        return lambert_w0_values(x, *args, **kw)
+
+    jeffreys.centroids.lambert_w0_values = counting
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             for call in _calls(workloads, modes, kmeans_modes, seed, Path(tmp) / str(seed)):
@@ -122,6 +138,7 @@ def main(argv: list[str]) -> int:
                 digest.update(f"{code}\n".encode() + _masked(out.getvalue()).encode() + b"\0")
                 calls += 1
     print(calls, digest.hexdigest())
+    print("w0", *w0)
     return 0
 
 

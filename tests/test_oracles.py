@@ -96,6 +96,9 @@ class TestTrialHarness:
         assert 0.0 < w_c.min() <= w_c.mean() <= 1.0 + 1e-12
         for f in dataclasses.fields(oracles.TrialData):
             assert getattr(data, f.name).shape == (2000,), f.name
+            assert not getattr(data, f.name).flags.writeable, f.name
+        with pytest.raises(ValueError, match="read-only"):
+            data.w_c[0] = 42.0
 
     def test_positive_centroid_dominates(self):
         data = run_alpha_trials(2000, 4, seed=3)
