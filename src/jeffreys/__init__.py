@@ -14,7 +14,6 @@ from .centroids import (
     CentroidResult,
     frequency_centroid_bisection,
     frequency_centroid_fixedpoint,
-    normalized_means,
     normalized_positive_centroid,
     positive_centroid,
     veldhuis_centroid,
@@ -45,7 +44,6 @@ __all__ = [
     "kmeans",
     "lambert_w0_values",
     "load_dataset",
-    "normalized_means",
     "normalized_positive_centroid",
     "positive_centroid",
     "read_pgm",

@@ -201,17 +201,6 @@ def _normalized_means(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndar
     return a / _row_sums(a)[..., None], g / _row_sums(g)[..., None]
 
 
-def normalized_means(s: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized weighted arithmetic and geometric means of a frequency set.
-
-    Both means are divided by their sums, exactly as the frequency solvers
-    normalize them, and returned as read-only ``(d,)`` arrays.
-    """
-    a, g = _normalized_means(*_means(s.as_frequency()))
-    a.flags.writeable = g.flags.writeable = False
-    return a, g
-
-
 def _ratio(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``a / g``, the ratio that :func:`_w0_at` takes: the one place it is formed."""
     return a / g

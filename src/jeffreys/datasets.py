@@ -4,16 +4,16 @@ Three on-disk formats, named by :data:`FORMATS` as the CLI's ``--format``
 names them, map to a :class:`WeightedHistogramSet`:
 
 * ``csv`` -- one histogram per row; an optional first column
-  ``weight:<value>`` carries the row weight (all rows or none).  A file is
-  read in one vectorised parse; one that parse rejects is read again cell
-  by cell, which gives the same numbers and reports the first bad cell as
-  ``path:line:col``.
+  ``weight:<value>`` carries the row weight (all rows or none).  An
+  unweighted file is read in one vectorised parse; a weighted file, or one
+  that parse rejects, is read cell by cell, which gives the same numbers
+  and reports the first bad cell as ``path:line:col``.
 * ``json`` -- ``{"histograms": [[...], ...], "weights": [...]}`` with the
   weights key optional.
 * ``pgm-dir`` -- binary 8-bit grayscale (P5); every image becomes one
   256-bin intensity histogram on the 0..255 scale, whatever its
-  ``maxval``.  The path is a directory, which ingests every ``*.pgm``
-  inside, or a single image.
+  ``maxval``; header comments may sit anywhere between tokens.  The path
+  is a directory, which ingests every ``*.pgm`` inside, or a single image.
 
 Missing weights default to uniform; explicit weights are normalized to sum
 to one.  Empty bins are smoothed with a small epsilon, whose scale only
@@ -28,6 +28,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -49,6 +50,11 @@ KINDS = (KIND_POSITIVE, KIND_FREQUENCY)
 EPSILON_ENV = "JEFFREYS_EPSILON"
 
 _WEIGHT_PREFIX = "weight:"
+
+# A comment ends at its newline, so a failed match backtracks in linear time;
+# int() refuses over 4,300 digits, hence nine at most.
+_PGM_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PGM_HEADER = re.compile(rb"P5%s(\d{1,9})%s(\d{1,9})%s(\d{1,9})\s" % ((_PGM_SEP,) * 3))
 
 
 @dataclass(frozen=True)
@@ -75,33 +81,22 @@ def epsilon_scale_from_env() -> float:
 
 
 def _parse_csv(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parse a CSV file in one vectorised call, or cell by cell when that fails.
+    """Parse an unweighted CSV file in one vectorised call, or cell by cell.
 
-    The one-call parse strips the ``weight:`` column in Python and hands
-    the remaining lines to ``np.loadtxt``, whose number syntax is a subset
-    of ``float()``'s (no underscores, no non-ASCII digits, no quotes), so
-    any file it accepts gives the per-cell parser's matrix, bit for bit.
-    Anything it rejects is parsed again by :func:`_parse_csv_cells`, which
-    owns every rule and every ``path:line:col`` message.
+    ``np.loadtxt``'s number syntax is a subset of ``float()``'s (no
+    underscores, no non-ASCII digits, no quotes), so any file it accepts
+    gives the per-cell parser's matrix, bit for bit.  Anything it rejects,
+    a ``weight:`` column included, is parsed again by
+    :func:`_parse_csv_cells`, which owns every rule and every
+    ``path:line:col`` message.
     """
     lines = [line for line in Path(path).read_text().split("\n") if line.strip()]
     if lines:
-        weighted = [line.lstrip().startswith(_WEIGHT_PREFIX) for line in lines]
         try:
-            weights = None
-            if all(weighted):
-                heads, _, lines = zip(*(line.partition(",") for line in lines))
-                if not all(rest.strip() for rest in lines):
-                    raise ValueError("a row holds only its weight")
-                weights = np.array([float(h.strip()[len(_WEIGHT_PREFIX):]) for h in heads])
-            elif any(weighted):
-                raise ValueError("weight column on some rows only")
             # comments=None: with the default "#", "1#" would parse as 1.
-            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2), None
         except ValueError:
             pass
-        else:
-            return rows, weights
     return _parse_csv_cells(path)
 
 
@@ -188,52 +183,30 @@ def _json_numbers(values) -> bool:
 def read_pgm(path: Path) -> np.ndarray:
     """Read a binary 8-bit PGM (P5) image into a flat array of pixel values.
 
-    Pixels are rescaled from ``0..maxval`` to ``0..255`` (rounded to
-    nearest), so images of one scene at different ``maxval`` give the same
-    histogram; a pixel above ``maxval`` is rejected.
+    The header is Netpbm's: ``P5``, width, height and maxval in ASCII
+    decimal digits, separated by whitespace or ``#`` comments that run to
+    the end of their line and may start anywhere, even against a token;
+    exactly one whitespace byte follows maxval.  Pixels are rescaled from
+    ``0..maxval`` to ``0..255`` (rounded to nearest), so images of one
+    scene at different ``maxval`` give the same histogram; a pixel above
+    ``maxval`` is rejected.
     """
     data = Path(path).read_bytes()
-    pos = 0
-
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValidationError(f"{path}: truncated PGM header")
-        return data[start:pos]
-
-    if token() != b"P5":
-        raise ValidationError(f"{path}: not a binary PGM (P5) file")
-    try:
-        width, height, maxval = int(token()), int(token()), int(token())
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed PGM header") from exc
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValidationError(f"{path}: not a binary PGM: expected P5, width, height and maxval")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise ValidationError(f"{path}: invalid PGM dimensions {width}x{height}")
     if not 0 < maxval <= 255:
         raise ValidationError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
-    pos += 1  # single whitespace byte after maxval
-    raster = data[pos : pos + width * height]
+    raster = data[header.end() : header.end() + width * height]
     if len(raster) != width * height:
         raise ValidationError(f"{path}: PGM raster truncated")
     pixels = np.frombuffer(raster, dtype=np.uint8)
     if pixels.max() > maxval:
         raise ValidationError(f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
     return ((pixels.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
-
-
-def _intensity_histogram(pixels: np.ndarray) -> np.ndarray:
-    return np.bincount(pixels, minlength=256).astype(np.float64)
 
 
 def _parse_pgm(path: Path) -> tuple[np.ndarray, None]:
@@ -244,7 +217,7 @@ def _parse_pgm(path: Path) -> tuple[np.ndarray, None]:
             raise ValidationError(f"{path}: directory contains no .pgm files")
     else:
         files = [p]
-    rows = np.vstack([_intensity_histogram(read_pgm(f)) for f in files])
+    rows = np.vstack([np.bincount(read_pgm(f), minlength=256) for f in files]).astype(np.float64)
     return rows, None
 
 
@@ -275,7 +248,7 @@ def load_dataset(path, format: str, kind: str) -> DatasetFile:
         off = np.flatnonzero(np.abs(sums - 1.0) > RENORMALIZE_ATOL)
         if off.size:
             raise ValidationError(
-                f"{path}: histogram {off[0]} declared frequency but sums to {sums[off[0]]!r}"
+                f"{path}: histogram {off[0]} declared frequency but sums to {float(sums[off[0]])!r}"
             )
     rows = smooth_bins(rows, eps)
     if kind == KIND_FREQUENCY:

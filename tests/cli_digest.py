@@ -5,12 +5,16 @@
 
 Imports ``jeffreys`` from ``CHECKOUT/src`` and, for each seed (default 7
 and 11), builds the ``sparse-small`` and ``dense-csv`` inputs of
-``bench/workloads.py`` in a temporary directory.  It then runs
-``jeffreys.cli.main`` in this process on:
+``bench/workloads.py`` in a temporary directory, plus a weighted copy of
+the first 200 ``dense-csv`` rows, each led by a ``weight:<w>`` cell with
+``w`` drawn by ``default_rng(seed).uniform(0.1, 1.0)``, since no workload
+reads a weight column.  It then runs ``jeffreys.cli.main`` in this process
+on:
 
-* every ``centroid`` mode on every input set, with ``--output json`` and
-  with ``--output csv``;
-* every ``kmeans`` mode on every input that a workload clusters;
+* every ``centroid`` mode on every input set, the weighted copy included,
+  with ``--output json`` and with ``--output csv``;
+* every ``kmeans`` mode on every input that a workload clusters, and on
+  the weighted copy;
 * both ``bench`` calls of the ``trials`` workload.
 
 It prints ``<calls> <sha256>``: the number of calls and a SHA-256 over
@@ -75,6 +79,15 @@ def _masked(stdout: str) -> str:
     return "\n".join(lines)
 
 
+def _weighted_copy(path: Path, seed: int, rows: int = 200) -> Path:
+    """The first ``rows`` rows of a CSV file, each led by a ``weight:<w>`` cell."""
+    lines = path.read_text().splitlines()[:rows]
+    weights = np.random.default_rng(seed).uniform(0.1, 1.0, size=len(lines))
+    out = path.with_name("weighted.csv")
+    out.write_text("".join(f"weight:{w!r},{line}\n" for w, line in zip(weights.tolist(), lines)))
+    return out
+
+
 def _calls(workloads, modes, kmeans_modes, seed: int, root: Path):
     """Every argv of one seed, on inputs built under ``root``."""
     for name in ("sparse-small", "dense-csv"):
@@ -86,6 +99,11 @@ def _calls(workloads, modes, kmeans_modes, seed: int, root: Path):
                 centroid_inputs.setdefault(op.argv[:op.argv.index("--mode")], None)
             else:
                 kmeans_ops.setdefault(op.argv, None)
+        if name == "dense-csv":
+            dense, weighted = str(wl.files[0]), str(_weighted_copy(wl.files[0], seed))
+            for argvs in (centroid_inputs, kmeans_ops):
+                for argv in list(argvs):
+                    argvs.setdefault(tuple(weighted if a == dense else a for a in argv), None)
         for argv in centroid_inputs:
             for mode in modes:
                 for output in ("json", "csv"):

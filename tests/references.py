@@ -7,6 +7,8 @@
   entropies and their set averages, which the tests use to check
   identities of the Jeffreys objective.
 * The per-trial weighted objectives of ``(T, n, d)`` member batches.
+* :func:`normalized_means`, the means that the frequency solvers start
+  from.
 * :func:`write_dataset`, which serializes a set for the loader's
   round-trip test.
 """
@@ -21,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from jeffreys import ValidationError, WeightedHistogramSet, jeffreys_to_set, normalized_means
-from jeffreys.centroids import _means
+from jeffreys import ValidationError, WeightedHistogramSet, jeffreys_to_set
+from jeffreys.centroids import _means, _normalized_means
 from jeffreys.datasets import _WEIGHT_PREFIX, FORMAT_CSV, FORMAT_JSON
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,6 +88,17 @@ def oracle_positive_centroid(s: WeightedHistogramSet, resolution: float = 1e-8) 
         method="golden_section",
         resolution=resolution,
     )
+
+
+def normalized_means(s: WeightedHistogramSet) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized weighted arithmetic and geometric means of a frequency set.
+
+    Both means are divided by their sums, exactly as the frequency solvers
+    normalize them, and returned as read-only ``(d,)`` arrays.
+    """
+    a, g = _normalized_means(*_means(s.as_frequency()))
+    a.flags.writeable = g.flags.writeable = False
+    return a, g
 
 
 def _freq_objective_rows(x: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from jeffreys import (
     frequency_centroid_fixedpoint,
     kmeans,
     lambert_w0_values,
-    normalized_means,
     normalized_positive_centroid,
     positive_centroid,
     run_alpha_trials,
@@ -30,7 +29,7 @@ from jeffreys.cli import main as cli_main
 from jeffreys.centroids import MODES, _means
 from jeffreys.oracles import random_frequency_rows
 from conftest import planted_blobs, random_frequency_set, w0_reference, w0_residual
-from references import batch_jeffreys_to_set, batch_kl_to_set, kl, oracle_positive_centroid
+from references import batch_jeffreys_to_set, batch_kl_to_set, kl, normalized_means, oracle_positive_centroid
 
 EPS = float(np.finfo(np.float64).eps)
 

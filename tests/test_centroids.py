@@ -17,7 +17,6 @@ from jeffreys import (
     frequency_centroid_bisection,
     frequency_centroid_fixedpoint,
     jeffreys_to_set,
-    normalized_means,
     normalized_positive_centroid,
     positive_centroid,
     veldhuis_centroid,
@@ -29,7 +28,7 @@ from jeffreys.histograms import smooth_bins
 from jeffreys.lambertw import lambert_w0_values
 from jeffreys.oracles import random_frequency_rows
 from conftest import random_frequency_set, random_positive_set
-from references import kl
+from references import kl, normalized_means
 
 CANONICAL = [[0.5, 0.5], [0.9, 0.1]]
 

@@ -13,7 +13,6 @@ from jeffreys import (
     frequency_centroid_bisection,
     jeffreys_to_set,
     kmeans,
-    normalized_means,
     normalized_positive_centroid,
     positive_centroid,
     seed_centroids,
@@ -28,7 +27,7 @@ from jeffreys.clustering import (
 from jeffreys.histograms import smooth_bins
 from jeffreys.lambertw import lambert_w0_values
 from conftest import planted_blobs, random_frequency_set
-from references import jeffreys
+from references import jeffreys, normalized_means
 
 #: The registry's k-means modes: the rows with a candidate builder.
 KMEANS_MODES = [name for name, mode in MODES.items() if mode.builder]

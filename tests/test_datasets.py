@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jeffreys import ValidationError, load_dataset, read_pgm
+from jeffreys import ValidationError, datasets, load_dataset, read_pgm
 from jeffreys.datasets import FORMAT_CSV, FORMAT_JSON, FORMAT_PGM, _parse_csv, _parse_csv_cells
 from references import write_dataset
 
@@ -117,6 +117,17 @@ class TestJSON:
             load_dataset(p, FORMAT_JSON, "positive").histograms
 
 
+@pytest.mark.parametrize("fmt, text", [
+    (FORMAT_CSV, "0.5,5\n0.5,0.5\n"),
+    (FORMAT_JSON, json.dumps({"histograms": [[0.5, 5], [0.5, 0.5]]})),
+])
+def test_frequency_sum_is_printed_as_a_plain_float(tmp_path, fmt, text):
+    p = write(tmp_path, f"x.{fmt}", text)
+    with pytest.raises(ValidationError) as info:
+        load_dataset(p, fmt, "frequency")
+    assert str(info.value).endswith("histogram 0 declared frequency but sums to 5.5")
+
+
 def both_parsers(path):
     """What the one-call CSV parser and the per-cell one make of ``path``."""
     outcomes = []
@@ -182,6 +193,26 @@ class TestCSVFastPath:
         fast, cells = both_parsers(path)
         assert fast == cells
 
+    def test_only_weighted_or_rejected_files_are_read_cell_by_cell(self, tmp_path, monkeypatch, rng):
+        read = []
+        real = datasets._parse_csv_cells
+
+        def spy(path):
+            read.append(path)
+            return real(path)
+
+        monkeypatch.setattr(datasets, "_parse_csv_cells", spy)
+        rows = rng.uniform(0.0, 1.0, size=(20, 16)).tolist()
+        plain = write(tmp_path, "plain.csv", "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        load_dataset(plain, FORMAT_CSV, "positive")
+        assert read == []
+        weighted = write(tmp_path, "weighted.csv", "".join(
+            f"weight:{j + 1},{','.join(map(repr, r))}\n" for j, r in enumerate(rows)
+        ))
+        s = load_dataset(weighted, FORMAT_CSV, "positive").histograms
+        assert read == [weighted]
+        assert np.allclose(s.weights, np.arange(1, 21) / 210)
+
 
 class TestPGM:
     def test_four_pixel_image(self, tmp_path):
@@ -245,6 +276,45 @@ class TestPGM:
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P2\n1 1\n255\n0")
         with pytest.raises(ValidationError, match="P5"):
+            read_pgm(p)
+
+    # Netpbm's header: P5, width, height and maxval in decimal digits, with
+    # whitespace or "#" comments between them, then one whitespace byte.
+    RASTER = bytes(range(0, 256, 4))  # enough pixels for any width read as 10 or less
+
+    @pytest.mark.parametrize("header", [
+        b"P5#c\n2 2\n255\n",
+        b"P5\n2#c\n2\n255\n",
+        b"P5\n2 2#c\n255\n",
+        b"P5#a\n2#b\n2 #c\n\n255\n",
+        b"P5\t2\t2\t255\t",
+        b"P5\r2\r2\r255\r",
+        b"P5\x0b2\x0b2\x0b255\x0b",
+        b"P5\x0c2\x0c2\x0c255\x0c",
+    ])
+    def test_header_separators(self, tmp_path, header):
+        plain, odd = tmp_path / "plain.pgm", tmp_path / "odd.pgm"
+        plain.write_bytes(b"P5\n2 2\n255\n" + self.RASTER)
+        odd.write_bytes(header + self.RASTER)
+        assert np.array_equal(read_pgm(odd), read_pgm(plain))
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n+2 2\n255\n",
+        b"P5\n1_0 2\n255\n",
+        b"P5\n0x2 2\n255\n",
+        b"P5\n2 2\n255#c\n",
+        b"P5\n2 2",
+        b"P5\n2 2\n",
+        b"P2\n2 2\n255\n",
+        b"P51\n2 2\n255\n",
+        b" P5\n2 2\n255\n",
+        b"P5\n" + b"2" * 4301 + b" 2\n255\n",
+    ], ids=["plus", "underscore", "hex", "comment-after-maxval", "no-maxval", "no-maxval-newline",
+            "P2", "P51", "leading-space", "4301-digits"])
+    def test_rejects_malformed_header(self, tmp_path, header):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(header + self.RASTER)
+        with pytest.raises(ValidationError, match="expected P5, width, height and maxval"):
             read_pgm(p)
 
 

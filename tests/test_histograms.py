@@ -12,11 +12,11 @@ from jeffreys import (
     ValidationError,
     WeightedHistogramSet,
     kmeans,
-    normalized_means,
     smooth_bins,
 )
 from jeffreys import centroids
 from jeffreys.centroids import _means
+from references import normalized_means
 
 
 class TestWeightedSet:

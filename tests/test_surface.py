@@ -12,6 +12,7 @@ import pytest
 
 import jeffreys
 from jeffreys import centroids, cli, clustering, oracles
+from references import normalized_means
 
 EXPECTED_ALL = {
     "BISECTION_HALVINGS", "CentroidResult", "ClusteringConfig",
@@ -19,7 +20,7 @@ EXPECTED_ALL = {
     "WeightedHistogramSet",
     "frequency_centroid_bisection", "frequency_centroid_fixedpoint",
     "jeffreys_to_set", "kmeans", "lambert_w0_values", "load_dataset",
-    "normalized_means", "normalized_positive_centroid", "positive_centroid", "read_pgm",
+    "normalized_positive_centroid", "positive_centroid", "read_pgm",
     "run_alpha_trials", "seed_centroids", "smooth_bins", "veldhuis_centroid",
 }
 
@@ -190,7 +191,7 @@ def test_each_frequency_centroid_is_finished_once(monkeypatch):
     monkeypatch.setattr(oracles, "_on_simplex", spy, raising=False)
     rows = np.random.default_rng(3).uniform(0.05, 1.0, size=(12, 6))
     s = jeffreys.WeightedHistogramSet(rows / rows.sum(axis=1, keepdims=True), frequency=True)
-    a, g = jeffreys.normalized_means(s)
+    a, g = normalized_means(s)
     centroids.batch_frequency_newton(a[None], g[None])
     centroids.batch_frequency_fixedpoint(a[None], g[None])
     centroids.batch_frequency_bisection(a[None], g[None])
