@@ -36,9 +36,12 @@ at once, through the ``builder`` that :data:`MODES` names.
 
 The three multiplier solvers, :func:`batch_frequency_bisection`,
 :func:`batch_frequency_newton` and :func:`batch_frequency_fixedpoint`,
-take ``(T, d)`` normalized means and only estimate multipliers; every
-centroid is finished once, by :func:`_on_simplex`, which checks its
-simplex defect against :data:`SIMPLEX_TOL`.  The bisection always makes
+take ``(T, d)`` normalized means and only estimate multipliers.  Each
+returns ``(lam, count)`` per row, with ``lam`` NaN on a row it has no
+multiplier for: NaN is the one "no multiplier" signal.  Every centroid
+is finished once, by :func:`_on_simplex`, which raises
+:class:`NumericError` on a NaN multiplier and checks the simplex defect
+against :data:`SIMPLEX_TOL`.  The bisection always makes
 52 halvings.  On its own it evaluates every one, 52 ``W0`` passes, and
 starts each halving but the first from the previous pass's ``W``.  Given
 a root estimate per row, it takes one pass at the estimate for a narrow
@@ -47,8 +50,8 @@ without a pass, evaluates only the rest, about 10, and checks any final
 bracket end that only the band decided.  The safeguarded Newton on
 ``log s(lam) = 0`` keeps the same bracket and needs about five passes.
 The scalar bisection takes Newton's multiplier as its estimate, about 19
-passes in all on small sparse sets instead of 53, and runs without one
-where Newton raises.
+passes in all on small sparse sets instead of 53; a NaN estimate is no
+estimate.
 k-means (``frequency_exact``) runs Newton on every cluster at once, the
 fixed point's rescue runs Newton, and the trial harness runs the fixed
 point on every trial at once and then the bisection, with the fixed
@@ -119,14 +122,14 @@ _FAR = 1e300
 FIXEDPOINT_TOL = 1e-14
 #: Largest simplex defect |s(lam) - 1| a solver may return; a larger one raises.
 SIMPLEX_TOL = 1e-12
-#: Fixed-point steps after which the solver falls back to Newton.
+#: Fixed-point steps after which a row still running has no multiplier (NaN).
 _FIXEDPOINT_CAP = 100
 #: The first map evaluation at which a steady step ratio can trigger an
 #: Aitken jump; earlier, dense rows that take 7-9 passes would jump too.
 _STEADY_FROM = 9
 #: Two step ratios are steady where they differ by at most this share of the later one.
 _STEADY_RATIO = 0.05
-#: Newton steps after which a row still running raises.
+#: Newton steps after which a row still running has no multiplier (NaN).
 _NEWTON_CAP = 100
 #: A raw Newton step of at most ``_NEWTON_STEP * max(1, |lam|)`` ends a row's solve.
 _NEWTON_STEP = 4.0 * _EPS
@@ -242,9 +245,14 @@ def _kl_multiplier(x: np.ndarray, log_g: np.ndarray) -> np.ndarray:
 def _on_simplex(a: np.ndarray, ratio: np.ndarray, lam: np.ndarray, mode: str):
     """``c(lam)`` divided by its row sums, and each row's defect ``|sum - 1|``.
 
-    The one final check of every multiplier solver: a defect above
-    :data:`SIMPLEX_TOL`, or a NaN one, raises :class:`NumericError`.
+    The one final check of every multiplier solver.  A NaN multiplier, the
+    solvers' one "no multiplier" signal, raises :class:`NumericError`
+    before the ``W0`` pass; a defect above :data:`SIMPLEX_TOL`, or a NaN
+    one, raises it after.
     """
+    missing = np.count_nonzero(np.isnan(lam))
+    if missing:
+        raise NumericError(f"{mode}: no multiplier on {missing} of {lam.size} rows")
     coords = _coordinates(a, ratio, lam)
     mass = _row_sums(coords)
     defect = np.abs(mass - 1.0)
@@ -383,45 +391,89 @@ def _band(a, ratio, estimate, lo, hi):
     the band of the root, ``s`` is about ``4 (d + 8) eps`` or more from 1
     at the band's ends, so every mid outside the band has the sign that an
     evaluation there would give.  Nothing here proves that: the check of
-    the final bracket ends in :func:`_certified_halvings` does.
+    the final bracket ends in :func:`batch_frequency_bisection` does.
 
     An estimate that is NaN, or that the clipping moves by more than
     ``delta`` (an infinite one, or one outside the bracket by more than
     rounding), is not ``known``: it says nothing about the root.
 
     Returns ``(known, band_lo, band_hi, lam, w)``: the band and the clipped
-    estimate per row, and the ``(T, d)`` values ``W(lam)``.  Rows without
-    an estimate are evaluated at ``lo``.
+    estimate per row, and the ``(T, d)`` values ``W(lam)``.  The ``W0``
+    pass evaluates only the rows with an estimate; the other rows are NaN
+    in ``lam`` and ``w``, and take no pass.
     """
     lam = np.clip(estimate, lo, hi)
-    known = ~np.isnan(lam)
-    lam = np.where(known, lam, lo)
-    w = _w0_at(ratio, lam)
+    rows = np.flatnonzero(~np.isnan(lam))
+    # NaN rows of w make delta NaN there, and known False, without a warning.
+    w = np.full(ratio.shape, np.nan)
+    if rows.size:
+        w[rows] = _w0_at(ratio[rows], lam[rows])
     delta = 8.0 * (a.shape[1] + 8) * _EPS / _row_sums(a / (w * (1.0 + w)))
-    known &= np.abs(estimate - lam) <= delta
+    known = np.abs(estimate - lam) <= delta
     # fmax and fmin also map a NaN or infinite delta to the bracket's ends.
     return known, np.fmax(lam - delta, lo), np.fmin(lam + delta, hi), lam, w
 
 
-def _certified_halvings(a, ratio, lo, hi, estimate):
-    """The brackets after 52 halvings, and the count evaluated per row, given root estimates.
+def batch_frequency_bisection(
+    a: np.ndarray, g: np.ndarray, estimate: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplier bisection for ``T`` frequency problems at once.
 
-    Rows with a ``known`` estimate (see :func:`_band`) decide every halving
-    whose mid is outside their band on ``(T,)`` arrays, without a ``W0``
-    pass, until the mid first falls inside it; their remaining halvings are
-    then evaluated in lockstep, warm from ``W(lam)``.  The other rows
-    evaluate all 52, cold first, exactly as without an estimate.
+    ``a`` and ``g`` are ``(T, d)`` normalized arithmetic and geometric
+    means, one problem per row.  Returns ``(lam, evaluated)``: the
+    multipliers and the halvings decided by a ``W0`` pass, per row.  Like
+    Newton and the fixed point it only estimates; its callers finish
+    ``c(lam)`` with :func:`_on_simplex`, whose check of each row's simplex
+    defect against :data:`SIMPLEX_TOL` raises :class:`NumericError`.  On
+    every row the bracket ``[max_i(a_i + log g_i) - 1, 0]`` is halved
+    exactly :data:`BISECTION_HALVINGS` times, which resolves the multiplier
+    to the 52-bit significand of a double (stopping on the defect alone
+    could leave the coordinates under-resolved where ``s`` is flat).  A row
+    of identical members, whose root is the bracket's top, ends within one
+    final bracket width of 0.  A root outside the bracket (an inaccurate
+    ``W0``) drives the halvings to the bracket's end, whose defect the
+    finishing check rejects.  No row's result depends on the other rows.
+
+    A row without an estimate evaluates every halving: such rows share the
+    52 ``W0`` passes.  Each halving after the first starts Halley from the
+    previous pass's ``W``.  ``W`` is convex in ``t = log x`` with ``dW/dt =
+    W / (1 + W)``, and consecutive midpoints move ``t`` by ``mid - prev``,
+    so the tangent ``W + (mid - prev) * W / (1 + W)`` is a lower bound on
+    the new root, off by ``O((mid - prev)**2)``; late halvings converge in
+    one step.  The first halving keeps the cold start.
+
+    ``estimate``, one multiplier per row, lets a row skip the evaluations
+    whose sign it predicts; a NaN estimate is no estimate, and
+    ``estimate=None`` means NaN on every row.  One ``W0`` pass at the
+    estimates gives each row a band of width ``16 (d + 8) eps / |s'|``
+    around its estimate (see :func:`_band`).  A row whose band is ``known``
+    decides every halving whose mid is outside it on ``(T,)`` arrays,
+    without a pass, until the mid first falls inside; its remaining
+    halvings, about 10 of the 52 on the trial harness's problems, are then
+    evaluated in lockstep, warm from ``W`` at the estimate.
 
     A final bracket end that a halving set without a pass, and that no
     evaluated halving moved since, rests on the band alone.  One cold pass
     per side evaluates ``s`` at those ends, and a row where ``s(lo) < 1``
-    or ``s(hi) >= 1`` discards its halvings and runs the plain schedule
-    too.  This check is the one certificate: a skipped halving that puts an
-    end on the wrong side of the root leaves every evaluated mid on the
-    root's far side, so no evaluation moves that end, and the check
-    evaluates it.  Where the band holds the root, the evaluated halvings
-    nearly always move both ends, and the pass is almost never taken.
+    or ``s(hi) >= 1`` discards its halvings.  This check is the one
+    certificate: a skipped halving that puts an end on the wrong side of
+    the root leaves every evaluated mid on the root's far side, so no
+    evaluation moves that end, and the check evaluates it.  Where the band
+    holds the root, the evaluated halvings nearly always move both ends,
+    and the pass is almost never taken.  Each halving is thus decided by
+    the sign of ``s(mid) - 1``, so the result is the plain bisection's up
+    to the rounding noise of the evaluations near the root: on about one
+    row in 1,000, ``lam`` moves by at most ``max(2 final bracket widths,
+    (d + 8) eps / |s'(lam)|)``, the larger where the bracket is tiny.
+
+    A row whose estimate is NaN or outside the bracket, or whose check
+    fails, runs the plain schedule, cold first, with 52 evaluations: the
+    estimate-free schedule, pass for pass and bit for bit.  A NaN row
+    takes no other pass.
     """
+    ratio = _ratio(a, g)
+    lo, hi = _bracket(a, g), np.zeros(a.shape[0])
+    estimate = np.full(a.shape[0], np.nan) if estimate is None else estimate
     known, band_lo, band_hi, lam, w = _band(a, ratio, estimate, lo, hi)
     start_lo, start_hi = lo.copy(), hi.copy()
     band_lo = np.where(known, band_lo, -np.inf)
@@ -461,61 +513,6 @@ def _certified_halvings(a, ratio, lo, hi, estimate):
         lo[plain], hi[plain] = _halvings(
             a[plain], ratio[plain], start_lo[plain], start_hi[plain], evaluated[plain]
         )
-    return lo, hi, evaluated
-
-
-def batch_frequency_bisection(
-    a: np.ndarray, g: np.ndarray, estimate: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplier bisection for ``T`` frequency problems at once.
-
-    ``a`` and ``g`` are ``(T, d)`` normalized arithmetic and geometric
-    means, one problem per row.  Returns ``(lam, evaluated)``: the
-    multipliers and the halvings decided by a ``W0`` pass, per row.  Like
-    Newton and the fixed point it only estimates; its callers finish
-    ``c(lam)`` with :func:`_on_simplex`, whose check of each row's simplex
-    defect against :data:`SIMPLEX_TOL` raises :class:`NumericError`.  On
-    every row the bracket ``[max_i(a_i + log g_i) - 1, 0]`` is halved
-    exactly :data:`BISECTION_HALVINGS` times, which resolves the multiplier
-    to the 52-bit significand of a double (stopping on the defect alone
-    could leave the coordinates under-resolved where ``s`` is flat).  A row
-    of identical members, whose root is the bracket's top, ends within one
-    final bracket width of 0.  A root outside the bracket (an inaccurate
-    ``W0``) drives the halvings to the bracket's end, whose defect the
-    finishing check rejects.  No row's result depends on the other rows.
-
-    Without ``estimate`` every halving is evaluated: all rows share the 52
-    ``W0`` passes.  Each halving after the first starts Halley from the
-    previous pass's ``W``.  ``W`` is convex in ``t = log x`` with ``dW/dt =
-    W / (1 + W)``, and consecutive midpoints move ``t`` by ``mid - prev``,
-    so the tangent ``W + (mid - prev) * W / (1 + W)`` is a lower bound on
-    the new root, off by ``O((mid - prev)**2)``; late halvings converge in
-    one step.  The first halving keeps the cold start.
-
-    ``estimate``, one multiplier per row (NaN where there is none), lets a
-    row skip the evaluations whose sign it predicts.  One ``W0`` pass at
-    the estimate gives a band of width ``16 (d + 8) eps / |s'|`` around it
-    (see :func:`_band`); every halving whose mid is outside the band is
-    then decided without a pass, and only the rest, about 10 of the 52 on
-    the trial harness's problems, are evaluated, warm from ``W`` at the
-    estimate.  A final bracket end that rests on the band alone is checked
-    by one cold evaluation of ``s`` (see :func:`_certified_halvings`).
-    Each halving is thus decided by the sign of ``s(mid) - 1``, so the
-    result is the plain bisection's up to the rounding noise of the
-    evaluations near the root: on about one row in 1,000, ``lam`` moves by
-    at most ``max(2 final bracket widths, (d + 8) eps / |s'(lam)|)``, the
-    larger where the bracket is tiny.  A row whose estimate is missing or
-    outside the bracket, or whose check fails, runs the plain schedule,
-    cold first, with 52 evaluations; so does every row when ``estimate``
-    is None.
-    """
-    ratio = _ratio(a, g)
-    lo, hi = _bracket(a, g), np.zeros(a.shape[0])
-    if estimate is None:
-        evaluated = np.full(a.shape[0], BISECTION_HALVINGS)
-        lo, hi = _halvings(a, ratio, lo, hi, evaluated)
-    else:
-        lo, hi, evaluated = _certified_halvings(a, ratio, lo, hi, estimate)
     return 0.5 * (lo + hi), evaluated
 
 
@@ -539,8 +536,9 @@ def batch_frequency_newton(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
     first raw step already meets the stop test.  A root outside the
     bracket (an inaccurate ``W0``) drives the midpoints to its end, where
     the raw step never shrinks, so a row still running after
-    ``_NEWTON_CAP`` steps raises :class:`NumericError`.  No row's result
-    depends on the other rows.
+    ``_NEWTON_CAP`` steps has no multiplier: its ``lam`` is NaN, which
+    :func:`_on_simplex` turns into :class:`NumericError`.  Nothing here
+    raises.  No row's result depends on the other rows.
     """
     ratio = _ratio(a, g)
     lo, hi = _bracket(a, g), np.zeros(a.shape[0])
@@ -563,17 +561,11 @@ def batch_frequency_newton(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
         lam = np.where(active, nxt, lam)
         steps += active
         active &= ~done
-    if active.any():
-        raise NumericError(
-            f"Newton on the multiplier did not converge within {_NEWTON_CAP} steps; "
-            f"s(lam) = {float(mass[active].min())!r} on the last pass"
-        )
+    lam[active] = np.nan
     return lam, steps
 
 
-def batch_frequency_fixedpoint(
-    a: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_frequency_fixedpoint(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multiplier fixed point for ``T`` frequency problems at once.
 
     ``a`` and ``g`` are ``(T, d)`` normalized means, one problem per row.
@@ -587,8 +579,8 @@ def batch_frequency_fixedpoint(
     ``_FIXEDPOINT_CAP`` steps.  A converged row retires: it keeps its
     multiplier and its count, and later passes evaluate only the rows still
     running, so a pass costs ``W0`` lanes for those rows alone.  Returns
-    ``(lam, iterations, converged)`` per row; a row that reaches the cap
-    unconverged has ``converged`` False.
+    ``(lam, iterations)`` per row; a row that reaches the cap unconverged
+    has ``lam`` NaN and ``iterations`` equal to the cap.
 
     On sparse sets the steps ``d_l = lam_l - lam_{l-1}`` alternate in sign
     and shrink slowly, or geometrically by a steady ratio.  A row whose
@@ -609,10 +601,9 @@ def batch_frequency_fixedpoint(
     ratio = _ratio(a, g)
     log_g = np.log(g)
     lam = _kl_multiplier(a, log_g)
-    # Each row's results, written when it retires or reaches the cap.
-    lam_out = np.empty(a.shape[0])
+    # Each row's results, written when it retires; NaN and the cap where it does not.
+    lam_out = np.full(a.shape[0], np.nan)
     iterations = np.full(a.shape[0], _FIXEDPOINT_CAP, dtype=np.int64)
-    converged_out = np.zeros(a.shape[0], dtype=bool)
     # The running rows' indices into the results; a, ratio, log_g, lam, prev
     # and prev_rate hold those rows only.
     rows = np.arange(a.shape[0])
@@ -647,25 +638,18 @@ def batch_frequency_fixedpoint(
             done = rows[retired]
             lam_out[done] = lam[retired]
             iterations[done] = step
-            converged_out[done] = True
             # Rebinding frees the arrays that hold retired rows.  take() on
             # row indices copies far faster than a boolean mask on (T, d).
             keep = np.flatnonzero(~converged)
             rows, a, ratio, log_g, lam, prev, prev_rate = (
                 x.take(keep, axis=0) for x in (rows, a, ratio, log_g, lam, prev, prev_rate)
             )
-    lam_out[rows] = lam
-    return lam_out, iterations, converged_out
+    return lam_out, iterations
 
 
 def _bisection(a: np.ndarray, g: np.ndarray):
     a, g = _normalized_means(a, g)
-    try:
-        estimate = batch_frequency_newton(a, g)[0]
-    except NumericError:
-        # The estimate-free schedule then raises, or answers, on its own terms.
-        estimate = None
-    lam, _ = batch_frequency_bisection(a, g, estimate)
+    lam, _ = batch_frequency_bisection(a, g, batch_frequency_newton(a, g)[0])
     coords, defect = _on_simplex(a, _ratio(a, g), lam, "bisection")
     halvings = np.full(a.shape[0], BISECTION_HALVINGS)
     return coords, halvings, {"lambda_star": np.minimum(lam, 0.0), "simplex_defect": defect}
@@ -673,8 +657,8 @@ def _bisection(a: np.ndarray, g: np.ndarray):
 
 def _fixedpoint(a: np.ndarray, g: np.ndarray):
     a, g = _normalized_means(a, g)
-    lam, iterations, converged = batch_frequency_fixedpoint(a, g)
-    fallback = ~converged
+    lam, iterations = batch_frequency_fixedpoint(a, g)
+    fallback = np.isnan(lam)
     if fallback.any():
         warnings.warn(
             f"fixed-point iteration did not contract within {_FIXEDPOINT_CAP} steps; "
@@ -715,8 +699,9 @@ def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:
     final simplex defect is checked against :data:`SIMPLEX_TOL`.  The
     multiplier of :func:`batch_frequency_newton` is its root estimate, so
     only the halvings near the root take a ``W0`` pass, about 19 in all on
-    small sparse sets; where Newton raises :class:`NumericError`, every
-    halving does.  ``iterations`` reports the 52 halvings either way.
+    small sparse sets; where Newton has no multiplier (NaN), every halving
+    does, bit for bit as without an estimate.  ``iterations`` reports the
+    52 halvings either way.
     """
     return _solved(s, "bisection", _bisection)
 
@@ -734,6 +719,7 @@ def frequency_centroid_fixedpoint(s: WeightedHistogramSet) -> CentroidResult:
     guarantee exists, so if ``_FIXEDPOINT_CAP`` map evaluations do not meet
     :data:`FIXEDPOINT_TOL` the solver finishes the multiplier of
     :func:`batch_frequency_newton` on the same means instead, and flags the
-    result as a ``fallback`` instead of looping forever.
+    result as a ``fallback`` instead of looping forever.  Where Newton has
+    no multiplier either, :func:`_on_simplex` raises :class:`NumericError`.
     """
     return _solved(s, "fixedpoint", _fixedpoint)

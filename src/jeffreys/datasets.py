@@ -7,7 +7,9 @@ names them, map to a :class:`WeightedHistogramSet`:
   ``weight:<value>`` carries the row weight (all rows or none).  An
   unweighted file is read in one vectorised parse; a weighted file, or one
   that parse rejects, is read cell by cell, which gives the same numbers
-  and reports the first bad cell as ``path:line:col``.
+  and reports the first bad cell as ``path:line:col``.  A number, weights
+  included, is ``float()``'s syntax in ASCII and without ``_`` digit
+  separators, which is ``np.loadtxt``'s.
 * ``json`` -- ``{"histograms": [[...], ...], "weights": [...]}`` with the
   weights key optional.
 * ``pgm-dir`` -- binary 8-bit grayscale (P5); every image becomes one
@@ -15,11 +17,15 @@ names them, map to a :class:`WeightedHistogramSet`:
   ``maxval``; header comments may sit anywhere between tokens.  The path
   is a directory, which ingests every ``*.pgm`` inside, or a single image.
 
+CSV and JSON files are read as UTF-8.  A file that cannot be read or
+decoded raises :class:`ValidationError` (``<path>: cannot read: ...``).
+
 Missing weights default to uniform; explicit weights are normalized to sum
-to one.  Empty bins are smoothed with a small epsilon, whose scale only
-the ``JEFFREYS_EPSILON`` environment variable overrides, and data declared as
-frequency histograms must already sum to one per row, except PGM counts,
-which are normalized after smoothing.
+to one, also where their sum overflows.  Empty bins are smoothed with a
+small epsilon, whose scale only the ``JEFFREYS_EPSILON`` environment
+variable overrides, and data declared as frequency histograms must already
+sum to one per row, except PGM counts, which are normalized after
+smoothing.
 """
 
 from __future__ import annotations
@@ -83,14 +89,14 @@ def epsilon_scale_from_env() -> float:
 def _parse_csv(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse an unweighted CSV file in one vectorised call, or cell by cell.
 
-    ``np.loadtxt``'s number syntax is a subset of ``float()``'s (no
-    underscores, no non-ASCII digits, no quotes), so any file it accepts
-    gives the per-cell parser's matrix, bit for bit.  Anything it rejects,
-    a ``weight:`` column included, is parsed again by
+    ``np.loadtxt``'s number syntax is a subset of the per-cell parser's
+    (:func:`_csv_number`; it also refuses quoted cells), so any file it
+    accepts gives the per-cell parser's matrix, bit for bit.  Anything it
+    rejects, a ``weight:`` column included, is parsed again by
     :func:`_parse_csv_cells`, which owns every rule and every
     ``path:line:col`` message.
     """
-    lines = [line for line in Path(path).read_text().split("\n") if line.strip()]
+    lines = [line for line in Path(path).read_text(encoding="utf-8").split("\n") if line.strip()]
     if lines:
         try:
             # comments=None: with the default "#", "1#" would parse as 1.
@@ -100,12 +106,24 @@ def _parse_csv(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
     return _parse_csv_cells(path)
 
 
+def _csv_number(text: str) -> float:
+    """``float(text)`` in ``np.loadtxt``'s syntax: no underscore and no non-ASCII character.
+
+    ``float()`` reads ``0_5`` as 5 and ``\u0661`` (ARABIC-INDIC DIGIT ONE)
+    as 1; both raise :class:`ValueError` here, as any text ``float()``
+    refuses does.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a CSV number: {text!r}")
+    return float(text)
+
+
 def _parse_csv_cells(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
-    """The reference CSV parser: ``csv.reader`` and ``float()`` per cell."""
+    """The reference CSV parser: ``csv.reader`` and :func:`_csv_number` per cell."""
     rows: list[list[float]] = []
     weights: list[float] = []
     has_weights: bool | None = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for line_no, record in enumerate(csv.reader(fh), start=1):
             if not record or all(not cell.strip() for cell in record):
                 continue
@@ -113,7 +131,7 @@ def _parse_csv_cells(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
             row_weight = None
             if cells[0].startswith(_WEIGHT_PREFIX):
                 try:
-                    row_weight = float(cells[0][len(_WEIGHT_PREFIX):])
+                    row_weight = _csv_number(cells[0][len(_WEIGHT_PREFIX):])
                 except ValueError as exc:
                     raise ValidationError(
                         f"{path}:{line_no}:1: malformed weight {cells[0]!r}"
@@ -128,7 +146,7 @@ def _parse_csv_cells(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
             values = []
             for col_no, cell in enumerate(cells, start=1):
                 try:
-                    values.append(float(cell))
+                    values.append(_csv_number(cell))
                 except ValueError as exc:
                     raise ValidationError(
                         f"{path}:{line_no}:{col_no}: malformed value {cell!r}"
@@ -149,7 +167,7 @@ def _parse_csv_cells(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _parse_json(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON ({exc})") from exc
     if not isinstance(payload, dict) or "histograms" not in payload:
@@ -237,14 +255,19 @@ def load_dataset(path, format: str, kind: str) -> DatasetFile:
     eps = epsilon_scale_from_env()
 
     parser = {FORMAT_CSV: _parse_csv, FORMAT_JSON: _parse_json, FORMAT_PGM: _parse_pgm}[format]
-    rows, weights = parser(p)
+    try:
+        rows, weights = parser(p)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read: {exc}") from exc
     if np.any(rows < 0.0) or not np.all(np.isfinite(rows)):
         raise ValidationError(f"{path}: bins must be finite and non-negative")
 
     if kind == KIND_FREQUENCY and format != FORMAT_PGM:
         # Counts from images are normalized below; tabular data declared
         # as frequency must already be on the simplex.
-        sums = rows.sum(axis=1)
+        # A sum past the double range is off the simplex too, without a warning.
+        with np.errstate(over="ignore"):
+            sums = rows.sum(axis=1)
         off = np.flatnonzero(np.abs(sums - 1.0) > RENORMALIZE_ATOL)
         if off.size:
             raise ValidationError(
@@ -257,7 +280,13 @@ def load_dataset(path, format: str, kind: str) -> DatasetFile:
     if weights is not None:
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
             raise ValidationError(f"{path}: weights must be finite and strictly positive")
-        weights = weights / weights.sum()
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if np.isinf(total):
+            # Finite weights whose sum overflows: scale by the largest first.
+            weights = weights / weights.max()
+            total = weights.sum()
+        weights = weights / total
 
     histograms = WeightedHistogramSet(rows, weights, frequency=kind == KIND_FREQUENCY)
     return DatasetFile(histograms=histograms, epsilon_scale=eps)

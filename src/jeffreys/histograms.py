@@ -55,7 +55,9 @@ def _onto_simplex(bins: np.ndarray, what: str = "frequency histogram bins") -> n
     ``RENORMALIZE_ATOL`` is renormalized (serialization rounding), and
     anything worse is rejected as genuinely unnormalized data.
     """
-    total = bins.sum(axis=-1, keepdims=True)
+    # A sum past the double range is rejected below, without a warning.
+    with np.errstate(over="ignore"):
+        total = bins.sum(axis=-1, keepdims=True)
     defect = np.abs(total - 1.0)
     if np.any(defect > RENORMALIZE_ATOL):
         worst = float(total.flat[np.argmax(defect)])
@@ -77,7 +79,13 @@ def smooth_bins(values, epsilon_scale: float = DEFAULT_EPSILON_SCALE) -> np.ndar
     empty = np.any(arr == 0.0, axis=-1, keepdims=True)
     if not np.any(empty):
         return arr
-    epsilon = epsilon_scale * np.maximum(1.0, arr.sum(axis=-1, keepdims=True) / arr.shape[-1])
+    with np.errstate(over="ignore"):
+        mean = arr.sum(axis=-1, keepdims=True) / arr.shape[-1]
+    overflowed = np.isinf(mean)
+    if overflowed.any():
+        # Finite bins whose sum overflows have a finite mean: sum them divided by d.
+        mean = np.where(overflowed, (arr / arr.shape[-1]).sum(axis=-1, keepdims=True), mean)
+    epsilon = epsilon_scale * np.maximum(1.0, mean)
     return np.where(empty, arr + epsilon, arr)
 
 

@@ -15,12 +15,14 @@ those of one block per chunk.  Blocks and chunks are copied into the
 result as they finish, so the peak memory holds the result and one
 block's arrays.
 
-Each block runs the fixed point first and passes its converged
-multipliers to the bisection as root estimates.  Every trial still makes
-the bisection's 52 halvings, but only about 10 of them are decided by a
-``W0`` pass (``bisection_evaluations``); the rest are decided from a band
-around the estimate, which a check of the final bracket ends confirms,
-see :func:`~jeffreys.centroids.batch_frequency_bisection`.  Like
+Each block runs the fixed point first and passes its multipliers to the
+bisection as root estimates; a trial the fixed point did not finish has
+a NaN multiplier, which the bisection reads as no estimate.  Every trial
+still makes the bisection's 52 halvings, but only about 10 of them are
+decided by a ``W0`` pass (``bisection_evaluations``); the rest are
+decided from a band around the estimate, which a check of the final
+bracket ends confirms, see
+:func:`~jeffreys.centroids.batch_frequency_bisection`.  Like
 the scalar bisection, a block then finishes the exact centroids in one
 pass, :func:`~jeffreys.centroids._on_simplex`.
 """
@@ -125,8 +127,8 @@ def _solve_block(members: np.ndarray) -> TrialData:
     w_c = _row_sums(c_pos)
     c_norm = c_pos / w_c[:, None]
     c_veld = 0.5 * (a + g)
-    lam_fp, fp_iters, converged = _batch_fixedpoint(a, g)
-    lam, evaluated = _batch_bisection(a, g, estimate=np.where(converged, lam_fp, np.nan))
+    lam_fp, fp_iters = _batch_fixedpoint(a, g)
+    lam, evaluated = _batch_bisection(a, g, estimate=lam_fp)
     c_exact = _on_simplex(a, _ratio(a, g), lam, "bisection")[0]
 
     return TrialData(

@@ -505,8 +505,7 @@ class TestCertifiedBisection:
 
     @staticmethod
     def fixedpoint_estimate(a, g):
-        lam, _, converged = batch_frequency_fixedpoint(a, g)
-        return np.where(converged, lam, np.nan)
+        return batch_frequency_fixedpoint(a, g)[0]
 
     @staticmethod
     def exact_mass(a, g, lam):
@@ -763,7 +762,7 @@ class TestScalarBisection:
         lam, coords, defect, _ = bisection_on_simplex(a[None], g[None])
 
         def failing(a, g):
-            raise NumericError("newton: did not converge")
+            return np.full(a.shape[0], np.nan), np.full(a.shape[0], 100)
 
         monkeypatch.setattr(centroids, "batch_frequency_newton", failing)
         calls = self.counting(monkeypatch)
@@ -860,13 +859,17 @@ class TestBatchNewton:
 
     def test_scaled_w0_raises(self, monkeypatch):
         # W0 scaled by 4 puts the root of the scaled s below the bracket,
-        # so the iterate runs into the bracket's lower end and never stops.
+        # so the iterate runs into the bracket's lower end and never stops:
+        # Newton has no multiplier at its cap, and the finish raises.
         import jeffreys.centroids as centroids
 
-        arith, geom = normalized_means(canonical_set())
+        raw_a, raw_g = _means(canonical_set())
+        arith, geom = _normalized_means(raw_a[None], raw_g[None])
         monkeypatch.setattr(centroids, "lambert_w0_values", lambda x: 4.0 * lambert_w0_values(x))
-        with pytest.raises(NumericError, match="Newton"):
-            batch_frequency_newton(arith[None, :], geom[None, :])
+        lam, steps = batch_frequency_newton(arith, geom)
+        assert np.isnan(lam).all() and steps[0] == centroids._NEWTON_CAP
+        with pytest.raises(NumericError, match="frequency_exact: no multiplier on 1 of 1 rows"):
+            centroids._exact(raw_a[None], raw_g[None])
 
     @staticmethod
     def break_last_pass(monkeypatch, corrupt, match):
@@ -976,17 +979,16 @@ class TestFixedPoint:
 class TestBatchFixedPoint:
     def test_rows_are_independent_bitwise(self, rng):
         _, a, g = TestBatchBisection.stacked_problems(rng)
-        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
+        lam, iterations = batch_frequency_fixedpoint(a, g)
         for i in range(a.shape[0]):
-            lam_i, iterations_i, converged_i = batch_frequency_fixedpoint(a[i:i + 1], g[i:i + 1])
-            assert lam_i[0] == lam[i]
+            lam_i, iterations_i = batch_frequency_fixedpoint(a[i:i + 1], g[i:i + 1])
+            assert lam_i[0].tobytes() == lam[i].tobytes()
             assert iterations_i[0] == iterations[i]
-            assert converged_i[0] == converged[i]
 
     def test_matches_scalar_fixedpoint(self, rng):
         sets, a, g = TestBatchBisection.stacked_problems(rng)
-        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
-        assert converged.all()
+        lam, iterations = batch_frequency_fixedpoint(a, g)
+        assert not np.isnan(lam).any()
         for i, s in enumerate(sets):
             r = frequency_centroid_fixedpoint(s)
             assert iterations[i] == r.iterations
@@ -996,10 +998,11 @@ class TestBatchFixedPoint:
         import jeffreys.centroids as centroids
 
         _, a, g = TestBatchBisection.stacked_problems(rng)
-        _, free, _ = batch_frequency_fixedpoint(a, g)
+        _, free = batch_frequency_fixedpoint(a, g)
         cap = 2
         monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", cap)
-        _, iterations, converged = batch_frequency_fixedpoint(a, g)
+        lam, iterations = batch_frequency_fixedpoint(a, g)
+        converged = ~np.isnan(lam)
         assert np.array_equal(iterations, np.minimum(free, cap))
         assert np.array_equal(converged, free <= cap)
         # the identical-member row converges at once, the random ones need more
@@ -1039,8 +1042,8 @@ class TestBatchFixedPoint:
     @pytest.mark.parametrize("d", [5, 64])
     def test_retired_rows_match_single_solves(self, d):
         a, g, sparse = self.mixed_stack(d)
-        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
-        assert converged.all()
+        lam, iterations = batch_frequency_fixedpoint(a, g)
+        assert not np.isnan(lam).any()
         # Rows retire at several passes: the degenerate row at the first, the
         # near-degenerate one at the second, the sparse ones last.
         assert iterations[-1] == 1 and iterations[-2] == 2
@@ -1049,9 +1052,9 @@ class TestBatchFixedPoint:
         for i in range(sparse, a.shape[0] - 2):
             assert self.plain_passes(a[i:i + 1], g[i:i + 1]) > iterations[i]
         for i in range(a.shape[0]):
-            lam_i, iterations_i, converged_i = batch_frequency_fixedpoint(a[i:i + 1], g[i:i + 1])
+            lam_i, iterations_i = batch_frequency_fixedpoint(a[i:i + 1], g[i:i + 1])
             assert lam_i[0].tobytes() == lam[i].tobytes()
-            assert iterations_i[0] == iterations[i] and converged_i[0]
+            assert iterations_i[0] == iterations[i]
 
     @pytest.mark.parametrize("d", [5, 64])
     def test_passes_evaluate_only_running_rows(self, d, monkeypatch):
@@ -1065,7 +1068,7 @@ class TestBatchFixedPoint:
             return lambert_w0_values(x)
 
         monkeypatch.setattr(centroids, "lambert_w0_values", counting)
-        _, iterations, _ = batch_frequency_fixedpoint(a, g)
+        _, iterations = batch_frequency_fixedpoint(a, g)
         running = [int((iterations >= p).sum()) * d for p in range(1, iterations.max() + 1)]
         assert lanes == running
 
@@ -1074,9 +1077,10 @@ class TestBatchFixedPoint:
         import jeffreys.centroids as centroids
 
         a, g, _ = self.mixed_stack(d)
-        free_lam, free, _ = batch_frequency_fixedpoint(a, g)
+        free_lam, free = batch_frequency_fixedpoint(a, g)
         monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", 2)
-        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
+        lam, iterations = batch_frequency_fixedpoint(a, g)
+        converged = ~np.isnan(lam)
         assert np.array_equal(iterations, np.minimum(free, 2))
         assert np.array_equal(converged, free <= 2)
         assert converged.sum() == 2 and not converged[:-2].any()
@@ -1097,8 +1101,8 @@ class TestBatchFixedPoint:
             return lambert_w0_values(x)
 
         monkeypatch.setattr(centroids, "lambert_w0_values", counting)
-        _, iterations, converged = batch_frequency_fixedpoint(a, g)
-        assert converged.all() and iterations.min() > 7
+        lam, iterations = batch_frequency_fixedpoint(a, g)
+        assert not np.isnan(lam).any() and iterations.min() > 7
         assert len(calls) == iterations.max()
 
 
@@ -1150,8 +1154,8 @@ class TestFixedAccuracy:
     @example(seed=5685, log_alpha=-1.59375, d=2, n=2)
     def test_fixedpoint_converges_without_rescue(self, seed, log_alpha, d, n):
         a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
-        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
-        assert converged[0] and iterations[0] <= 60
+        lam, iterations = batch_frequency_fixedpoint(a, g)
+        assert not np.isnan(lam[0]) and iterations[0] <= 60
         lam_b, coords_b, _, _ = bisection_on_simplex(a, g)
         lam_n = batch_frequency_newton(a, g)[0]
         scale = max(1.0, abs(float(lam[0])))
@@ -1173,8 +1177,8 @@ class TestFixedAccuracy:
     )
     def test_steady_ratio_jumps_agree_with_newton(self, seed, log_alpha, d, n):
         a, g = sparse_problem(seed, 10.0**log_alpha, d, n)
-        lam, iterations, converged = batch_frequency_fixedpoint(a, g)
-        assert converged[0] and iterations[0] <= 20
+        lam, iterations = batch_frequency_fixedpoint(a, g)
+        assert not np.isnan(lam[0]) and iterations[0] <= 20
         lam_n = batch_frequency_newton(a, g)[0]
         assert abs(lam[0] - lam_n[0]) <= 1e-14 * max(1.0, abs(float(lam[0])))
 
@@ -1194,6 +1198,88 @@ class TestFixedAccuracy:
                 bound = 6.0 * eps * max(1.0, abs(root))
                 assert abs(lam_b[i] - root) <= bound
                 assert abs(lam_n[i] - root) <= bound
+
+
+class TestOneFailureContract:
+    """A solver without a multiplier returns NaN; ``_on_simplex`` is where that fails.
+
+    Caps of one step leave every row that needs more unfinished.
+    """
+
+    @staticmethod
+    def capped(monkeypatch):
+        import jeffreys.centroids as centroids
+
+        monkeypatch.setattr(centroids, "_NEWTON_CAP", 1)
+        monkeypatch.setattr(centroids, "_FIXEDPOINT_CAP", 1)
+
+    def test_batch_solvers_return_nan_without_raising(self, rng, monkeypatch):
+        _, a, g = TestBatchBisection.stacked_problems(rng)
+        free_newton = batch_frequency_newton(a, g)
+        free_fixedpoint = batch_frequency_fixedpoint(a, g)
+        self.capped(monkeypatch)
+        for (free_lam, free_count), solver in (
+            (free_newton, batch_frequency_newton), (free_fixedpoint, batch_frequency_fixedpoint)
+        ):
+            lam, count = solver(a, g)
+            unfinished = free_count > 1
+            # The identical-member row finishes in one step, the random ones do not.
+            assert unfinished[:-1].all() and not unfinished[-1]
+            assert np.isnan(lam[unfinished]).all()
+            assert lam[~unfinished].tobytes() == free_lam[~unfinished].tobytes()
+            assert np.array_equal(count, np.minimum(free_count, 1))
+
+    def test_bisection_runs_the_estimate_free_schedule(self, rng, monkeypatch):
+        # Newton's one pass, the 52 halvings and the result's: the band
+        # takes no pass for a row without an estimate.
+        s = random_frequency_set(rng, n=4, d=16)
+        a, g = normalized_means(s)
+        lam, coords, defect, _ = bisection_on_simplex(a[None], g[None])
+        self.capped(monkeypatch)
+        assert np.isnan(batch_frequency_newton(a[None], g[None])[0]).all()
+        calls = TestScalarBisection.counting(monkeypatch)
+        r = frequency_centroid_bisection(s)
+        assert len(calls) == 1 + BISECTION_HALVINGS + 1
+        assert r.centroid.tobytes() == coords[0].tobytes()
+        assert (r.lambda_star, r.simplex_defect) == (min(lam[0], 0.0), defect[0])
+
+    def test_fixedpoint_without_a_rescue_raises(self, rng, monkeypatch):
+        s = random_frequency_set(rng, n=4, d=16)
+        self.capped(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="did not contract"):
+            with pytest.raises(NumericError, match="fixedpoint: no multiplier on 1 of 1 rows"):
+                frequency_centroid_fixedpoint(s)
+
+    def test_kmeans_frequency_exact_raises(self, rng, monkeypatch):
+        from jeffreys import ClusteringConfig, kmeans
+
+        rows = rng.uniform(0.01, 1.0, size=(12, 8))
+        s = WeightedHistogramSet(rows / rows.sum(axis=1, keepdims=True), frequency=True)
+        self.capped(monkeypatch)
+        with pytest.raises(NumericError, match="frequency_exact: no multiplier"):
+            kmeans(s, ClusteringConfig(k=3, seed=0, centroid_mode="frequency_exact"))
+
+    def test_trials_without_a_fixed_point_run_the_plain_bisection(self, monkeypatch):
+        import jeffreys.oracles as oracles
+        from jeffreys.oracles import run_alpha_trials
+
+        real_fixedpoint, real_bisection = oracles._batch_fixedpoint, oracles._batch_bisection
+        masks = []
+
+        def recording(a, g):
+            lam, iterations = real_fixedpoint(a, g)
+            masks.append(np.isnan(lam))
+            return lam, iterations
+
+        self.capped(monkeypatch)
+        monkeypatch.setattr(oracles, "_batch_fixedpoint", recording)
+        trials = run_alpha_trials(200, 3)
+        unfinished = np.concatenate(masks)
+        assert unfinished.any()
+        assert np.all(trials.bisection_evaluations[unfinished] == BISECTION_HALVINGS)
+        monkeypatch.setattr(oracles, "_batch_bisection", lambda a, g, estimate: real_bisection(a, g))
+        plain = run_alpha_trials(200, 3)
+        assert trials.j_exact[unfinished].tobytes() == plain.j_exact[unfinished].tobytes()
 
 
 class TestSandwich:

@@ -243,6 +243,15 @@ class TestCentroidCommand:
         assert code == EXIT_VALIDATION
         assert "no such file" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unreadable_input_is_validation_error(self, tmp_path, fmt):
+        code, _, err = run_cli(
+            ["centroid", "--input", str(tmp_path), "--format", fmt,
+             "--kind", "positive", "--mode", "positive"]
+        )
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and "cannot read" in err
+
     def test_unknown_flag_exits_64(self, pair_csv):
         code, _, _ = run_cli(
             ["centroid", "--input", pair_csv, "--format", "csv",

@@ -64,6 +64,34 @@ class TestCSV:
         with pytest.raises(ValidationError, match="declared frequency"):
             load_dataset(bad, FORMAT_CSV, "frequency").histograms
 
+    @pytest.mark.parametrize("text, message", [
+        ("0_5,1\n1,2\n", r"x\.csv:1:1: malformed value '0_5'"),
+        ("1,2\n\u0661,2\n", r"x\.csv:2:1: malformed value '\u0661'"),
+        ("weight:0_5,1,2\nweight:1,1,2\n", r"x\.csv:1:1: malformed weight 'weight:0_5'"),
+        ("weight:1,1,2\nweight:\u0661,1,2\n", r"x\.csv:2:1: malformed weight"),
+    ])
+    def test_number_syntax_is_ascii_without_underscores(self, tmp_path, text, message):
+        # float() reads "0_5" as 5 and U+0661 as 1; np.loadtxt reads neither.
+        p = tmp_path / "x.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValidationError, match=message):
+            load_dataset(p, FORMAT_CSV, "positive")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt, text", [
+        (FORMAT_JSON, json.dumps({"histograms": [[1, 2], [2, 1]], "weights": [1e308, 1e308]})),
+        (FORMAT_CSV, "weight:1e308,1,2\nweight:1e308,2,1\n"),
+    ])
+    def test_weights_whose_sum_overflows(self, tmp_path, fmt, text):
+        p = write(tmp_path, f"w.{fmt}", text)
+        assert load_dataset(p, fmt, "positive").histograms.weights.tolist() == [0.5, 0.5]
+
+    @pytest.mark.filterwarnings("error")
+    def test_frequency_sum_that_overflows_is_rejected_without_a_warning(self, tmp_path):
+        p = write(tmp_path, "f.csv", "1e308,1e308\n1,1\n")
+        with pytest.raises(ValidationError, match="histogram 0 declared frequency but sums to inf"):
+            load_dataset(p, FORMAT_CSV, "frequency")
+
     def test_zero_bins_smoothed(self, tmp_path):
         p = write(tmp_path, "z.csv", "0,4\n2,2\n")
         s = load_dataset(p, FORMAT_CSV, "positive").histograms
@@ -212,6 +240,27 @@ class TestCSVFastPath:
         s = load_dataset(weighted, FORMAT_CSV, "positive").histograms
         assert read == [weighted]
         assert np.allclose(s.weights, np.arange(1, 21) / 210)
+
+
+class TestUnreadableInput:
+    """Reading errors become :class:`ValidationError`, which the CLI reports with exit 1."""
+
+    @pytest.mark.parametrize("fmt", [FORMAT_CSV, FORMAT_JSON])
+    def test_directory(self, tmp_path, fmt):
+        with pytest.raises(ValidationError, match="cannot read: .*Is a directory"):
+            load_dataset(tmp_path, fmt, "positive")
+
+    def test_pgm_directory_entry(self, tmp_path):
+        (tmp_path / "sub.pgm").mkdir()
+        with pytest.raises(ValidationError, match=r"cannot read: .*Is a directory: .*sub\.pgm"):
+            load_dataset(tmp_path, FORMAT_PGM, "positive")
+
+    @pytest.mark.parametrize("fmt", [FORMAT_CSV, FORMAT_JSON])
+    def test_not_utf8(self, tmp_path, fmt):
+        p = tmp_path / f"x.{fmt}"
+        p.write_bytes(b"\xff\xfe,1\n")
+        with pytest.raises(ValidationError, match="cannot read: 'utf-8' codec can't decode"):
+            load_dataset(p, fmt, "positive")
 
 
 class TestPGM:

@@ -211,6 +211,22 @@ class TestSetConstructor:
         with pytest.raises(ValidationError):
             smooth_bins(np.array([-1.0, 2.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_smooth_bins_whose_sum_overflows(self):
+        # The bins are finite and so is their mean: the epsilon is 1e-10 of it.
+        rows = np.array([[0.0, 1e308, 1e308], [0.0, 4.0, 4.0]])
+        smoothed = smooth_bins(rows)
+        assert np.all(np.isfinite(smoothed))
+        assert smoothed[0, 0] == pytest.approx(1e-10 * (2.0 * (1e308 / 3.0)))
+        # A row whose sum is finite keeps its bits.
+        assert np.array_equal(smoothed[1], smooth_bins(rows[1]))
+        assert smoothed[1, 0] == 1e-10 * (8.0 / 3.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weights_whose_sum_overflows_are_rejected_without_a_warning(self):
+        with pytest.raises(ValidationError, match="weights must sum to 1, got inf"):
+            WeightedHistogramSet([[1.0, 2.0], [2.0, 1.0]], weights=[1e308, 1e308])
+
     def test_smooth_bins_along_the_last_axis(self):
         rows = np.array([[0.0, 4.0], [1.0, 2.0], [0.0, 0.0]])
         smoothed = smooth_bins(rows)
