@@ -41,17 +41,19 @@ returns ``(lam, count)`` per row, with ``lam`` NaN on a row it has no
 multiplier for: NaN is the one "no multiplier" signal.  Every centroid
 is finished once, by :func:`_on_simplex`, which raises
 :class:`NumericError` on a NaN multiplier and checks the simplex defect
-against :data:`SIMPLEX_TOL`.  The bisection always makes
-52 halvings.  On its own it evaluates every one, 52 ``W0`` passes, and
-starts each halving but the first from the previous pass's ``W``.  Given
-a root estimate per row, it takes one pass at the estimate for a narrow
-band around it, decides every halving whose midpoint is outside the band
-without a pass, evaluates only the rest, about 10, and checks any final
-bracket end that only the band decided.  The safeguarded Newton on
-``log s(lam) = 0`` keeps the same bracket and needs about five passes.
-The scalar bisection takes Newton's multiplier as its estimate, about 19
-passes in all on small sparse sets instead of 53; a NaN estimate is no
-estimate.
+against :data:`SIMPLEX_TOL`.  The bisection always makes 52 halvings.
+On its own it evaluates every one, 52 ``W0`` passes, and starts each
+halving but the first from the previous pass's ``W``.  Given a root
+estimate per row, it takes one pass at the estimate for a narrow band
+around it, decides every halving whose midpoint is outside the band
+without a pass, and evaluates only the rest, about 10; a row without a
+usable estimate has no band and evaluates all 52.  Every row runs in one
+lockstep of ``W0`` passes, and a row whose final bracket end, decided by
+the band alone, fails its check is solved again without an estimate.
+The safeguarded Newton on ``log s(lam) = 0`` keeps the same bracket and
+needs about five passes.  The scalar bisection takes Newton's multiplier
+as its estimate, about 19 passes in all on small sparse sets instead of
+53; a NaN estimate is no estimate.
 k-means (``frequency_exact``) runs Newton on every cluster at once, the
 fixed point's rescue runs Newton, and the trial harness runs the fixed
 point on every trial at once and then the bisection, with the fixed
@@ -338,34 +340,28 @@ def _bracket(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (a + np.log(g)).max(axis=1) - 1.0
 
 
-def _halvings(a, ratio, lo, hi, count, w=None, prev=None):
+def _halvings(a, ratio, lo, hi, count, w, prev):
     """The brackets ``[lo, hi]`` after each row's next ``count`` halvings, each one evaluated.
 
     A halving evaluates ``s(mid) = sum_i a_i / W0(ratio_i * e^(mid + 1))``
     in one ``W0`` pass and keeps ``[mid, hi]`` where ``s(mid) >= 1``, else
-    ``[lo, mid]``.  The rows run in lockstep, and a row retires once it has
-    made its count: later passes evaluate only the rows still running.  Each
-    pass starts Halley from the previous pass's ``W`` moved along its
-    tangent (see :func:`batch_frequency_bisection`); the first starts from
-    ``w``, the ``W0`` values at ``prev``, or cold where ``w`` is None.  No
-    row's result depends on the other rows.
+    ``[lo, mid]``.  The rows run in lockstep, and a row retires at the top
+    of the step after its count, so one with ``count == 0`` takes no pass:
+    each pass evaluates only the rows still running.  Each pass starts
+    Halley from the previous pass's ``W`` moved along its tangent (see
+    :func:`batch_frequency_bisection`); the first starts from ``w``, the
+    ``W0`` values at ``prev``.  A row whose ``w`` is NaN gets a NaN guess,
+    which :func:`~jeffreys.lambertw.lambert_w0_values` replaces by its cold
+    start, so its first pass starts cold.  No row's result depends on the
+    other rows.
     """
     lo_out, hi_out = lo.copy(), hi.copy()
     # The running rows' indices into the results; the other arrays hold those rows only.
     rows = np.arange(lo.size)
-    # The steps after which some row retires: a set, so that a pass at
+    # The steps at which some row retires: a set, so that a pass at
     # T = 1 pays no array test for it.
     stops = set(np.unique(count).tolist())
-    guess = None
-    for step in range(1, max(stops, default=0) + 1):
-        mid = 0.5 * (lo + hi)
-        if w is not None:
-            guess = w + (mid - prev)[:, None] * w / (1.0 + w)
-        w = _w0_at(ratio, mid, guess=guess)
-        ge = _row_sums(a / w) >= 1.0
-        lo = np.where(ge, mid, lo)
-        hi = np.where(ge, hi, mid)
-        prev = mid
+    for step in range(max(stops, default=0) + 1):
         if step in stops:
             done = count == step
             retired = np.flatnonzero(done)
@@ -375,6 +371,14 @@ def _halvings(a, ratio, lo, hi, count, w=None, prev=None):
             rows, a, ratio, lo, hi, prev, w, count = (
                 x.take(keep, axis=0) for x in (rows, a, ratio, lo, hi, prev, w, count)
             )
+        if not rows.size:
+            break
+        mid = 0.5 * (lo + hi)
+        w = _w0_at(ratio, mid, guess=w + (mid - prev)[:, None] * w / (1.0 + w))
+        ge = _row_sums(a / w) >= 1.0
+        lo = np.where(ge, mid, lo)
+        hi = np.where(ge, hi, mid)
+        prev = mid
     return lo_out, hi_out
 
 
@@ -384,23 +388,25 @@ def _band(a, ratio, estimate, lo, hi):
     The estimate ``lam`` is clipped to the bracket ``[lo, hi]``.  One cold
     ``W0`` pass at ``lam`` gives ``W(lam)``, the lockstep's warm start, and
     the slope ``|s'(lam)| = sum_i c_i / (1 + W_i)``.  The band is ``[lam -
-    delta, lam + delta]``, clipped to the bracket, with ``delta = 8 (d + 8)
-    eps / |s'(lam)|``.  ``(d + 8) eps`` bounds the rounding of a computed
-    ``s``: ``W0``'s 2 ulp, the rounding of ``ratio * e^(mid + 1)`` and of
-    ``a / W``, and the ``d``-term sum.  Where the estimate is within half
-    the band of the root, ``s`` is about ``4 (d + 8) eps`` or more from 1
-    at the band's ends, so every mid outside the band has the sign that an
-    evaluation there would give.  Nothing here proves that: the check of
-    the final bracket ends in :func:`batch_frequency_bisection` does.
+    delta, lam + delta]`` with ``delta = 8 (d + 8) eps / |s'(lam)|``; a
+    halving's mid never leaves the bracket, so the band needs no clipping.
+    ``(d + 8) eps`` bounds the rounding of a computed ``s``: ``W0``'s 2
+    ulp, the rounding of ``ratio * e^(mid + 1)`` and of ``a / W``, and the
+    ``d``-term sum.  Where the estimate is within half the band of the
+    root, ``s`` is about ``4 (d + 8) eps`` or more from 1 at the band's
+    ends, so every mid outside the band has the sign that an evaluation
+    there would give.  Nothing here proves that: the check of the final
+    bracket ends in :func:`batch_frequency_bisection` does.
 
     An estimate that is NaN, or that the clipping moves by more than
     ``delta`` (an infinite one, or one outside the bracket by more than
-    rounding), is not ``known``: it says nothing about the root.
+    rounding), says nothing about the root.  Its row has no band: the band
+    ``(-inf, inf)`` and a NaN ``W``.
 
-    Returns ``(known, band_lo, band_hi, lam, w)``: the band and the clipped
+    Returns ``(band_lo, band_hi, lam, w)``: the band and the clipped
     estimate per row, and the ``(T, d)`` values ``W(lam)``.  The ``W0``
-    pass evaluates only the rows with an estimate; the other rows are NaN
-    in ``lam`` and ``w``, and take no pass.
+    pass evaluates only the rows whose estimate is not NaN; the others take
+    no pass.
     """
     lam = np.clip(estimate, lo, hi)
     rows = np.flatnonzero(~np.isnan(lam))
@@ -410,8 +416,8 @@ def _band(a, ratio, estimate, lo, hi):
         w[rows] = _w0_at(ratio[rows], lam[rows])
     delta = 8.0 * (a.shape[1] + 8) * _EPS / _row_sums(a / (w * (1.0 + w)))
     known = np.abs(estimate - lam) <= delta
-    # fmax and fmin also map a NaN or infinite delta to the bracket's ends.
-    return known, np.fmax(lam - delta, lo), np.fmin(lam + delta, hi), lam, w
+    w[~known] = np.nan
+    return np.where(known, lam - delta, -np.inf), np.where(known, lam + delta, np.inf), lam, w
 
 
 def batch_frequency_bisection(
@@ -434,50 +440,47 @@ def batch_frequency_bisection(
     ``W0``) drives the halvings to the bracket's end, whose defect the
     finishing check rejects.  No row's result depends on the other rows.
 
-    A row without an estimate evaluates every halving: such rows share the
-    52 ``W0`` passes.  Each halving after the first starts Halley from the
-    previous pass's ``W``.  ``W`` is convex in ``t = log x`` with ``dW/dt =
-    W / (1 + W)``, and consecutive midpoints move ``t`` by ``mid - prev``,
-    so the tangent ``W + (mid - prev) * W / (1 + W)`` is a lower bound on
-    the new root, off by ``O((mid - prev)**2)``; late halvings converge in
-    one step.  The first halving keeps the cold start.
-
     ``estimate``, one multiplier per row, lets a row skip the evaluations
     whose sign it predicts; a NaN estimate is no estimate, and
     ``estimate=None`` means NaN on every row.  One ``W0`` pass at the
     estimates gives each row a band of width ``16 (d + 8) eps / |s'|``
-    around its estimate (see :func:`_band`).  A row whose band is ``known``
-    decides every halving whose mid is outside it on ``(T,)`` arrays,
-    without a pass, until the mid first falls inside; its remaining
-    halvings, about 10 of the 52 on the trial harness's problems, are then
-    evaluated in lockstep, warm from ``W`` at the estimate.
+    around its estimate (see :func:`_band`).  A row decides every halving
+    whose mid is outside its band on ``(T,)`` arrays, without a pass, until
+    the mid first falls inside; its remaining halvings, about 10 of the 52
+    on the trial harness's problems, are evaluated.  A row without a band,
+    whose estimate is NaN or outside the bracket, decides none without a
+    pass and evaluates all 52.  Every row then runs in one lockstep of
+    ``W0`` passes, each row's first pass warm from ``W`` at its estimate,
+    or cold without a band: that row runs the estimate-free schedule, pass
+    for pass and bit for bit, and a NaN row takes no other pass.
+
+    Each evaluated halving after a row's first starts Halley from the
+    previous pass's ``W``.  ``W`` is convex in ``t = log x`` with ``dW/dt =
+    W / (1 + W)``, and consecutive midpoints move ``t`` by ``mid - prev``,
+    so the tangent ``W + (mid - prev) * W / (1 + W)`` is a lower bound on
+    the new root, off by ``O((mid - prev)**2)``; late halvings converge in
+    one step.
 
     A final bracket end that a halving set without a pass, and that no
     evaluated halving moved since, rests on the band alone.  One cold pass
     per side evaluates ``s`` at those ends, and a row where ``s(lo) < 1``
-    or ``s(hi) >= 1`` discards its halvings.  This check is the one
-    certificate: a skipped halving that puts an end on the wrong side of
-    the root leaves every evaluated mid on the root's far side, so no
-    evaluation moves that end, and the check evaluates it.  Where the band
-    holds the root, the evaluated halvings nearly always move both ends,
-    and the pass is almost never taken.  Each halving is thus decided by
-    the sign of ``s(mid) - 1``, so the result is the plain bisection's up
-    to the rounding noise of the evaluations near the root: on about one
+    or ``s(hi) >= 1`` is solved again without an estimate: the
+    estimate-free schedule, cold first, with 52 evaluations.  This check is
+    the one certificate: a skipped halving that puts an end on the wrong
+    side of the root leaves every evaluated mid on the root's far side, so
+    no evaluation moves that end, and the check evaluates it.  Where the
+    band holds the root, the evaluated halvings nearly always move both
+    ends, and the pass is almost never taken.  Each halving is thus decided
+    by the sign of ``s(mid) - 1``, so the result is the plain bisection's
+    up to the rounding noise of the evaluations near the root: on about one
     row in 1,000, ``lam`` moves by at most ``max(2 final bracket widths,
     (d + 8) eps / |s'(lam)|)``, the larger where the bracket is tiny.
-
-    A row whose estimate is NaN or outside the bracket, or whose check
-    fails, runs the plain schedule, cold first, with 52 evaluations: the
-    estimate-free schedule, pass for pass and bit for bit.  A NaN row
-    takes no other pass.
     """
     ratio = _ratio(a, g)
     lo, hi = _bracket(a, g), np.zeros(a.shape[0])
     estimate = np.full(a.shape[0], np.nan) if estimate is None else estimate
-    known, band_lo, band_hi, lam, w = _band(a, ratio, estimate, lo, hi)
-    start_lo, start_hi = lo.copy(), hi.copy()
-    band_lo = np.where(known, band_lo, -np.inf)
-    band_hi = np.where(known, band_hi, np.inf)
+    band_lo, band_hi, lam, w = _band(a, ratio, estimate, lo, hi)
+    start_lo, start_hi = lo, hi
     # A row whose mid is inside its band is frozen: its bracket, and so its
     # mid, stop moving.  Rows without a band are frozen from the start.  lo
     # moves to mid where mid < band_lo, and hi where mid > band_hi (see _FAR).
@@ -491,29 +494,21 @@ def batch_frequency_bisection(
         lo = np.maximum(lo, mid - _FAR * not_below)
         hi = np.minimum(hi, mid + _FAR * not_above)
         evaluated = evaluated - ~frozen
-    skipped_lo, skipped_hi = lo.copy(), hi.copy()
-    warm = np.flatnonzero(known & (evaluated > 0))
-    if warm.size:
-        # Rebinding keeps only the lockstep rows' W(lam) alive.
-        w = w.take(warm, axis=0)
-        lo[warm], hi[warm] = _halvings(
-            a[warm], ratio[warm], lo[warm], hi[warm], evaluated[warm], w, lam[warm]
-        )
+    skipped_lo, skipped_hi = lo, hi
+    lo, hi = _halvings(a, ratio, lo, hi, evaluated, w, lam)
     # Check the ends that rest on the band alone; see the docstring.
-    plain = np.flatnonzero(~known)
+    redo = np.zeros(a.shape[0], dtype=bool)
     for end, start, skipped, contradicts in (
         (lo, start_lo, skipped_lo, np.less), (hi, start_hi, skipped_hi, np.greater_equal)
     ):
         rows = np.flatnonzero((end == skipped) & (end != start))
         if rows.size:
             mass = _row_sums(a[rows] / _w0_at(ratio[rows], end[rows]))
-            plain = np.union1d(plain, rows[contradicts(mass, 1.0)])
-    if plain.size:
-        evaluated[plain] = BISECTION_HALVINGS
-        lo[plain], hi[plain] = _halvings(
-            a[plain], ratio[plain], start_lo[plain], start_hi[plain], evaluated[plain]
-        )
-    return 0.5 * (lo + hi), evaluated
+            redo[rows[contradicts(mass, 1.0)]] = True
+    lam = 0.5 * (lo + hi)
+    if redo.any():
+        lam[redo], evaluated[redo] = batch_frequency_bisection(a[redo], g[redo])
+    return lam, evaluated
 
 
 def batch_frequency_newton(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -52,8 +52,14 @@ def jeffreys_rows(h, log_h, c, log_c) -> np.ndarray:
 
 
 def jeffreys_to_set(x, s: WeightedHistogramSet) -> float:
-    """Weighted average Jeffreys divergence from ``x`` to every member of ``s``."""
-    xb = np.asarray(x, dtype=np.float64)
+    """Weighted average Jeffreys divergence from ``x`` to every member of ``s``.
+
+    An ``x`` that is not ``d`` numbers raises :class:`ValidationError`.
+    """
+    try:
+        xb = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("jeffreys_to_set requires a rectangular array of numbers") from exc
     m = s.matrix
     if xb.shape != (m.shape[1],):
         raise ValidationError(f"dimension mismatch: {xb.shape} vs d={m.shape[1]}")

@@ -71,10 +71,11 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
 
     A 0-d ``x`` (a Python or numpy scalar) gives a numpy scalar, and its
     step count as an ``int``.  Raises ``ValidationError`` for negative or
-    non-finite arguments.  Every Halley step runs on every lane, writing
-    into buffers of its own; a converged lane is frozen (it keeps its value
-    and its step count) while the rest keep iterating.  ``x`` and ``guess`` are
-    never written.  With ``return_iterations=True`` also returns the
+    non-finite arguments, for an ``x`` that is not a rectangular array of
+    numbers, and for a ``guess`` that is not numbers that broadcast to it.
+    Every Halley step runs on every lane, writing into buffers of its own;
+    a converged lane is frozen (it keeps its value and its step count)
+    while the rest keep iterating.  ``x`` and ``guess`` are never written.  With ``return_iterations=True`` also returns the
     per-element Halley step counts, which are only counted then.
 
     ``guess``, broadcastable to ``x``, starts Halley from the caller's
@@ -85,7 +86,10 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
     <= 6`` gives a value within 2 ulp of the cold start's; one farther away
     can raise :class:`NumericError`, see the module docstring.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("lambert_w0 requires a rectangular array of numbers") from exc
     squeeze = arr.ndim == 0
     if squeeze:
         arr = arr.reshape(1)
@@ -99,7 +103,10 @@ def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
     if guess is None:
         w = _cold_start(arr)
     else:
-        w = np.broadcast_to(np.asarray(guess, dtype=np.float64), arr.shape)
+        try:
+            w = np.broadcast_to(np.asarray(guess, dtype=np.float64), arr.shape)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError("lambert_w0's guess must be numbers that broadcast to x") from exc
         cold = ~(np.isfinite(w) & (w > 0.0) & (arr > 0.0))
         # A fresh array either way: the steps write into w, never into guess.
         w = np.where(cold, _cold_start(arr), w) if cold.any() else w.copy()

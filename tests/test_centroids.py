@@ -475,7 +475,8 @@ class TestWarmBisection:
 
         monkeypatch.setattr(centroids, "lambert_w0_values", recording)
         bisection_on_simplex(a, g)
-        cold = [i for i, guess in enumerate(guesses) if guess is None]
+        # The first halving's guess is NaN on every row: each lane starts cold.
+        cold = [i for i, guess in enumerate(guesses) if guess is None or np.isnan(guess).all()]
         assert cold == [0, BISECTION_HALVINGS]
 
 
@@ -518,9 +519,9 @@ class TestCertifiedBisection:
 
     def test_band_holds_the_exact_root(self):
         # The band's width rests on W0's measured 2-ulp bound; in 50 digits,
-        # every band of a known estimate must hold the root with room to
-        # spare: s(band_lo) - 1 and 1 - s(band_hi) at least half the margin
-        # 4 (d + 8) eps.  A band clipped at the bracket's top, 0, has no
+        # every band of an estimate must hold the root with room to spare:
+        # s(band_lo) - 1 and 1 - s(band_hi) at least half the margin
+        # 4 (d + 8) eps.  A band that reaches the bracket's top, 0, has no
         # upper end that a halving can reach.
         import jeffreys.centroids as centroids
 
@@ -533,11 +534,11 @@ class TestCertifiedBisection:
         problems.append(sparse_problem(5685, 10.0**-1.59375, 2, 2))
         for a, g in problems:
             estimate = self.fixedpoint_estimate(a, g)
-            known, band_lo, band_hi, _, _ = centroids._band(
+            band_lo, band_hi, _, _ = centroids._band(
                 a, _ratio(a, g), estimate, centroids._bracket(a, g), np.zeros(a.shape[0])
             )
             margin = 4.0 * (a.shape[1] + 8) * np.finfo(np.float64).eps
-            assert known.all()
+            assert np.isfinite(band_lo).all() and np.isfinite(band_hi).all()
             with mpmath.workdps(50):
                 for i in range(a.shape[0]):
                     assert self.exact_mass(a[i], g[i], band_lo[i]) - 1 >= margin / 2
@@ -564,6 +565,53 @@ class TestCertifiedBisection:
         # Each lockstep pass evaluates only the rows with a halving left.
         lockstep = calls[1:-1]
         assert lockstep == [int(np.sum(evaluated > k)) for k in range(evaluated.max())]
+
+    def test_rows_without_a_band_join_the_one_lockstep(self, monkeypatch):
+        # The fixed point's estimates, NaN on every fifth row and above the
+        # bracket on row 1.  Those rows have no band: each must come out
+        # bitwise as without an estimate, with 52 evaluations, while running
+        # in the one lockstep of _halvings with the other rows, where its
+        # first pass starts cold (a NaN guess).  W0 takes the band's pass,
+        # one pass per evaluated halving of the longest row, each guessed,
+        # any cold check of a final end, and the result's.
+        import jeffreys.centroids as centroids
+
+        a, g = self.harness_problems(5, 40, 16)
+        free = bisection_on_simplex(a, g)
+        estimate = self.fixedpoint_estimate(a, g)
+        no_band = np.arange(40) % 5 == 0
+        estimate[no_band] = np.nan
+        estimate[1], no_band[1] = 1.0, True
+        real = centroids._halvings
+        locksteps, guesses, lanes = [], [], []
+
+        def recording(*args):
+            locksteps.append(args[0].shape[0])
+            return real(*args)
+
+        def counting(x, **kw):
+            guesses.append(kw.get("guess"))
+            lanes.append(np.shape(x)[0])
+            return lambert_w0_values(x, **kw)
+
+        monkeypatch.setattr(centroids, "_halvings", recording)
+        monkeypatch.setattr(centroids, "lambert_w0_values", counting)
+        lam, coords, defect, evaluated = bisection_on_simplex(a, g, estimate)
+        for got, want in zip((lam, coords, defect), free):
+            assert np.array_equal(got[no_band], want[no_band])
+        assert np.all(evaluated[no_band] == BISECTION_HALVINGS)
+        assert np.all(evaluated[~no_band] < BISECTION_HALVINGS)
+        bitwise = (lam == free[0]) & np.all(coords == free[1], axis=1) & (defect == free[2])
+        assert np.all(bitwise | (np.abs(lam - free[0]) <= rounding_bound(a, g, lam)))
+        assert locksteps == [40]
+        passes = int(evaluated.max())
+        checks = len(guesses) - (1 + passes + 1)
+        assert 0 <= checks <= 2
+        guessed = [guess is not None for guess in guesses]
+        assert guessed == [False] + [True] * passes + [False] * (checks + 1)
+        assert lanes[1 : 1 + passes] == [int(np.sum(evaluated > k)) for k in range(passes)]
+        cold = np.isnan(guesses[1]).all(axis=1)
+        assert np.array_equal(cold, no_band[evaluated > 0])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -615,7 +663,8 @@ class TestCertifiedBisection:
         # off the root, still certified: the halvings decided without a pass
         # then put one end of the bracket on the root's wrong side, where no
         # evaluated halving moves it.  The check of that end must catch the
-        # row, which then runs the plain schedule.
+        # row, which is then solved again without an estimate: the plain
+        # schedule.  The stub shifts the outer call's bands only.
         import jeffreys.centroids as centroids
 
         a, g = self.harness_problems(11, 8, 16)
@@ -624,9 +673,11 @@ class TestCertifiedBisection:
         real = centroids._band
 
         def off_the_root(a, ratio, estimate, lo, hi):
-            certified, band_lo, band_hi, lam, w = real(a, ratio, estimate, lo, hi)
+            band_lo, band_hi, lam, w = real(a, ratio, estimate, lo, hi)
+            if a.shape[0] != shifted.size:  # the re-solve of the caught rows
+                return band_lo, band_hi, lam, w
             off = np.where(shifted, side * 1e6 * (band_hi - band_lo), 0.0)
-            return certified, band_lo + off, band_hi + off, lam, w
+            return band_lo + off, band_hi + off, lam, w
 
         monkeypatch.setattr(centroids, "_band", off_the_root)
         lam, coords, defect, evaluated = bisection_on_simplex(
@@ -658,15 +709,17 @@ class TestCertifiedBisection:
         free = bisection_on_simplex(a, g)
         delta = 8.0 * rounding_region(a, g, free[0])  # the band's half-width at the root
         index = {row.tobytes(): i for i, row in enumerate(a)}
-        real = centroids._halvings
+        real = centroids.batch_frequency_bisection
         rerun = []
 
-        def recording(a, ratio, lo, hi, count, w=None, prev=None):
-            if w is None:  # the plain schedule, cold from the bracket
+        # This module's batch_frequency_bisection is the outer call, so the
+        # spy sees only the re-solves of rows that the check catches.
+        def recording(a, g, estimate=None):
+            if estimate is None:  # the plain schedule, cold from the bracket
                 rerun.extend(index[row.tobytes()] for row in a)
-            return real(a, ratio, lo, hi, count, w, prev)
+            return real(a, g, estimate)
 
-        monkeypatch.setattr(centroids, "_halvings", recording)
+        monkeypatch.setattr(centroids, "batch_frequency_bisection", recording)
         for side in (-1.0, 1.0):
             rerun.clear()
             lam, coords, defect, evaluated = bisection_on_simplex(a, g, free[0] + side * k * delta)
@@ -753,23 +806,6 @@ class TestScalarBisection:
         assert frequency_centroid_bisection(s).iterations == BISECTION_HALVINGS
         assert len(calls) == int(steps[0]) + 1 + evaluated + 1
         assert len(calls) < 30
-
-    def test_newton_failure_runs_the_estimate_free_schedule(self, rng, monkeypatch):
-        import jeffreys.centroids as centroids
-
-        s = random_frequency_set(rng, n=4, d=16)
-        a, g = normalized_means(s)
-        lam, coords, defect, _ = bisection_on_simplex(a[None], g[None])
-
-        def failing(a, g):
-            return np.full(a.shape[0], np.nan), np.full(a.shape[0], 100)
-
-        monkeypatch.setattr(centroids, "batch_frequency_newton", failing)
-        calls = self.counting(monkeypatch)
-        r = frequency_centroid_bisection(s)
-        assert len(calls) == BISECTION_HALVINGS + 1
-        assert np.array_equal(r.centroid, coords[0])
-        assert (r.lambda_star, r.simplex_defect) == (min(lam[0], 0.0), defect[0])
 
 
 def sparse_problem(seed, alpha, d, n):
@@ -1229,17 +1265,30 @@ class TestOneFailureContract:
             assert lam[~unfinished].tobytes() == free_lam[~unfinished].tobytes()
             assert np.array_equal(count, np.minimum(free_count, 1))
 
-    def test_bisection_runs_the_estimate_free_schedule(self, rng, monkeypatch):
-        # Newton's one pass, the 52 halvings and the result's: the band
-        # takes no pass for a row without an estimate.
+    @pytest.mark.parametrize("failure", ["nan-stub", "cap-1"])
+    def test_bisection_runs_the_estimate_free_schedule(self, rng, monkeypatch, failure):
+        # Newton's passes (none for a stub that returns NaN, one at a cap of
+        # one step), the 52 halvings and the result's: the band takes no
+        # pass for a row without an estimate.
+        import jeffreys.centroids as centroids
+
         s = random_frequency_set(rng, n=4, d=16)
         a, g = normalized_means(s)
         lam, coords, defect, _ = bisection_on_simplex(a[None], g[None])
-        self.capped(monkeypatch)
-        assert np.isnan(batch_frequency_newton(a[None], g[None])[0]).all()
+        if failure == "nan-stub":
+            newton_passes = 0
+
+            def failing(a, g):
+                return np.full(a.shape[0], np.nan), np.full(a.shape[0], 100)
+
+            monkeypatch.setattr(centroids, "batch_frequency_newton", failing)
+        else:
+            newton_passes = 1
+            self.capped(monkeypatch)
+        assert np.isnan(centroids.batch_frequency_newton(a[None], g[None])[0]).all()
         calls = TestScalarBisection.counting(monkeypatch)
         r = frequency_centroid_bisection(s)
-        assert len(calls) == 1 + BISECTION_HALVINGS + 1
+        assert len(calls) == newton_passes + BISECTION_HALVINGS + 1
         assert r.centroid.tobytes() == coords[0].tobytes()
         assert (r.lambda_star, r.simplex_defect) == (min(lam[0], 0.0), defect[0])
 

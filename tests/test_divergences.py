@@ -176,6 +176,15 @@ class TestSetAverages:
         x = rng.uniform(0.01, 1.0, size=5)
         assert jeffreys_to_set(x, s) == pytest.approx(jeffreys(x, member), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "x", [[0.5, 0.25, 0.25], [0.5, "a"], [0.5, [0.25, 0.25]], "ab", [0.5, 10**400]],
+        ids=["dimension", "string-bin", "ragged", "string", "huge-int"],
+    )
+    def test_invalid_input_is_validation_error(self, x):
+        s = WeightedHistogramSet([[0.2, 0.8], [0.5, 0.5]], frequency=True)
+        with pytest.raises(ValidationError):
+            jeffreys_to_set(x, s)
+
     def test_zero_when_equal_to_every_member(self):
         member = np.array([0.2, 0.8])
         s = WeightedHistogramSet([member, member], frequency=True)

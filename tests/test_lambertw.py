@@ -72,6 +72,14 @@ class TestContract:
             lambert_w0_values(float("inf"))
         with pytest.raises(ValidationError):
             lambert_w0_values(np.array([1.0, -2.0]))
+        # Input that is not a rectangular array of numbers, and a guess that
+        # does not broadcast to x, are the caller's error too.
+        for x, kw in (
+            ("abc", {}), ([1, [2, 3]], {}), (object(), {}), (10**400, {}),
+            (np.ones(3), {"guess": np.ones(2)}), (np.ones(3), {"guess": "a"}),
+        ):
+            with pytest.raises(ValidationError):
+                lambert_w0_values(x, **kw)
 
     def test_round_trip_moderate_range(self):
         # Where W(x) <= 7 the round trip is exact to a few epsilons.
