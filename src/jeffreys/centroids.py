@@ -41,13 +41,16 @@ returns ``(lam, count)`` per row, with ``lam`` NaN on a row it has no
 multiplier for: NaN is the one "no multiplier" signal.  Every centroid
 is finished once, by :func:`_on_simplex`, which raises
 :class:`NumericError` on a NaN multiplier and checks the simplex defect
-against :data:`SIMPLEX_TOL`.  The bisection always makes 52 halvings.
-On its own it evaluates every one, 52 ``W0`` passes, and starts each
-halving but the first from the previous pass's ``W``.  Given a root
-estimate per row, it takes one pass at the estimate for a narrow band
-around it, decides every halving whose midpoint is outside the band
-without a pass, and evaluates only the rest, about 10; a row without a
-usable estimate has no band and evaluates all 52.  Every row runs in one
+against :data:`SIMPLEX_TOL`.  All three start each ``W0`` pass but their
+first warm, from the previous pass's ``W`` moved along its tangent to
+the new multiplier: :func:`_tangent` forms that guess, and a multiplier
+step longer than :data:`_TANGENT_REACH` starts cold.  The bisection
+always makes 52 halvings.  On its own it evaluates every one, 52 ``W0``
+passes.  Given a root estimate per row, it takes one pass at the
+estimate for a narrow band around it, decides every halving whose
+midpoint is outside the band without a pass, and evaluates only the
+rest, about 10; a row without a usable estimate has no band and
+evaluates all 52.  Every row runs in one
 lockstep of ``W0`` passes, and a row whose final bracket end, decided by
 the band alone, fails its check is solved again without an estimate.
 The safeguarded Newton on ``log s(lam) = 0`` keeps the same bracket and
@@ -119,6 +122,14 @@ _EPS = float(np.finfo(np.float64).eps)
 #: are random, it does not stall the CPU: three times as fast on 8,192 rows,
 #: though twice as slow on one.
 _FAR = 1e300
+
+#: Longest multiplier step across which :func:`_tangent` forms a warm ``W0`` guess.
+#: ``W`` as a function of ``t = log x`` has ``W'' = W / (1 + W)**3 <= 4 / 27``,
+#: so the tangent is off by at most ``2 * step**2 / 27``: 1.19 at this bound,
+#: inside the warm region of :func:`~jeffreys.lambertw.lambert_w0_values`
+#: (``0 < guess <= 2 W``, ``|guess - W| <= 6``).  It covers every warm halving
+#: of the bisection, at most ``(1 + log d) / 4``, for ``d`` up to ``e**15``.
+_TANGENT_REACH = 4.0
 
 #: Stop the fixed-point iteration once |lam_l - lam_{l-1}| falls below this.
 FIXEDPOINT_TOL = 1e-14
@@ -221,6 +232,23 @@ def _w0_at(ratio: np.ndarray, lam=0.0, **kw):
     pass and its lanes.
     """
     return lambert_w0_values(ratio * np.exp(lam + 1.0)[..., None], **kw)
+
+
+def _tangent(w: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The warm ``W0`` guess ``w + step * w / (1 + w)``: the one place it is formed.
+
+    ``w`` holds ``(T, d)`` values ``W0`` took at some multipliers, and
+    ``step`` the ``(T,)`` moves from them to the multipliers of the next
+    pass.  ``W`` is convex in ``t = log x`` with ``dW/dt = W / (1 + W)``,
+    and a multiplier step moves ``t`` by ``step``, so the tangent is a
+    lower bound on the new root, off by at most ``2 * step**2 / 27``.  A
+    row whose ``|step|`` exceeds :data:`_TANGENT_REACH`, or is NaN, gets a
+    NaN guess, and a NaN ``w`` gives one too:
+    :func:`~jeffreys.lambertw.lambert_w0_values` starts such lanes cold,
+    as it does those where the tangent is not positive.
+    """
+    step = np.where(np.abs(step) <= _TANGENT_REACH, step, np.nan)
+    return w + step[:, None] * w / (1.0 + w)
 
 
 def _coordinates(a: np.ndarray, ratio: np.ndarray, lam=0.0) -> np.ndarray:
@@ -348,9 +376,9 @@ def _halvings(a, ratio, lo, hi, count, w, prev):
     ``[lo, mid]``.  The rows run in lockstep, and a row retires at the top
     of the step after its count, so one with ``count == 0`` takes no pass:
     each pass evaluates only the rows still running.  Each pass starts
-    Halley from the previous pass's ``W`` moved along its tangent (see
-    :func:`batch_frequency_bisection`); the first starts from ``w``, the
-    ``W0`` values at ``prev``.  A row whose ``w`` is NaN gets a NaN guess,
+    Halley from the previous pass's ``W`` moved along its tangent
+    (:func:`_tangent`); the first starts from ``w``, the ``W0`` values at
+    ``prev``.  A row whose ``w`` is NaN gets a NaN guess,
     which :func:`~jeffreys.lambertw.lambert_w0_values` replaces by its cold
     start, so its first pass starts cold.  No row's result depends on the
     other rows.
@@ -374,7 +402,7 @@ def _halvings(a, ratio, lo, hi, count, w, prev):
         if not rows.size:
             break
         mid = 0.5 * (lo + hi)
-        w = _w0_at(ratio, mid, guess=w + (mid - prev)[:, None] * w / (1.0 + w))
+        w = _w0_at(ratio, mid, guess=_tangent(w, mid - prev))
         ge = _row_sums(a / w) >= 1.0
         lo = np.where(ge, mid, lo)
         hi = np.where(ge, hi, mid)
@@ -455,11 +483,11 @@ def batch_frequency_bisection(
     for pass and bit for bit, and a NaN row takes no other pass.
 
     Each evaluated halving after a row's first starts Halley from the
-    previous pass's ``W``.  ``W`` is convex in ``t = log x`` with ``dW/dt =
-    W / (1 + W)``, and consecutive midpoints move ``t`` by ``mid - prev``,
-    so the tangent ``W + (mid - prev) * W / (1 + W)`` is a lower bound on
-    the new root, off by ``O((mid - prev)**2)``; late halvings converge in
-    one step.
+    previous pass's ``W`` moved along its tangent by ``mid - prev``
+    (:func:`_tangent`), a lower bound on the new root off by at most
+    ``2 (mid - prev)**2 / 27``; late halvings converge in one step.  A
+    warm halving moves at most a quarter of the bracket, ``(1 + log d) /
+    4``, within :data:`_TANGENT_REACH` for ``d`` up to ``e**15``.
 
     A final bracket end that a halving set without a pass, and that no
     evaluated halving moved since, rests on the band alone.  One cold pass
@@ -525,7 +553,10 @@ def batch_frequency_newton(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
     and a step that leaves the bracket is replaced by its midpoint.  A row
     stops once its raw Newton step, tested before that safeguard, is at
     most ``4 eps * max(1, |lam|)``; tested after it, the last ulp-sized
-    steps would turn into midpoints.
+    steps would turn into midpoints.  Each pass but the first starts
+    Halley from the last pass's ``W`` moved along its tangent to the new
+    multiplier (:func:`_tangent`); a row that has stopped keeps its
+    multiplier, so its guess is its ``W`` and it takes one Halley step.
 
     Every row takes at least one step; on a row of identical members the
     first raw step already meets the stop test.  A root outside the
@@ -540,10 +571,13 @@ def batch_frequency_newton(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
     lam = np.clip(_kl_multiplier(a, np.log(g)), lo, hi)
     steps = np.zeros(a.shape[0], dtype=np.int64)
     active = np.ones(a.shape[0], dtype=bool)
+    # The last pass's W0 values and the multipliers they were taken at.
+    w = lam_w = None
     for _ in range(_NEWTON_CAP):
         if not active.any():
             break
-        w = _w0_at(ratio, lam)
+        w = _w0_at(ratio, lam, guess=None if w is None else _tangent(w, lam - lam_w))
+        lam_w = lam
         c = a / w
         mass = _row_sums(c)
         raw = np.log(mass) * mass / _row_sums(c / (1.0 + w))
@@ -575,7 +609,12 @@ def batch_frequency_fixedpoint(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray
     multiplier and its count, and later passes evaluate only the rows still
     running, so a pass costs ``W0`` lanes for those rows alone.  Returns
     ``(lam, iterations)`` per row; a row that reaches the cap unconverged
-    has ``lam`` NaN and ``iterations`` equal to the cap.
+    has ``lam`` NaN and ``iterations`` equal to the cap.  Each pass but the
+    first starts Halley from the last pass's ``W`` moved along its tangent
+    to the new multiplier (:func:`_tangent`), and a row retires its ``W``
+    with the rest of its arrays.  The start ``lam_0`` is not clipped to the
+    bracket, so on sparse sets the first step can move it by more than
+    50; the second pass then starts cold where the tangent would not reach.
 
     On sparse sets the steps ``d_l = lam_l - lam_{l-1}`` alternate in sign
     and shrink slowly, or geometrically by a steady ratio.  A row whose
@@ -607,10 +646,15 @@ def batch_frequency_fixedpoint(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray
     # The previous step ratio d_{l-1} / d_{l-2} per row, from the 8th map
     # evaluation on; NaN before, and where a step had no plain predecessor.
     prev_rate = np.full(a.shape[0], np.nan)
+    # The last pass's W0 values and the multipliers they were taken at.
+    w = lam_w = None
     for step in range(1, _FIXEDPOINT_CAP + 1):
         if not rows.size:
             break
-        lam_next = _kl_multiplier(_simplex_coordinates(a, ratio, lam), log_g)
+        w = _w0_at(ratio, lam, guess=None if w is None else _tangent(w, lam - lam_w))
+        lam_w = lam
+        coords = a / w
+        lam_next = _kl_multiplier(coords / _row_sums(coords)[:, None], log_g)
         if not np.all(np.isfinite(lam_next)):
             raise NumericError(f"fixedpoint: multiplier is not finite at step {step}")
         delta = lam_next - lam
@@ -636,8 +680,9 @@ def batch_frequency_fixedpoint(a: np.ndarray, g: np.ndarray) -> tuple[np.ndarray
             # Rebinding frees the arrays that hold retired rows.  take() on
             # row indices copies far faster than a boolean mask on (T, d).
             keep = np.flatnonzero(~converged)
-            rows, a, ratio, log_g, lam, prev, prev_rate = (
-                x.take(keep, axis=0) for x in (rows, a, ratio, log_g, lam, prev, prev_rate)
+            rows, a, ratio, log_g, lam, prev, prev_rate, w, lam_w = (
+                x.take(keep, axis=0)
+                for x in (rows, a, ratio, log_g, lam, prev, prev_rate, w, lam_w)
             )
     return lam_out, iterations
 

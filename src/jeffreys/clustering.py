@@ -23,7 +23,7 @@ import numpy as np
 from . import centroids
 from .centroids import MODES
 from .divergences import jeffreys_rows
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_count
 from .histograms import WeightedHistogramSet
 
 
@@ -43,10 +43,8 @@ class ClusteringConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError(f"k must be at least 1, got {self.k}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        for name, least in (("k", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
         if self.centroid_mode not in MODES or MODES[self.centroid_mode].builder is None:
             choices = [name for name, mode in MODES.items() if mode.builder]
             raise ValidationError(

@@ -39,7 +39,7 @@ from .centroids import _coordinates, _normalized_means, _on_simplex, _ratio
 from .centroids import batch_frequency_bisection as _batch_bisection
 from .centroids import batch_frequency_fixedpoint as _batch_fixedpoint
 from .divergences import _row_sums, jeffreys_rows
-from .errors import ValidationError
+from .errors import check_count
 
 #: Trials per chunk of :func:`run_alpha_trials`, each with its own RNG stream.
 _CHUNK_SIZE = 8192
@@ -167,14 +167,11 @@ def run_alpha_trials(
     spawned from ``seed``, so results are identical for any ``threads``
     value.
     """
-    if num_trials < 1:
-        raise ValidationError(f"num_trials must be at least 1, got {num_trials}")
-    if d < 2:
-        raise ValidationError(f"d must be at least 2, got {d}")
-    if histograms_per_trial < 2:
-        raise ValidationError("trials need at least two histograms")
-    if threads < 1:
-        raise ValidationError(f"threads must be at least 1, got {threads}")
+    num_trials = check_count("num_trials", num_trials, 1)
+    d = check_count("d", d, 2)
+    seed = check_count("seed", seed, 0)
+    histograms_per_trial = check_count("histograms_per_trial", histograms_per_trial, 2)
+    threads = check_count("threads", threads, 1)
 
     sizes = [_CHUNK_SIZE] * (num_trials // _CHUNK_SIZE)
     if num_trials % _CHUNK_SIZE:

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """One digest of the CLI's stdout and exit codes on the benchmark's inputs.
 
-    python3 tests/cli_digest.py CHECKOUT [SEED ...]
+    python3 tests/cli_digest.py CHECKOUT [SEED ...] [--dump PATH]
+    python3 tests/cli_digest.py --compare OLD NEW
 
 Imports ``jeffreys`` from ``CHECKOUT/src`` and, for each seed (default 7
 and 11), builds the ``sparse-small`` and ``dense-csv`` inputs of
@@ -26,8 +27,22 @@ the package reaches ``W0``, and the values they took, over all calls; the
 counting wrapper hands arguments and results through untouched.  Run one
 copy of this file against each checkout: the workload definitions come
 from this file's own repository, and nothing is written into either
-checkout.  Not collected by pytest: its name does
-not start with ``test_``.
+checkout.
+
+``--dump PATH`` also writes one JSON line per call to ``PATH``: its
+``label`` (the command and its mode, as ``bench/workloads.py`` names
+them, e.g. ``centroid --mode fixedpoint``), its ``argv`` (input paths
+relative to the temporary directory), its exit ``code`` and its
+``stdout``, with ``wall_clock_seconds`` masked.  ``--compare OLD NEW``
+reads two dumps of the same calls and prints, per label, the calls, how
+many gave the same exit code and stdout byte for byte, and the largest
+relative difference ``|x - y| / max(|x|, |y|)`` over the numbers in
+their stdout; under it, each field whose numbers moved, with its largest
+relative difference and the two values that attain it (a CSV's
+``bin_<i>`` columns are one field, ``bin_*``).  It exits 1 if the dumps
+hold different calls, or a call's output differs in anything but its
+numbers.  Not collected by pytest: its name does not start with
+``test_``.
 """
 
 from __future__ import annotations
@@ -43,6 +58,8 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
+import math
 import re
 import sys
 import tempfile
@@ -77,6 +94,91 @@ def _masked(stdout: str) -> str:
         row[column] = "0"
         lines[1] = ",".join(row)
     return "\n".join(lines)
+
+
+def _label(argv) -> str:
+    """The command and its mode, e.g. ``centroid --mode fixedpoint``, as ``Op.label`` reads it."""
+    flag = {"centroid": "--mode", "kmeans": "--centroid-mode", "bench": "--dims"}[argv[0]]
+    return f"{argv[0]} {flag} {argv[argv.index(flag) + 1]}"
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _fields(stdout: str) -> list[tuple[str, object]]:
+    """``(name, value)`` of every value in a call's stdout: numbers as floats, the rest as text.
+
+    JSON values are named by their key path; a CSV block (a header and its
+    rows, blocks split by blank lines) names a cell by its column, led by
+    the row's first cell where the block has several rows.
+    """
+    try:
+        payload = json.loads(stdout)
+    except ValueError:
+        out = []
+        for block in stdout.strip().split("\n\n"):
+            header, *rows = (line.split(",") for line in block.splitlines())
+            for row in rows:
+                lead = f"{row[0]} " if len(rows) > 1 else ""
+                for name, cell in zip(header, row):
+                    value = _number(cell)
+                    out.append((lead + name, cell if value is None else value))
+        return out
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from walk(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for item in value:
+                yield from walk(item, path)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path, float(value)
+        else:
+            yield path, value
+
+    return list(walk(payload, ""))
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print each label's largest relative difference between two dumps; see the module docstring."""
+    olds, news = ([json.loads(line) for line in Path(p).read_text().splitlines()]
+                  for p in (old_path, new_path))
+    if [c["argv"] for c in olds] != [c["argv"] for c in news]:
+        print("the dumps hold different calls")
+        return 1
+    # label -> [calls, identical, {field: the worst (rel, old, new)}]
+    rows: dict[str, list] = {}
+    status = 0
+    for old, new in zip(olds, news):
+        row = rows.setdefault(old["label"], [0, 0, {}])
+        row[0] += 1
+        if old["code"] == new["code"] and old["stdout"] == new["stdout"]:
+            row[1] += 1
+            continue
+        a, b = _fields(old["stdout"]), _fields(new["stdout"])
+        if old["code"] != new["code"] or [n for n, _ in a] != [n for n, _ in b] or any(
+            isinstance(x, str) and x != y for (_, x), (_, y) in zip(a, b)
+        ):
+            print(f"differs in more than its numbers: {' '.join(old['argv'])}")
+            status = 1
+            continue
+        for (name, x), (_, y) in zip(a, b):
+            if isinstance(x, float) and x != y:
+                rel = abs(x - y) / max(abs(x), abs(y))
+                name = re.sub(r"_\d+$", "_*", name)  # one field for every CSV bin
+                if not rel <= row[2].get(name, (0.0,))[0]:  # a NaN difference is the worst
+                    row[2][name] = (rel, x, y)
+    print(f"{'label':<50} {'calls':>5} {'same':>5}  max rel")
+    for label, (calls, same, worst) in rows.items():
+        print(f"{label:<50} {calls:>5} {same:>5}  {max((w[0] for w in worst.values()), default=0.0):.2e}")
+        for name, (rel, x, y) in sorted(worst.items(), key=lambda item: -item[1][0]):
+            print(f"    {name}: {rel:.2e}, {x!r} -> {y!r}")
+    return status
 
 
 def _weighted_copy(path: Path, seed: int, rows: int = 200) -> Path:
@@ -117,7 +219,14 @@ def _calls(workloads, modes, kmeans_modes, seed: int, root: Path):
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
+    dump_path = None
+    if "--dump" in argv[:-1]:
+        at = argv.index("--dump")
+        dump_path = argv[at + 1]
+        argv = argv[:at] + argv[at + 2:]
+    if not argv or argv[0].startswith("-"):
         sys.stderr.write(__doc__)
         return 64
     src = (Path(argv[0]) / "src").resolve()
@@ -145,7 +254,8 @@ def main(argv: list[str]) -> int:
         return lambert_w0_values(x, *args, **kw)
 
     jeffreys.centroids.lambert_w0_values = counting
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            open(dump_path, "w") if dump_path else contextlib.nullcontext() as dump:
         for seed in seeds:
             for call in _calls(workloads, modes, kmeans_modes, seed, Path(tmp) / str(seed)):
                 out = io.StringIO()
@@ -153,8 +263,13 @@ def main(argv: list[str]) -> int:
                         contextlib.redirect_stderr(io.StringIO()):
                     warnings.simplefilter("ignore")
                     code = jeffreys.cli.main(call)
-                digest.update(f"{code}\n".encode() + _masked(out.getvalue()).encode() + b"\0")
+                stdout = _masked(out.getvalue())
+                digest.update(f"{code}\n".encode() + stdout.encode() + b"\0")
                 calls += 1
+                if dump:
+                    argv_rel = [a.replace(tmp + os.sep, "") for a in call]
+                    dump.write(json.dumps({"label": _label(call), "argv": argv_rel,
+                                           "code": code, "stdout": stdout}) + "\n")
     print(calls, digest.hexdigest())
     print("w0", *w0)
     return 0

@@ -901,7 +901,7 @@ class TestBatchNewton:
 
         raw_a, raw_g = _means(canonical_set())
         arith, geom = _normalized_means(raw_a[None], raw_g[None])
-        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x: 4.0 * lambert_w0_values(x))
+        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x, **kw: 4.0 * lambert_w0_values(x))
         lam, steps = batch_frequency_newton(arith, geom)
         assert np.isnan(lam).all() and steps[0] == centroids._NEWTON_CAP
         with pytest.raises(NumericError, match="frequency_exact: no multiplier on 1 of 1 rows"):
@@ -931,7 +931,7 @@ class TestBatchNewton:
             passes = before + steps + 1
             calls = []
 
-            def on_last_pass(x):
+            def on_last_pass(x, **kw):
                 calls.append(1)
                 w = lambert_w0_values(x)
                 return corrupt(w) if len(calls) == passes else w
@@ -1099,7 +1099,7 @@ class TestBatchFixedPoint:
         a, g, _ = self.mixed_stack(d)
         lanes = []
 
-        def counting(x):
+        def counting(x, **kw):
             lanes.append(x.size)
             return lambert_w0_values(x)
 
@@ -1132,7 +1132,7 @@ class TestBatchFixedPoint:
         g = np.vstack([geom for _, geom in problems])
         calls = []
 
-        def counting(x):
+        def counting(x, **kw):
             calls.append(x.shape)
             return lambert_w0_values(x)
 
@@ -1140,6 +1140,117 @@ class TestBatchFixedPoint:
         lam, iterations = batch_frequency_fixedpoint(a, g)
         assert not np.isnan(lam).any() and iterations.min() > 7
         assert len(calls) == iterations.max()
+
+
+class TestWarmPasses:
+    """Newton and the fixed point start each pass but the first from the tangent guess."""
+
+    @staticmethod
+    def spy_guesses(monkeypatch):
+        """Record ``(guess, step, W)`` for every ``W0`` pass that takes a guess.
+
+        The guess is :func:`centroids._tangent`'s, handed to ``W0``
+        untouched; ``step`` is the multiplier step it was formed across,
+        one per lane.
+        """
+        import jeffreys.centroids as centroids
+
+        real_tangent, real_w0, pending, seen = centroids._tangent, lambert_w0_values, [], []
+
+        def tangent(w, step):
+            guess = real_tangent(w, step)
+            pending.append((guess, np.broadcast_to(step[:, None], guess.shape)))
+            return guess
+
+        def w0(x, **kw):
+            w = real_w0(x, **kw)
+            if kw.get("guess") is not None:
+                guess, step = pending.pop()
+                assert guess is kw["guess"]
+                seen.append((guess, step, w))
+            return w
+
+        monkeypatch.setattr(centroids, "_tangent", tangent)
+        monkeypatch.setattr(centroids, "lambert_w0_values", w0)
+        return seen
+
+    @pytest.mark.parametrize("solver", [batch_frequency_newton, batch_frequency_fixedpoint])
+    @pytest.mark.parametrize("problems", ["sparse", 16])
+    def test_matches_cold_start(self, monkeypatch, solver, problems):
+        # Measured on these inputs: |lam_warm - lam_cold| at most 4 eps, at
+        # most 3 counts of 2,000 moved, and 1 to 4 Halley steps per warm pass.
+        import jeffreys.centroids as centroids
+
+        if problems == "sparse":
+            a, g = TestWarmBisection.sparse_problems()
+        else:
+            a, g = TestWarmBisection.uniform_problems(problems)
+        steps = []
+
+        def counting(x, **kw):
+            w, n = lambert_w0_values(x, return_iterations=True, **kw)
+            steps.append(int(n.max()))
+            return w
+
+        monkeypatch.setattr(centroids, "lambert_w0_values", counting)
+        lam, count = solver(a, g)
+        warm = steps[1:]
+        steps.clear()
+        # The cold reference drops every guess.
+        monkeypatch.setattr(centroids, "lambert_w0_values", lambda x, **kw: counting(x))
+        cold_lam, cold_count = solver(a, g)
+
+        assert np.abs(lam - cold_lam).max() <= 8.0 * np.finfo(np.float64).eps
+        assert np.count_nonzero(count != cold_count) <= a.shape[0] // 100
+        assert set(steps) == {4} and max(warm) <= 4 and np.mean(warm) <= 3.0
+
+    def test_far_start_is_cold(self, monkeypatch):
+        # Dirichlet(0.01) means whose start lam_0 = -KL(a : g) lies 55 below the
+        # bracket: the first step moves lam by more than 50, and the tangent
+        # across it would guess far below W0, where Halley does not converge.
+        a, g = sparse_problem(2, 0.01, 64, 3)
+        lam_0 = _kl_multiplier(a, np.log(g))
+        assert _bracket(a, g) - lam_0 > 50.0
+        seen = self.spy_guesses(monkeypatch)
+        lam, iterations = batch_frequency_fixedpoint(a, g)
+        assert len(seen) == iterations[0] - 1
+        first_guess, first_step, _ = seen[0]
+        assert np.abs(first_step).min() > 50.0 and np.isnan(first_guess).all()
+        assert np.abs(lam - batch_frequency_bisection(a, g)[0]).max() <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_alpha=st.floats(-3.0, -1.0),
+        log_epsilon=st.floats(-300.0, -3.0),
+        dense=st.booleans(),
+        d=st.integers(2, 2048),
+        n=st.integers(2, 11),
+    )
+    def test_guesses_stay_in_the_warm_region(self, seed, log_alpha, log_epsilon, dense, d, n):
+        # W is convex in log x with W'' <= 4/27, so every tangent guess is a
+        # lower bound on its root, off by at most 2 step**2 / 27 plus rounding.
+        # A step longer than the reach gives NaN, a cold start; so does a
+        # tangent <= 0, which lambert_w0_values does not take as a guess.
+        rng = np.random.default_rng(seed)
+        if dense:
+            rows = random_frequency_rows(rng, 1, n, d)[0]
+        else:
+            rows = smooth_bins(rng.dirichlet(np.full(d, 10.0**log_alpha), size=n), 10.0**log_epsilon)
+        weights = np.full(n, 1.0 / n)
+        a, g = _normalized_means((weights @ rows)[None], np.exp(weights @ np.log(rows))[None])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = self.spy_guesses(monkeypatch)
+            lam, _ = batch_frequency_newton(a, g)
+            batch_frequency_fixedpoint(a, g)
+            batch_frequency_bisection(a, g, lam)
+        eps = np.finfo(np.float64).eps
+        for guess, step, w in seen:
+            finite = np.isfinite(guess)
+            assert np.all(np.abs(step[finite]) <= 4.0)
+            guess, step, w = guess[finite], step[finite], w[finite]
+            assert np.all(guess <= w * (1.0 + 8.0 * eps))
+            assert np.all(w - guess <= 2.0 * step**2 / 27.0 + 8.0 * eps * w)
 
 
 class TestFixedAccuracy:

@@ -150,6 +150,37 @@ def test_w0_argument_is_formed_in_one_place(monkeypatch):
     assert callers_of(jeffreys.run_alpha_trials, 200, 3, seed=1) == {"_w0_at"}
 
 
+def test_w0_guess_is_formed_in_one_place(monkeypatch):
+    # Every warm start that reaches W0 is centroids._tangent's guess, handed
+    # over untouched, so its reach, which keeps each guess inside W0's warm
+    # region, has one place to hold for the bisection, Newton and the fixed point.
+    real_tangent, real_w0 = centroids._tangent, centroids.lambert_w0_values
+    formed, taken = [], []
+
+    def tangent(*args):
+        formed.append(real_tangent(*args))
+        return formed[-1]
+
+    def spy(*args, **kwargs):
+        if kwargs.get("guess") is not None:
+            taken.append(kwargs["guess"])
+        return real_w0(*args, **kwargs)
+
+    monkeypatch.setattr(centroids, "_tangent", tangent)
+    monkeypatch.setattr(centroids, "lambert_w0_values", spy)
+    rng = np.random.default_rng(5)
+    sparse = jeffreys.WeightedHistogramSet(
+        jeffreys.smooth_bins(rng.dirichlet(np.full(32, 0.02), size=4)), frequency=True
+    )
+    for name, mode in centroids.MODES.items():
+        if mode.solver:
+            getattr(centroids, mode.solver)(sparse)
+        if mode.builder:
+            jeffreys.kmeans(sparse, jeffreys.ClusteringConfig(k=2, centroid_mode=name, seed=0))
+    jeffreys.run_alpha_trials(200, 3, seed=1)
+    assert taken and len(taken) == len(formed) and all(t is f for t, f in zip(taken, formed))
+
+
 def test_centroid_maths_exists_once(monkeypatch):
     # Each mode's centroid function is written once, in centroids: k-means
     # relocation runs the one that the scalar API runs, named by MODES.
@@ -215,3 +246,32 @@ def test_each_frequency_centroid_is_finished_once(monkeypatch):
     with pytest.warns(RuntimeWarning, match="did not contract"):
         assert jeffreys.frequency_centroid_fixedpoint(s).fallback
     assert labels == ["fixedpoint"]
+
+
+#: Calls with one count argument that is not an integer.
+NOT_INTEGERS = [
+    (jeffreys.ClusteringConfig, {"k": 2.5}),
+    (jeffreys.ClusteringConfig, {"k": True}),
+    (jeffreys.ClusteringConfig, {"k": 2, "max_iterations": 10.0}),
+    (jeffreys.ClusteringConfig, {"k": 2, "seed": 1.5}),
+    (jeffreys.run_alpha_trials, {"num_trials": 10.5, "d": 2}),
+    (jeffreys.run_alpha_trials, {"num_trials": True, "d": 2}),
+    (jeffreys.run_alpha_trials, {"num_trials": 10, "d": 2.5}),
+    (jeffreys.run_alpha_trials, {"num_trials": 10, "d": 2, "seed": "1"}),
+    (jeffreys.run_alpha_trials, {"num_trials": 10, "d": 2, "histograms_per_trial": np.float64(3)}),
+    (jeffreys.run_alpha_trials, {"num_trials": 10, "d": 2, "threads": 1.5}),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs", NOT_INTEGERS)
+def test_counts_must_be_integers(fn, kwargs):
+    with pytest.raises(jeffreys.ValidationError, match="must be an integer"):
+        fn(**kwargs)
+
+
+def test_numpy_integer_counts_pass():
+    config = jeffreys.ClusteringConfig(k=np.int64(2), max_iterations=np.uint8(5), seed=np.int32(3))
+    assert (config.k, config.max_iterations, config.seed) == (2, 5, 3)
+    assert type(config.k) is int
+    data = jeffreys.run_alpha_trials(np.int64(10), np.int32(2), seed=np.uint16(1), threads=np.int8(1))
+    assert data.w_c.shape == (10,)
