@@ -1,16 +1,10 @@
 """Jeffreys k-means over weighted histogram sets.
 
 Lloyd iteration with the Jeffreys divergence as the assignment distance.
-The relocation step runs one of four centroid updates, the rows of
-:data:`jeffreys.centroids.MODES` that name a ``builder``: the exact
-positive centroid (``positive``), the normalized approximation
-(``normalized``), a single fixed-point refinement, the variational scheme
-(``frequency_fixedpoint_1step``), or the exact frequency centroid
-(``frequency_exact``).  Each builder is the mode's one centroid function in
-:mod:`jeffreys.centroids`, the one the scalar API runs at ``T = 1``; here
-it runs on every cluster at once.  Every update is guarded against the
-previous centroid, so the objective trace is non-increasing for every mode,
-exact or approximate.
+Relocation runs the ``builder`` of a row of
+:data:`jeffreys.centroids.MODES` on every cluster at once, and every
+update is guarded against the previous centroid, so the objective trace
+is non-increasing for every mode, exact or approximate.
 """
 
 from __future__ import annotations
@@ -31,10 +25,10 @@ from .histograms import WeightedHistogramSet
 class ClusteringConfig:
     """Knobs of a k-means run; ``seed`` makes the whole run reproducible.
 
-    ``centroid_mode`` is a name in :data:`jeffreys.centroids.MODES` whose
-    row has a ``builder``.  A run stops early when assignments repeat
-    or the objective trace does not decrease; ``max_iterations`` caps the
-    rounds.
+    ``k`` and ``max_iterations`` must be integers of at least 1, ``seed``
+    one of at least 0, and ``centroid_mode`` a name in
+    :data:`jeffreys.centroids.MODES` whose row has a ``builder``; anything
+    else raises :class:`~jeffreys.errors.ValidationError`.
     """
 
     k: int
@@ -45,7 +39,9 @@ class ClusteringConfig:
     def __post_init__(self):
         for name, least in (("k", 1), ("max_iterations", 1), ("seed", 0)):
             object.__setattr__(self, name, check_count(name, getattr(self, name), least))
-        if self.centroid_mode not in MODES or MODES[self.centroid_mode].builder is None:
+        # A str test first: an unhashable mode cannot be looked up in MODES.
+        mode = MODES.get(self.centroid_mode) if isinstance(self.centroid_mode, str) else None
+        if mode is None or mode.builder is None:
             choices = [name for name, mode in MODES.items() if mode.builder]
             raise ValidationError(
                 f"unknown centroid mode {self.centroid_mode!r}; choose from {choices}"
@@ -132,12 +128,16 @@ def _pairwise_jeffreys(
 def seed_centroids(s: WeightedHistogramSet, k: int, seed: int) -> np.ndarray:
     """Indices of ``k`` members picked by divergence-weighted sequential sampling.
 
-    The first member is uniform; each later one is drawn with probability
-    proportional to its Jeffreys divergence to the nearest member already
-    chosen.  ``k == n`` returns every index.  Deterministic given ``seed``.
-    Divergences too large for a double leave no weights to draw by, and
-    raise :class:`NumericError`.
+    ``k`` must be an integer with ``1 <= k <= s.n`` and ``seed`` an integer
+    ``>= 0``, or :class:`ValidationError` is raised; ``k == n`` returns
+    every index.  The first member is uniform; each later one is drawn with
+    probability proportional to its Jeffreys divergence to the nearest
+    member already chosen.  Deterministic given ``seed``.  Divergences too
+    large for a double leave no weights to draw by, and raise
+    :class:`NumericError`.
     """
+    k = check_count("k", k, 1)
+    seed = check_count("seed", seed, 0)
     if k > s.n:
         raise ValidationError(f"k={k} exceeds the number of histograms n={s.n}")
     if k == s.n:
@@ -211,16 +211,13 @@ def _relocate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Update every centroid of one round in a single batched solve.
 
-    The clusters' normalized weights form one ``(k, n)`` matrix, so their
-    arithmetic and geometric means are two matmuls and the mode's builder
-    in :mod:`jeffreys.centroids`, which maps the ``(k, d)`` raw means to
-    ``(k, d)`` candidates, runs once for every cluster with at least two
-    members.  A singleton cluster takes its member, an empty one keeps its
-    centroid.
-
-    ``costs`` holds each row's cost to its cluster's old centre, which the
-    guard compares with the candidates' ``n`` costs computed here.  Returns
-    the kept centres and each row's cost to the centre kept for its cluster.
+    The clusters' means are two matmuls over one ``(k, n)`` weight matrix,
+    and the mode's builder runs once on every cluster with at least two
+    members; a singleton cluster takes its member, an empty one keeps its
+    centroid.  ``costs`` holds each row's cost to its cluster's old centre,
+    which the guard compares with the candidates' ``n`` costs computed
+    here.  Returns the kept centres and each row's cost to the centre kept
+    for its cluster.
     """
     k = centers.shape[0]
     rows = np.arange(matrix.shape[0])
@@ -253,16 +250,15 @@ def _relocate(
 def kmeans(s: WeightedHistogramSet, cfg: ClusteringConfig) -> ClusteringResult:
     """Lloyd iteration under the Jeffreys divergence.
 
-    Assignment sends each histogram to its nearest centroid (ties to the
-    lowest index); relocation applies the configured centroid update to
-    every cluster in one batched call.  Each round makes one assignment
-    call, which also returns every row's elementwise cost to its centre
-    and repairs every cluster it empties (:func:`_assigned`); the
-    relocation guard and the trace entry read those costs or the
-    candidates' own.  Stops when assignments repeat, when the trace did not
-    decrease, or after ``max_iterations`` rounds.  The trace records the
-    weighted objective after each relocation and never increases; an
-    objective beyond the double range raises :class:`NumericError`.
+    Each round makes one assignment call, which sends each histogram to its
+    nearest centroid (ties to the lowest index), returns its elementwise
+    cost and repairs every cluster it empties (:func:`_assigned`), and one
+    batched relocation (:func:`_relocate`).  Stops when assignments repeat,
+    when the trace did not decrease (the assignments are then refreshed
+    against the final centroids), or after ``max_iterations`` rounds.  The
+    trace records the weighted objective after each relocation and never
+    increases; an objective beyond the double range raises
+    :class:`NumericError`.
     """
     if MODES[cfg.centroid_mode].frequency:
         s = s.as_frequency()

@@ -1,38 +1,20 @@
-"""Dataset ingestion.
+"""Dataset ingestion: three on-disk formats, named by :data:`FORMATS`.
 
-Three on-disk formats, named by :data:`FORMATS` as the CLI's ``--format``
-names them, map to a :class:`WeightedHistogramSet`:
-
-* ``csv`` -- one histogram per row; an optional first column
-  ``weight:<value>`` carries the row weight (all rows or none).  An
-  unweighted file is read in one vectorised parse; a weighted file, or one
-  that parse rejects, is read cell by cell, which gives the same numbers
-  and reports the first bad cell as ``path:line:col``.  A number, weights
-  included, is ``float()``'s syntax in ASCII and without ``_`` digit
-  separators, which is ``np.loadtxt``'s.
+* ``csv`` -- one histogram per row, with an optional first column
+  ``weight:<value>`` on all rows or none (:func:`_parse_csv`).
 * ``json`` -- ``{"histograms": [[...], ...], "weights": [...]}`` with the
-  weights key optional.
-* ``pgm-dir`` -- binary 8-bit grayscale (P5); every image becomes one
-  256-bin intensity histogram on the 0..255 scale, whatever its
-  ``maxval``; header comments may sit anywhere between tokens.  The path
-  is a directory, which ingests every ``*.pgm`` inside, or a single image.
+  weights key optional; JSON numbers only.
+* ``pgm-dir`` -- a directory of binary 8-bit grayscale (P5) images, every
+  ``*.pgm`` in it, or a single image; each image becomes one 256-bin
+  intensity histogram (:func:`read_pgm`).
 
-CSV and JSON files are read as UTF-8.  A file that cannot be read or
-decoded raises :class:`ValidationError` (``<path>: cannot read: ...``).
-
-Missing weights default to uniform; explicit weights are normalized to sum
-to one, also where their sum overflows.  Empty bins are smoothed with a
-small epsilon, whose scale only the ``JEFFREYS_EPSILON`` environment
-variable overrides, and data declared as frequency histograms must already
-sum to one per row, except PGM counts, which are normalized after
-smoothing.
+:func:`load_dataset` maps each to a :class:`WeightedHistogramSet`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -41,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_scale
 from .histograms import DEFAULT_EPSILON_SCALE, RENORMALIZE_ATOL, WeightedHistogramSet, smooth_bins
 
 FORMAT_CSV = "csv"
@@ -72,7 +54,7 @@ class DatasetFile:
 
 
 def epsilon_scale_from_env() -> float:
-    """Smoothing scale: JEFFREYS_EPSILON if set, else the default."""
+    """Smoothing scale: JEFFREYS_EPSILON if set, else the default; see :func:`check_scale`."""
     raw = os.environ.get(EPSILON_ENV)
     if raw is None:
         return DEFAULT_EPSILON_SCALE
@@ -80,10 +62,8 @@ def epsilon_scale_from_env() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ValidationError(f"{EPSILON_ENV} must be a float, got {raw!r}") from exc
-    # NaN fails both comparisons; float() reads "1e400" as inf.
-    if not 0.0 < value < math.inf:
-        raise ValidationError(f"{EPSILON_ENV} must be positive and finite, got {value!r}")
-    return value
+    # float() reads "nan" and "1e400" as numbers, which check_scale rejects.
+    return check_scale(EPSILON_ENV, value)
 
 
 def _parse_csv(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -242,8 +222,15 @@ def _parse_pgm(path: Path) -> tuple[np.ndarray, None]:
 def load_dataset(path, format: str, kind: str) -> DatasetFile:
     """Parse a dataset file into a weighted histogram set.
 
-    Empty bins are smoothed with the scale from ``JEFFREYS_EPSILON`` (or the
-    default), which the returned :class:`DatasetFile` reports.
+    CSV and JSON files are read as UTF-8; a file that cannot be read or
+    decoded raises :class:`ValidationError` (``<path>: cannot read:
+    ...``), as does a bin that is negative or not finite.  Missing weights
+    are uniform, and explicit ones are normalized to sum to one, also where
+    their sum overflows.  Empty bins are smoothed (:func:`smooth_bins`)
+    with the scale from ``JEFFREYS_EPSILON``, or the default, which the
+    returned :class:`DatasetFile` reports.  Rows of a frequency ``kind``
+    must already sum to one, except PGM counts, which are normalized after
+    smoothing.
     """
     if format not in FORMATS:
         raise ValidationError(f"unknown format {format!r}; choose from {FORMATS}")

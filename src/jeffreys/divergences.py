@@ -1,12 +1,9 @@
-"""The Jeffreys divergence between positive histograms.
+"""The Jeffreys divergence between positive histograms, in nats.
 
-All values are in nats.  The Jeffreys divergence is the symmetrized
-Kullback-Leibler sum ``KL(p:q) + KL(q:p) = sum (p - q) * log(p/q)`` and
-holds for arbitrary positive histograms.  :func:`jeffreys_rows` is the one
-kernel of that sum over many rows; the set objective, k-means and the trial
-harness all call it.  Its last-axis sum, like every row sum of the batched
-solvers and the trial harness, goes through :func:`_row_sums`, which is
-bitwise ``x.sum(axis=-1)`` and much faster on narrow rows.
+``J(p, q) = KL(p : q) + KL(q : p) = sum (p - q) * log(p / q)``.
+:func:`jeffreys_rows` is the one kernel of that sum over many rows, and
+:func:`_row_sums` the row sum of it, of the batched solvers and of the
+trial harness.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ def jeffreys_rows(h, log_h, c, log_c) -> np.ndarray:
 
     Callers pass the logarithms they already hold.  Finite terms whose sum
     exceeds the double range give ``inf``, without a warning.  The sum is
-    :func:`_row_sums`, so it is bitwise ``terms.sum(axis=-1)`` at any width.
+    :func:`_row_sums`.
     """
     with np.errstate(over="ignore"):
         # Rebinding c frees a gather made only for this call (on CPython 3.11+)

@@ -1,6 +1,7 @@
-"""Exception types shared across the library, and the one check of a count argument."""
+"""Exception types shared across the library, and the checks of count and scale arguments."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class ValidationError(ValueError):
@@ -22,3 +23,16 @@ def check_count(name: str, value, least: int) -> int:
     if value < least:
         raise ValidationError(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def check_scale(name: str, value) -> float:
+    """``value`` as a ``float``, or :class:`ValidationError` unless it is a real ``0 < value < inf``.
+
+    A ``bool``, a string or anything else that is not a real number does not pass.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    # NaN fails both comparisons.
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)

@@ -1,12 +1,8 @@
 """Histogram data model: weighted sets of positive or frequency histograms.
 
 A histogram is a vector of strictly positive bin values; a frequency
-histogram additionally lives on the probability simplex (bins sum to one).
-A weighted set stores its ``n`` members as one read-only ``(n, d)`` matrix,
-validated as a whole, and caches the matrix's log and each row's
-``sum h log h``.  A set is immutable after construction and safe to share
-across threads.  Results (centroids, means) are plain read-only float64
-arrays.
+histogram also sums to one.  A :class:`WeightedHistogramSet` is immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_scale
 
 #: |sum - 1| accepted as exactly normalized.
 SIMPLEX_ATOL = 1e-12
@@ -71,8 +67,11 @@ def smooth_bins(values, epsilon_scale: float = DEFAULT_EPSILON_SCALE) -> np.ndar
     Works along the last axis, so ``values`` may be one histogram or an
     ``(n, d)`` matrix of them.  The epsilon is ``epsilon_scale * max(1,
     total / d)`` so it tracks the mass scale of the histogram.  Histograms
-    without empty bins pass through unchanged; negative bins are rejected.
+    without empty bins pass through unchanged.  A negative bin, or an
+    ``epsilon_scale`` that is not a number with ``0 < epsilon_scale <
+    inf``, raises :class:`ValidationError`.
     """
+    epsilon_scale = check_scale("epsilon_scale", epsilon_scale)
     arr = _as_bins(values)
     if np.any(arr < 0.0):
         raise ValidationError("histogram bins must be non-negative")
@@ -106,9 +105,8 @@ class WeightedHistogramSet:
     ``matrix`` holds the members as rows: a 2-D array-like, finite and
     strictly positive, stored as a read-only ``(n, d)`` copy.
     ``weights=None`` assigns uniform weights ``1/n``.  With
-    ``frequency=True`` every row is validated as a simplex member: a row
-    whose sum is within ``SIMPLEX_ATOL`` of one is kept, one within
-    ``RENORMALIZE_ATOL`` is divided by its sum, and any other is rejected.
+    ``frequency=True`` every row follows the simplex rule of
+    :func:`_onto_simplex`.
     """
 
     matrix: np.ndarray
@@ -159,11 +157,7 @@ class WeightedHistogramSet:
         return out
 
     def as_frequency(self) -> "WeightedHistogramSet":
-        """Return the same set with every member validated on the simplex.
-
-        Members whose sum is within ``RENORMALIZE_ATOL`` of one are
-        accepted (and renormalized); anything else raises.
-        """
+        """The same set with ``frequency=True``: every member validated on the simplex."""
         if self.frequency:
             return self
         return WeightedHistogramSet(self.matrix, self.weights, frequency=True)

@@ -1,47 +1,33 @@
 """Principal branch of the Lambert W function on the non-negative reals.
 
-``W0(x)`` is the unique ``w >= 0`` with ``w * exp(w) = x`` for ``x >= 0``.
-It is evaluated with Halley's root-finding iteration, which converges in
-at most five steps from the initial guesses used here:
-
-* ``w0 = log1p(x)`` for ``x < e`` (an upper bound on ``W0``),
-* ``w0 = log(x) - log(log(x))`` for ``x >= e`` (a lower bound on ``W0``).
-
-The Halley update is evaluated in a form scaled by ``exp(-w)``,
+``W0(x)`` is the unique ``w >= 0`` with ``w * exp(w) = x``.  Halley's
+iteration evaluates it from ``w0 = log1p(x)`` for ``x < e`` (an upper
+bound on ``W0``) or ``w0 = log(x) - log(log(x))`` for ``x >= e`` (a lower
+bound), in a form scaled by ``exp(-w)``,
 
     r = w - x * exp(-w)
     w <- w - r / ((1 + w) - r * (2 + w) / (2 * (1 + w)))
 
-so no intermediate ever computes ``exp(w)`` on its own; the scaled residual
-stays finite for every finite double input, including ``x ~ 1e300`` where
-``w > 680``.  The denominator is bounded away from zero on ``w >= 0``.
+so no intermediate computes ``exp(w)`` on its own: the scaled residual
+stays finite for every finite double, ``x ~ 1e300`` (``w > 680``)
+included, and the denominator is bounded away from zero on ``w >= 0``.
 
-The result is within one ulp of ``W0(x)`` on criterion 1's grid of 10**4
-points over ``[1e-300, 1e300]``, but not everywhere.  Off that grid about
-one ``x`` in 400 of ``[1e-10, 0.1]`` lands more than one ulp away (515 of
-2 * 10**5 log-uniform samples, at most 1.41 ulp), and 2 * 10**5 samples
-of ``[1e-3, 1e-2]`` reached 1.45 ulp, at ``x = 3.8e-3``.
+The measurements behind :func:`lambert_w0_values`'s bounds:
 
-:func:`lambert_w0_values` is the one evaluation, for scalars and arrays
-alike.  It runs each Halley step on every lane, into a few buffers
-allocated once per call, and freezes a converged lane with
-``np.copyto(..., where=active)``, so no lane is gathered or scattered and
-a lane's value and step count do not depend on its neighbours: a 0-d call
-returns the same double as that lane inside any array.
-
-It can also start from a caller's ``guess`` per lane, as the three
-multiplier solvers of :mod:`jeffreys.centroids` do with their tangent
-extrapolation of the previous pass's values.  A guess near the root converges in one or two steps
-instead of four.  The value is then within about two ulp of ``W0(x)``
-(1.96 at worst in 3 * 10**6 random lanes, for ``x`` near 1e-16, where one
-step from a guess far below already passes the absolute step test).  A
-lane whose guess is not finite or not positive takes the cold start above.
-Over ``[1e-300, 1e300]`` (4 * 10**6 random lanes) every guess with ``0 <
-guess <= 2 W0(x)`` and ``|guess - W0(x)| <= 6`` took at most 8 steps and
-came within 2 ulp of the cold value.  Farther off, a lane can exhaust the
-10 steps and raise :class:`NumericError` (first seen 10.3 away; 1.5% off is
-10 near ``x = 1e300``); above ``2 W0(x)`` at ``x < 1e-8`` its error is about
-``ulp(guess)``.
+* Cold, on criterion 1's grid of 10**4 points over ``[1e-300, 1e300]``:
+  at most five steps and within one ulp; 84 values are one ulp off the
+  nearest double (faithfully, not correctly, rounded).
+* Cold, off that grid: 515 of 2 * 10**5 log-uniform samples of ``[1e-10,
+  0.1]`` land more than one ulp away (at most 1.41), and 2 * 10**5
+  samples of ``[1e-3, 1e-2]`` reached 1.45 ulp, at ``x = 3.8e-3``.
+* Warm, over ``[1e-300, 1e300]`` (4 * 10**6 random lanes): every guess in
+  the warm region took at most 8 steps and came within 2 ulp of the cold
+  value, 1.96 at worst in 3 * 10**6 lanes, near ``x = 1e-16``, where one
+  step from a guess far below already passes the step test.
+* Outside the warm region a lane can exhaust the 10 steps and raise
+  :class:`NumericError` (first seen 10.3 away; 1.5% off is 10 near ``x =
+  1e300``), and above ``2 W0(x)`` at ``x < 1e-8`` its error is about
+  ``ulp(guess)``.
 """
 
 from __future__ import annotations
@@ -67,24 +53,27 @@ def _cold_start(arr: np.ndarray) -> np.ndarray:
 
 
 def lambert_w0_values(x, return_iterations: bool = False, *, guess=None):
-    """Evaluate ``W0`` elementwise over non-negative values.
+    """``W0`` of every lane of ``x``: a non-negative number, or an array of them.
 
-    A 0-d ``x`` (a Python or numpy scalar) gives a numpy scalar, and its
-    step count as an ``int``.  Raises ``ValidationError`` for negative or
-    non-finite arguments, for an ``x`` that is not a rectangular array of
-    numbers, and for a ``guess`` that is not numbers that broadcast to it.
-    Every Halley step runs on every lane, writing into buffers of its own;
-    a converged lane is frozen (it keeps its value and its step count)
-    while the rest keep iterating.  ``x`` and ``guess`` are never written.  With ``return_iterations=True`` also returns the
-    per-element Halley step counts, which are only counted then.
+    A 0-d ``x`` (a Python or numpy scalar) gives a numpy scalar, an array
+    an array of its shape.  With ``return_iterations=True`` it also returns
+    the Halley step counts, per lane or, for a 0-d ``x``, as an ``int``.
+    Raises :class:`ValidationError` for a negative or non-finite ``x``, an
+    ``x`` that is not a rectangular array of numbers, or a ``guess`` that is
+    not numbers that broadcast to ``x``, and :class:`NumericError` where a
+    lane does not converge within ``_MAX_STEPS`` steps.  ``x`` and
+    ``guess`` are never written.
 
-    ``guess``, broadcastable to ``x``, starts Halley from the caller's
-    values instead of the cold initial guesses.  A lane whose guess is not
-    finite or not ``> 0``, or whose ``x`` is 0, takes the cold start, which
-    is only computed when some lane needs it.  A guess close to the root
-    saves steps.  One with ``0 < guess <= 2 W0(x)`` and ``|guess - W0(x)|
-    <= 6`` gives a value within 2 ulp of the cold start's; one farther away
-    can raise :class:`NumericError`, see the module docstring.
+    Every step runs on every lane and a converged lane is frozen, so a
+    lane's value and step count do not depend on the other lanes: a 0-d
+    call returns the same double as that lane inside any array.  Cold, the
+    value is within one ulp of ``W0(x)`` on criterion 1's grid and within
+    1.5 ulp off it.  ``guess`` starts Halley from the caller's values
+    instead; a lane whose guess is not finite or not ``> 0``, or whose
+    ``x`` is 0, starts cold.  A guess in the warm region, ``0 < guess <= 2
+    W0(x)`` and ``|guess - W0(x)| <= 6``, gives a value within 2 ulp of the
+    cold one; one farther off can raise :class:`NumericError`.  The module
+    docstring holds the measurements.
     """
     try:
         arr = np.asarray(x, dtype=np.float64)

@@ -1,30 +1,24 @@
-"""The randomized trial harness behind the benchmark table.
+"""The randomized trial harness behind the ``bench`` table.
 
 :func:`run_alpha_trials` draws random frequency sets and returns, as one
 :class:`TrialData` of per-trial arrays, the approximation factors of the
-closed-form constructions against the exact frequency centroid; the
-``bench`` command prints each factor's mean, minimum and maximum.
+closed-form constructions against the exact frequency centroid.
 
-It draws its trials in chunks of ``_CHUNK_SIZE``, one RNG stream each,
-and draws and solves a chunk in row blocks of about ``_BLOCK_ELEMENTS``
-lanes (trials times bins), so that the solvers' ``W0`` passes work on
-data that stays in cache instead of streaming a whole chunk's arrays from
-memory on every pass.  A block's draws continue the chunk's stream, and
-no trial's result depends on the others', so the results are bitwise
-those of one block per chunk.  Blocks and chunks are copied into the
-result as they finish, so the peak memory holds the result and one
-block's arrays.
+Trials come in chunks of ``_CHUNK_SIZE``, each drawn from its own RNG
+stream spawned from ``seed``; ``threads`` chunks run at once, and only
+``threads > 1`` imports the thread pool.  A chunk is drawn and solved in
+row blocks of about ``_BLOCK_ELEMENTS`` lanes (trials times bins), so
+that the solvers' ``W0`` passes work on data that stays in cache.  A
+block's draws continue the chunk's stream and no trial depends on
+another, so the results are bitwise those of one block per chunk, for
+any ``threads``.  Blocks and chunks are copied into the result as they
+finish, so the peak memory holds the result and one block's arrays.
 
-Each block runs the fixed point first and passes its multipliers to the
-bisection as root estimates; a trial the fixed point did not finish has
-a NaN multiplier, which the bisection reads as no estimate.  Every trial
-still makes the bisection's 52 halvings, but only about 10 of them are
-decided by a ``W0`` pass (``bisection_evaluations``); the rest are
-decided from a band around the estimate, which a check of the final
-bracket ends confirms, see
-:func:`~jeffreys.centroids.batch_frequency_bisection`.  Like
-the scalar bisection, a block then finishes the exact centroids in one
-pass, :func:`~jeffreys.centroids._on_simplex`.
+A block runs :func:`~jeffreys.centroids.batch_frequency_fixedpoint`, then
+:func:`~jeffreys.centroids.batch_frequency_bisection` with the fixed
+point's multipliers as estimates, and finishes the exact centroids in
+one pass.  ``bisection_evaluations`` averages 10.66 at ``bench --trials
+100000 --dims 2 --seed 0`` and 9.97 at ``--trials 10000 --dims 16``.
 """
 
 from __future__ import annotations
@@ -62,8 +56,8 @@ def random_frequency_rows(rng: np.random.Generator, trials: int, n: int, d: int)
 class TrialData:
     """Per-trial arrays from a batch of random centroid problems, each read-only.
 
-    ``bisection_evaluations`` counts the bisection's bracket halvings that
-    a ``W0`` pass decided, of the 52 that every trial makes.
+    ``bisection_evaluations`` counts the halvings, of the bisection's 52,
+    that a ``W0`` pass decided.
     """
 
     j_positive: np.ndarray
@@ -161,11 +155,13 @@ def run_alpha_trials(
     histograms_per_trial: int = 2,
     threads: int = 1,
 ) -> TrialData:
-    """Run randomized centroid trials and return the per-trial arrays.
+    """``num_trials`` random trials of ``histograms_per_trial`` members with ``d`` bins each.
 
-    Trials are generated in chunks of ``_CHUNK_SIZE`` with RNG streams
-    spawned from ``seed``, so results are identical for any ``threads``
-    value.
+    Every argument must be an integer, ``num_trials >= 1``, ``d >= 2``,
+    ``seed >= 0``, ``histograms_per_trial >= 2`` and ``threads >= 1``, or
+    :class:`~jeffreys.errors.ValidationError` is raised.  The result
+    depends on ``seed`` alone, not on ``threads`` (see the module
+    docstring).
     """
     num_trials = check_count("num_trials", num_trials, 1)
     d = check_count("d", d, 2)

@@ -227,6 +227,13 @@ class TestSetConstructor:
         with pytest.raises(ValidationError, match="weights must sum to 1, got inf"):
             WeightedHistogramSet([[1.0, 2.0], [2.0, 1.0]], weights=[1e308, 1e308])
 
+    @pytest.mark.parametrize(
+        "scale", [-1.0, 0.0, float("nan"), float("inf"), "a", True, None], ids=repr
+    )
+    def test_smooth_bins_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValidationError, match="epsilon_scale must be"):
+            smooth_bins([[0.0, 1.0], [0.5, 0.5]], scale)
+
     def test_smooth_bins_along_the_last_axis(self):
         rows = np.array([[0.0, 4.0], [1.0, 2.0], [0.0, 0.0]])
         smoothed = smooth_bins(rows)

@@ -2,8 +2,10 @@
 
 import argparse
 import contextlib
+import functools
 import importlib.util
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -248,6 +250,8 @@ def test_each_frequency_centroid_is_finished_once(monkeypatch):
     assert labels == ["fixedpoint"]
 
 
+THREE = jeffreys.WeightedHistogramSet([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
+
 #: Calls with one count argument that is not an integer.
 NOT_INTEGERS = [
     (jeffreys.ClusteringConfig, {"k": 2.5}),
@@ -260,6 +264,10 @@ NOT_INTEGERS = [
     (jeffreys.run_alpha_trials, {"num_trials": 10, "d": 2, "seed": "1"}),
     (jeffreys.run_alpha_trials, {"num_trials": 10, "d": 2, "histograms_per_trial": np.float64(3)}),
     (jeffreys.run_alpha_trials, {"num_trials": 10, "d": 2, "threads": 1.5}),
+    (functools.partial(jeffreys.seed_centroids, THREE), {"k": 2.5, "seed": 0}),
+    (functools.partial(jeffreys.seed_centroids, THREE), {"k": True, "seed": 0}),
+    (functools.partial(jeffreys.seed_centroids, THREE), {"k": 2, "seed": 1.5}),
+    (functools.partial(jeffreys.seed_centroids, THREE), {"k": 2, "seed": "a"}),
 ]
 
 
@@ -269,9 +277,39 @@ def test_counts_must_be_integers(fn, kwargs):
         fn(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "fn, kwargs, match",
+    [
+        (functools.partial(jeffreys.seed_centroids, THREE), {"k": 0, "seed": 0}, "k must be at least 1"),
+        (functools.partial(jeffreys.seed_centroids, THREE), {"k": -1, "seed": 0}, "k must be at least 1"),
+        (functools.partial(jeffreys.seed_centroids, THREE), {"k": 2, "seed": -1}, "seed must be at least 0"),
+        (jeffreys.ClusteringConfig, {"k": 2, "centroid_mode": ["positive"]}, "unknown centroid mode"),
+    ],
+    ids=["k-zero", "k-negative", "seed-negative", "unhashable-mode"],
+)
+def test_arguments_out_of_range(fn, kwargs, match):
+    with pytest.raises(jeffreys.ValidationError, match=match):
+        fn(**kwargs)
+
+
 def test_numpy_integer_counts_pass():
     config = jeffreys.ClusteringConfig(k=np.int64(2), max_iterations=np.uint8(5), seed=np.int32(3))
     assert (config.k, config.max_iterations, config.seed) == (2, 5, 3)
     assert type(config.k) is int
     data = jeffreys.run_alpha_trials(np.int64(10), np.int32(2), seed=np.uint16(1), threads=np.int8(1))
     assert data.w_c.shape == (10,)
+
+
+def test_readme_names_no_private_symbol():
+    """README keeps the user contract: no backticked name ends in a private part.
+
+    A dunder (``jeffreys.__all__``) and the lone ``_`` are not private names.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    private = [
+        name
+        for span in re.findall(r"`([^`\n]+)`", readme)
+        for name in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", span)
+        if re.fullmatch(r"_(?!_\w*__$)\w+", name.rsplit(".", 1)[-1])
+    ]
+    assert private == []
