@@ -60,19 +60,30 @@ BISECTION_HALVINGS = 52
 
 _EPS = float(np.finfo(np.float64).eps)
 #: Farther from any multiplier than the bracket's ends, ``0 >= lo >= -1 - log d``.
-#: A halving decided without a pass moves ``lo`` to ``mid`` on some rows and keeps it on
-#: the others as ``max(lo, mid - _FAR * keep)``, since ``lo <= mid``.
+#: A halving, decided with or without an evaluation, moves ``lo`` to ``mid`` on some
+#: rows and keeps it on the others as ``max(lo, mid - _FAR * keep)``, since ``lo <= mid``.
 #: Unlike ``np.where``, which branches on each row's direction, and those
 #: are random, it does not stall the CPU: three times as fast on 8,192 rows,
 #: though twice as slow on one.
 _FAR = 1e300
 
+#: Longest multiplier step across which :func:`_halvings` takes ``W`` from its
+#: anchor's tangent (:func:`_tangent_line`) instead of a ``W0`` pass.  ``W'' = W /
+#: (1 + W)**3 <= W`` in ``t = log x`` (Corless et al., *On the Lambert W
+#: function*, 1996), so the tangent is off by at most ``h**2 / 2`` relative
+#: over a step ``h``: ``eps / 8`` at this bound, a quarter ulp.  With the
+#: formula's half ulp, a tangent-only ``W`` adds ``5 eps / 8`` to its anchor's
+#: error: against the cold ``W0`` at the new multiplier, within 4 ulp (both
+#: cold values' 1.5 ulp, plus those).
+_TANGENT_EXACT = 2.0**-27
+
 #: Longest multiplier step across which :func:`_tangent` forms a warm ``W0`` guess.
 #: ``W`` as a function of ``t = log x`` has ``W'' = W / (1 + W)**3 <= 4 / 27``,
 #: so the tangent is off by at most ``2 * step**2 / 27``: 1.19 at this bound,
-#: inside the warm region of :func:`~jeffreys.lambertw.lambert_w0_values`
-#: (``0 < guess <= 2 W``, ``|guess - W| <= 6``).  It covers every warm halving
-#: of the bisection, at most ``(1 + log d) / 4``, for ``d`` up to ``e**15``.
+#: inside the warm region of :mod:`jeffreys.lambertw` (``0 < guess <= 2 W``,
+#: ``|guess - W| <= 6``), where a guess saves Halley steps; any guess is safe.
+#: It covers every warm halving of the bisection, at most ``(1 + log d) /
+#: 4``, for ``d`` up to ``e**15``.
 _TANGENT_REACH = 4.0
 
 #: Stop the fixed-point iteration once |lam_l - lam_{l-1}| falls below this.
@@ -175,8 +186,19 @@ def _w0_at(ratio: np.ndarray, lam=0.0, **kw):
     return lambert_w0_values(ratio * np.exp(lam + 1.0)[..., None], **kw)
 
 
+def _tangent_line(w: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """``w + step * w / (1 + w)``: the one place the tangent of ``W`` is written.
+
+    ``w`` holds ``(T, d)`` values of ``W0`` and ``step`` the ``(T,)``
+    multiplier steps from them.  :func:`_tangent` forms warm guesses with
+    it, and :func:`_halvings` the ``W`` of a step within
+    :data:`_TANGENT_EXACT`, where it needs no guard.
+    """
+    return w + step[:, None] * w / (1.0 + w)
+
+
 def _tangent(w: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """The warm ``W0`` guess ``w + step * w / (1 + w)``: the one place it is formed.
+    """The warm ``W0`` guess :func:`_tangent_line`: the one place a guess is formed.
 
     ``w`` holds ``(T, d)`` values ``W0`` took at some multipliers, and
     ``step`` the ``(T,)`` moves from them to the multipliers of the next
@@ -188,13 +210,13 @@ def _tangent(w: np.ndarray, step: np.ndarray) -> np.ndarray:
     :func:`~jeffreys.lambertw.lambert_w0_values` starts such lanes cold,
     as it does those where the tangent is not positive.
 
-    The slowest lane of a warm pass takes 1.54 Halley steps on average
-    over the 4,590 warm halvings of the estimate-free bisection, 2.52 in
-    the fixed point and 2.24 in Newton, against 4.0 cold (the 90
-    ``sparse-small`` sets of ``bench/workloads.py`` at seed 7).
+    The slowest lane of a warm pass takes 2.07 Halley steps on average
+    over the 2,346 warm passes of the estimate-free bisection (its other
+    2,244 warm halvings take no pass), 2.52 in the fixed point and 2.24 in
+    Newton, against 4.0 cold (the 90 ``sparse-small`` sets of
+    ``bench/workloads.py`` at seed 7).
     """
-    step = np.where(np.abs(step) <= _TANGENT_REACH, step, np.nan)
-    return w + step[:, None] * w / (1.0 + w)
+    return _tangent_line(w, np.where(np.abs(step) <= _TANGENT_REACH, step, np.nan))
 
 
 def _coordinates(a: np.ndarray, ratio: np.ndarray, lam=0.0) -> np.ndarray:
@@ -319,13 +341,16 @@ def _bracket(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _halvings(a, ratio, lo, hi, count, w, prev):
     """The brackets ``[lo, hi]`` after each row's next ``count`` halvings, each one evaluated.
 
-    A halving evaluates ``s(mid)`` in one ``W0`` pass and keeps ``[mid,
-    hi]`` where ``s(mid) >= 1``, else ``[lo, mid]``.  The rows run in
-    lockstep and a row retires after its ``count`` passes, so each pass
-    evaluates only the rows still running.  Each pass starts warm
-    (:func:`_tangent`), the first from ``w``, the ``W0`` values at
-    ``prev``; a row whose ``w`` is NaN starts cold.  No row's result
-    depends on the other rows.
+    A halving evaluates ``s(mid)`` and keeps ``[mid, hi]`` where ``s(mid)
+    >= 1``, else ``[lo, mid]``.  The rows run in lockstep and a row retires
+    after its ``count`` halvings.  Each row keeps an anchor: ``w``, the
+    ``W0`` values of its last pass, and ``prev``, that pass's multiplier;
+    the first is the caller's, and a row whose ``prev`` is NaN has none.  A
+    halving whose ``mid`` is within :data:`_TANGENT_EXACT` of the anchor
+    takes ``W`` from the anchor's tangent (:func:`_tangent_line`) without a
+    ``W0`` pass.  The other rows take one warm pass (:func:`_tangent`) on
+    their own lanes, cold where ``w`` is NaN, and anchor there.  ``w`` is
+    written.  No row's result depends on the other rows.
     """
     lo_out, hi_out = lo.copy(), hi.copy()
     # The running rows' indices into the results; the other arrays hold those rows only.
@@ -346,11 +371,22 @@ def _halvings(a, ratio, lo, hi, count, w, prev):
         if not rows.size:
             break
         mid = 0.5 * (lo + hi)
-        w = _w0_at(ratio, mid, guess=_tangent(w, mid - prev))
-        ge = _row_sums(a / w) >= 1.0
-        lo = np.where(ge, mid, lo)
-        hi = np.where(ge, hi, mid)
-        prev = mid
+        h = mid - prev
+        near = np.abs(h) <= _TANGENT_EXACT
+        # A pass where every row agrees gathers nothing: at T = 1, every pass.
+        if near.all():
+            x = _tangent_line(w, h)
+        elif not near.any():
+            w = x = _w0_at(ratio, mid, guess=_tangent(w, h))
+            prev = mid
+        else:
+            far = np.flatnonzero(~near)
+            x = _tangent_line(w, h)
+            w[far] = x[far] = _w0_at(ratio[far], mid[far], guess=_tangent(w[far], h[far]))
+            prev = np.where(near, prev, mid)
+        ge = _row_sums(a / x) >= 1.0
+        lo = np.maximum(lo, mid - _FAR * ~ge)
+        hi = np.minimum(hi, mid + _FAR * ge)
     return lo_out, hi_out
 
 
@@ -359,21 +395,27 @@ def _band(a, ratio, estimate, lo, hi):
 
     Returns ``(band_lo, band_hi, lam, w)``: per row the band and the
     estimate clipped to the bracket ``[lo, hi]``, and the ``(T, d)`` values
-    ``W(lam)``, the lockstep's warm start.  Only rows whose estimate is not
-    NaN take the pass.  A row whose estimate is NaN, or is moved by the
-    clipping by more than ``delta``, has no band: ``(-inf, inf)`` and a NaN
-    ``W``.
+    ``W(lam)``, the lockstep's first anchor (:func:`_halvings`).  Only rows
+    whose estimate is not NaN take the pass.  A row whose estimate is NaN,
+    or is moved by the clipping by more than ``delta``, has no band:
+    ``(-inf, inf)``, and a NaN ``lam`` and ``W``.
 
     The band is ``[lam - delta, lam + delta]`` with ``delta = 8 (d + 8) eps
     / |s'(lam)|`` and ``|s'(lam)| = sum_i c_i / (1 + W_i)`` from the pass.
-    ``(d + 8) eps`` bounds the rounding of a computed ``s``: ``W0``'s 2
-    ulp, the rounding of ``ratio * e^(mid + 1)`` and of ``a / W``, and the
-    ``d``-term sum.  Where the estimate is within half the band of the
-    root, ``s`` is about ``4 (d + 8) eps`` or more from 1 at the band's
-    ends, so every mid outside the band has the sign that an evaluation
-    there would give.  Nothing here proves that: the check of the final
-    bracket ends in :func:`batch_frequency_bisection` does.  A halving's
-    mid never leaves the bracket, so the band needs no clipping.
+    ``(d + 8) eps`` bounds the rounding of a computed ``s`` near 1.  Per
+    term, relative: a ``W`` from a pass is off by ``W0``'s 3.5 eps (1.5 ulp
+    cold, 2 more warm) and by the rounding of ``ratio * e^(mid + 1)``,
+    ``(1.5 + max(1, log d) / 2) eps``; a tangent-only ``W``
+    (:data:`_TANGENT_EXACT`) by its anchor's error and ``5 eps / 8`` more.
+    ``a / W`` adds ``eps / 2`` and the ``d``-term sum ``(d - 1) eps / 2``.
+    So a computed ``s`` is within ``(d / 2 + max(1, log d) / 2 + 5.625) eps
+    <= (d + 5.625) eps`` of ``s``, 0.625 eps more than without the tangent,
+    and the constant ``d + 8`` holds.  Where the estimate is within half
+    the band of the root, ``s`` is about ``4 (d + 8) eps`` or more from 1
+    at the band's ends, so every mid outside the band has the sign that an
+    evaluation there would give.  Nothing here proves that: the check of
+    the final bracket ends in :func:`batch_frequency_bisection` does.  A
+    halving's mid never leaves the bracket, so the band needs no clipping.
     """
     lam = np.clip(estimate, lo, hi)
     rows = np.flatnonzero(~np.isnan(lam))
@@ -383,7 +425,7 @@ def _band(a, ratio, estimate, lo, hi):
         w[rows] = _w0_at(ratio[rows], lam[rows])
     delta = 8.0 * (a.shape[1] + 8) * _EPS / _row_sums(a / (w * (1.0 + w)))
     known = np.abs(estimate - lam) <= delta
-    w[~known] = np.nan
+    w[~known] = lam[~known] = np.nan
     return np.where(known, lam - delta, -np.inf), np.where(known, lam + delta, np.inf), lam, w
 
 
@@ -395,8 +437,9 @@ def batch_frequency_bisection(
     ``a`` and ``g`` are ``(T, d)`` normalized means, one problem per row,
     and ``estimate`` one root estimate per row; a NaN estimate, or
     ``estimate=None`` on every row, is no estimate.  Returns ``(lam,
-    evaluated)``: per row the multiplier and the number of halvings that a
-    ``W0`` pass decided.  Nothing here raises: the caller finishes
+    evaluated)``: per row the multiplier and the number of halvings that an
+    evaluation of ``s`` decided, with or without a ``W0`` pass.  Nothing
+    here raises: the caller finishes
     ``c(lam)`` with :func:`_on_simplex`.  No row's result depends on the
     other rows.
 
@@ -411,7 +454,9 @@ def batch_frequency_bisection(
     evaluates all 52 halvings.  A row with one decides every halving whose
     mid is outside its band by the band's side, without a pass, until a
     mid first falls inside, and evaluates the rest.  All rows then run in
-    one lockstep of warm passes (:func:`_halvings`).  A final bracket end
+    one lockstep (:func:`_halvings`), where a halving within
+    :data:`_TANGENT_EXACT` of the row's last ``W0`` pass takes ``W`` from
+    that pass's tangent, and the others take a warm pass.  A final bracket end
     that rests on the band alone, set without a pass and not moved since,
     is checked by one cold evaluation of ``s``, and a row where ``s(lo) <
     1`` or ``s(hi) >= 1`` is solved again without an estimate.  This check
@@ -422,10 +467,13 @@ def batch_frequency_bisection(
     Guarantee: a row without a band returns the estimate-free bisection's
     ``lam`` bit for bit, and a row with one differs from it by at most
     ``max(2 final bracket widths, (d + 8) eps / |s'(lam)|)``, the rounding
-    noise of the evaluations near the root.  On the trial harness's rows
-    (seed 0, fixed-point estimates) 300 of 100,000 differ at ``d = 2`` and
-    1 of 10,000 at ``d = 16``.  Identical members, whose root is the
-    bracket's top, end within one final bracket width of 0.
+    noise of the evaluations near the root (:func:`_band` derives it, for
+    ``W`` from a pass or from a tangent).  On the trial harness's rows (seed
+    0, fixed-point estimates) 62,340 of 100,000 differ at ``d = 2`` and
+    1,660 of 10,000 at ``d = 16``, by at most 0.18 of that bound: their last
+    halvings lie within the noise, where ``W`` from the band's tangent and
+    from a pass can round ``s`` to different sides of 1.  Identical members,
+    whose root is the bracket's top, end within one final bracket width of 0.
     """
     ratio = _ratio(a, g)
     lo, hi = _bracket(a, g), np.zeros(a.shape[0])
@@ -648,10 +696,11 @@ def frequency_centroid_bisection(s: WeightedHistogramSet) -> CentroidResult:
     Runs :func:`batch_frequency_bisection` on the set's one problem, with
     the multiplier of :func:`batch_frequency_newton` as its estimate, and
     finishes it with :func:`_on_simplex`.  ``iterations`` reports the
-    :data:`BISECTION_HALVINGS` halvings.  A solve takes about 19 ``W0``
-    passes, against 53 without an estimate: Newton's, the band's, the
-    evaluated halvings and the finishing pass, 19.2 on average (15 to 25)
-    over the 90 ``sparse-small`` sets of ``bench/workloads.py`` at seed 7.
+    :data:`BISECTION_HALVINGS` halvings.  A solve takes about 7 ``W0``
+    passes: Newton's, the band's, the evaluated halvings off its tangent
+    (:func:`_halvings`) and the finishing pass, 6.74 on average (6 to 8)
+    over the 90 ``sparse-small`` sets of ``bench/workloads.py`` at seed 7,
+    against 28.1 (26 to 30) without an estimate.
     """
     return _solved(s, "bisection", _bisection)
 

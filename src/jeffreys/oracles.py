@@ -57,7 +57,7 @@ class TrialData:
     """Per-trial arrays from a batch of random centroid problems, each read-only.
 
     ``bisection_evaluations`` counts the halvings, of the bisection's 52,
-    that a ``W0`` pass decided.
+    that an evaluation of ``s`` decided, with or without a ``W0`` pass.
     """
 
     j_positive: np.ndarray

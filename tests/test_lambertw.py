@@ -314,3 +314,52 @@ class TestWarmStart:
         assert np.array_equal(scalar, full)
         value, steps = lambert_w0_values(1.0, return_iterations=True, guess=0.5671432904097838)
         assert value == pytest.approx(0.5671432904097838, rel=2 * EPS) and steps == 1
+
+
+class TestAnyGuess:
+    """``lambert_w0_values`` is total in ``guess``: any value, within 2 ulp of the cold one."""
+
+    @pytest.mark.parametrize(
+        "x, guess",
+        [
+            (1.568e9, 2.206e39),  # Halley's step of about 2 passed the relative test at once
+            (4.734e-164, 1.375),  # the absolute step test stopped near 0, not at x
+            (10.0, 1e160),  # r * (2 + w) overflowed
+            (1.7e308, 1e-300),  # x * exp(-w) near the largest double: overflowed too
+        ],
+    )
+    def test_far_guesses(self, x, guess):
+        cold = float(lambert_w0_values(x))
+        value, steps = lambert_w0_values(x, return_iterations=True, guess=guess)
+        assert abs(float(value) - cold) <= 2.0 * math.ulp(cold)
+        assert steps <= _MAX_STEPS
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp),
+                    st.floats(0.0, sys.float_info.max),
+                ),
+                st.one_of(
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.floats(-745.0, 709.0).map(math.exp),
+                    st.floats(-1000.0, 1000.0),
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_every_guess_lands_within_two_ulp(self, lanes):
+        # A guess is either any double or, with the flag, an offset from the root.
+        x = np.array([lane[0] for lane in lanes])
+        cold = lambert_w0_values(x)
+        guess = np.array([g for _, g, _ in lanes])
+        offset = np.array([shifted for _, _, shifted in lanes])
+        guess = np.where(offset & np.isfinite(guess), cold + guess, guess)
+        value, steps = lambert_w0_values(x, return_iterations=True, guess=guess)
+        assert steps.max() <= _MAX_STEPS
+        assert np.all(np.abs(value - cold) <= 2.0 * np.spacing(cold))
